@@ -55,7 +55,7 @@ from .image import (
     one_in_image,
 )
 from .linalg import LinSolution, LinSystem, solve_linear
-from .mpoly import DivisorZero, MultiPoly, VariableMismatch, divide_exact
+from .mpoly import CheckFailed, DivisorZero, MultiPoly, VariableMismatch, divide_exact
 from .simplicity import (
     Certificate,
     NecessaryCheck,
@@ -116,6 +116,7 @@ __all__ = [
     "LinSolution",
     "LinSystem",
     "solve_linear",
+    "CheckFailed",
     "DivisorZero",
     "MultiPoly",
     "VariableMismatch",

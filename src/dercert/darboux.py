@@ -29,7 +29,7 @@ from .firstorder import (
     ParamPoly,
     solve_first_order,
 )
-from .mpoly import MultiPoly, divide_exact
+from .mpoly import CheckFailed, MultiPoly, divide_exact
 from .upoly import UniPoly, ZeroPolynomial, rational_roots
 
 PLANE = ("x", "y")
@@ -181,7 +181,8 @@ def _bareiss_det(matrix: list[list[MultiPoly]], variables: tuple[str, ...]) -> M
             for j in range(k + 1, size):
                 num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
                 q = divide_exact(num, prev)
-                assert q is not None, "Bareiss division must be exact"
+                if q is None:
+                    raise CheckFailed("Bareiss division must be exact")
                 m[i][j] = q
             m[i][k] = MultiPoly.zero(variables)
         prev = m[k][k]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import add
 
 from .derivation import (
     Derivation,
@@ -26,7 +26,7 @@ from .derivation import (
     recognize_family,
 )
 from .linalg import solve_sparse
-from .mpoly import MultiPoly, grlex_key
+from .mpoly import CheckFailed, MultiPoly, RatLike, grlex_key
 
 TAG_P22 = "P2.2"
 TAG_C23 = "C2.3"
@@ -78,26 +78,50 @@ def _monomials(variables: tuple[str, ...], bound: int) -> list[tuple[int, ...]]:
 def image_membership(D: Derivation, target: MultiPoly, bound: int) -> Member | NotFoundUpTo:
     """Solve D(f) = target over all f of total degree <= bound, exactly.
 
+    Column j of the system is D of the j-th basis monomial, built by the
+    product rule D(x^e) = sum_v e_v * x^(e - 1_v) * D(v) from the terms
+    of the images D(v).  Rows are the monomials that occur in a column
+    or in the target, in decreasing graded-lex order; integral
+    coefficients are kept as int, and `solve_sparse` eliminates over the
+    integers.
+
     The particular preimage is canonical: columns are ordered by
     decreasing graded-lex and free coordinates are set to zero.
     kernel_dim is the dimension of {f : deg f <= bound, D(f) = 0},
-    constants included.  This routine never claims global
+    constants included.  The preimage is checked by applying D to it
+    before it is returned.  This routine never claims global
     non-membership.
     """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     target = target.with_variables(D.variables)
     basis = _monomials(D.variables, bound)
-    rows_by_monomial: dict[tuple[int, ...], dict[int, Fraction]] = {}
+    # the terms of D(v) shifted by -1_v, so x^e contributes e_v * c * x^(e + shift)
+    shifted = []
+    for v, image in enumerate(D.images):
+        terms = []
+        for mono, c in image.terms.items():
+            shift = list(mono)
+            shift[v] -= 1
+            terms.append((tuple(shift), _int_if_integral(c)))
+        shifted.append((v, terms))
+    rows_by_monomial: dict[tuple[int, ...], dict[int, RatLike]] = {}
     for j, exps in enumerate(basis):
-        image = D.apply(MultiPoly(D.variables, [(exps, 1)]))
-        for mono, coeff in image.terms.items():
-            rows_by_monomial.setdefault(mono, {})[j] = coeff
+        column: dict[tuple[int, ...], RatLike] = {}
+        for v, terms in shifted:
+            e_v = exps[v]
+            if e_v:
+                for shift, c in terms:
+                    mono = tuple(map(add, exps, shift))
+                    column[mono] = column.get(mono, 0) + e_v * c
+        for mono, coeff in column.items():
+            if coeff:
+                rows_by_monomial.setdefault(mono, {})[j] = _int_if_integral(coeff)
     for mono in target.terms:
         rows_by_monomial.setdefault(mono, {})
     monomials = sorted(rows_by_monomial, key=grlex_key, reverse=True)
     rows = [rows_by_monomial[mono] for mono in monomials]
-    rhs = [target.terms.get(mono, Fraction(0)) for mono in monomials]
+    rhs = [_int_if_integral(target.terms.get(mono, 0)) for mono in monomials]
     solution = solve_sparse(rows, rhs, len(basis))
     if solution is None:
         return NotFoundUpTo(bound=bound)
@@ -110,8 +134,13 @@ def image_membership(D: Derivation, target: MultiPoly, bound: int) -> Member | N
         ],
     )
     kernel_dim = len(basis) - solution.rank
-    assert D.apply(preimage) == target
+    if D.apply(preimage) != target:
+        raise CheckFailed("the solved preimage does not map to the target")
     return Member(preimage=preimage, kernel_dim=kernel_dim, bound=bound)
+
+
+def _int_if_integral(c: RatLike) -> RatLike:
+    return c.numerator if c.denominator == 1 else c
 
 
 def _y_var(D: Derivation, index: int) -> MultiPoly:

@@ -1,16 +1,26 @@
 """Exact linear system solving over the rationals.
 
-Systems are solved by full Gauss-Jordan elimination on sparse rows
-(dict column -> Fraction).  The particular solution sets every free
-variable to zero, which makes results deterministic for a fixed column
-order; the kernel basis has one vector per free column.
+Sparse rows (dict column -> int or Fraction) are scaled to integer rows,
+one lcm of denominators per row, and reduced to row echelon form by
+forward elimination with fraction-free integer row updates (as in
+Bareiss 1968, Math. Comp. 22), each followed by division by the row
+content rather than by the previous pivot.  A column -> rows index
+keeps pivot search and elimination on the rows that are nonzero in the
+current column.  Back-substitution in Fraction then gives the solution.
+
+Columns are taken in order and each becomes a pivot column exactly when
+it is independent of the columns before it, so the pivot columns do not
+depend on which row is chosen as pivot.  The particular solution sets
+every free variable to zero, and the kernel basis has one vector per
+free column, with a 1 in that column and 0 in the other free columns;
+both are therefore fixed by the column order alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 
 @dataclass
@@ -26,76 +36,117 @@ class LinSolution:
     rank: int
 
 
-def _rref_sparse(
-    rows: list[dict[int, Fraction]], rhs: list[Fraction], ncols: int
-) -> tuple[list[dict[int, Fraction]], list[Fraction], dict[int, int]] | None:
-    """In-place RREF. Returns (rows, rhs, pivot column -> row index) or None."""
-    pivots: dict[int, int] = {}
-    pivot_row = 0
-    work = [dict(r) for r in rows]
-    rvec = list(rhs)
+def _integer_rows(
+    rows: list[dict[int, Fraction | int]], rhs: list[Fraction | int]
+) -> tuple[list[dict[int, int]], list[int]]:
+    """Scale every row and its rhs by the lcm of their denominators."""
+    int_rows = []
+    int_rhs = []
+    for row, b in zip(rows, rhs):
+        scale = math.lcm(b.denominator, *(v.denominator for v in row.values()))
+        int_rows.append(
+            {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
+        )
+        int_rhs.append(b.numerator * (scale // b.denominator))
+    return int_rows, int_rhs
+
+
+def _echelon(
+    rows: list[dict[int, int]], rhs: list[int], ncols: int
+) -> list[tuple[int, dict[int, int], int]] | None:
+    """Forward elimination in place; None means inconsistent.
+
+    Returns the pivot rows as (pivot column, row, rhs) in column order.
+    A pivot row has no entry left of its pivot column.
+    """
+    if any(not row and b for row, b in zip(rows, rhs)):
+        return None
+    by_col: list[set[int]] = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for c in row:
+            by_col[c].add(i)
+    pivots = []
     for col in range(ncols):
-        # pick the sparsest candidate row for this column
-        best = None
-        for i in range(pivot_row, len(work)):
-            if work[i].get(col):
-                if best is None or len(work[i]) < len(work[best]):
-                    best = i
-        if best is None:
+        candidates = by_col[col]
+        if not candidates:
             continue
-        work[pivot_row], work[best] = work[best], work[pivot_row]
-        rvec[pivot_row], rvec[best] = rvec[best], rvec[pivot_row]
-        inv = 1 / work[pivot_row][col]
-        if inv != 1:
-            work[pivot_row] = {c: v * inv for c, v in work[pivot_row].items()}
-            rvec[pivot_row] *= inv
-        prow = work[pivot_row]
-        for i in range(len(work)):
-            if i == pivot_row:
-                continue
-            factor = work[i].get(col)
-            if not factor:
-                continue
-            row = work[i]
+        # the sparsest pivot row adds the least fill-in; the index makes it unique
+        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        for c in prow:
+            by_col[c].discard(p)
+        pv, pb = prow[col], rhs[p]
+        for i in candidates:
+            row = rows[i]
+            a = row[col]
+            g = math.gcd(pv, a)
+            keep, take = pv // g, a // g
+            if keep != 1:
+                for c in row:
+                    row[c] *= keep
             for c, v in prow.items():
-                new = row.get(c, Fraction(0)) - factor * v
+                new = row.get(c, 0) - take * v
                 if new:
+                    if c not in row:
+                        by_col[c].add(i)
                     row[c] = new
                 else:
-                    row.pop(c, None)
-            rvec[i] -= factor * rvec[pivot_row]
-        pivots[col] = pivot_row
-        pivot_row += 1
-        if pivot_row == len(work):
-            break
-    for i in range(len(work)):
-        if not work[i] and rvec[i] != 0:
-            return None
-    return work, rvec, pivots
+                    del row[c]
+                    if c != col:
+                        by_col[c].discard(i)
+            b = keep * rhs[i] - take * pb
+            if not row:
+                if b:
+                    return None
+                continue
+            content = math.gcd(b, *row.values())
+            if content != 1:
+                for c in row:
+                    row[c] //= content
+                b //= content
+            rhs[i] = b
+        candidates.clear()
+        pivots.append((col, prow, pb))
+    return pivots
 
 
 def solve_sparse(
-    rows: list[dict[int, Fraction]], rhs: list[Fraction], ncols: int
+    rows: list[dict[int, Fraction | int]], rhs: list[Fraction | int], ncols: int
 ) -> LinSolution | None:
-    """Solve A x = b with sparse rows; None means inconsistent."""
-    reduced = _rref_sparse(rows, rhs, ncols)
-    if reduced is None:
+    """Solve A x = b with sparse rows of int or Fraction; None means inconsistent."""
+    int_rows, int_rhs = _integer_rows(rows, rhs)
+    pivots = _echelon(int_rows, int_rhs, ncols)
+    if pivots is None:
         return None
-    work, rvec, pivots = reduced
+    # x[col] = sum_k value[col][k] * t_k, with t_k the free variable k
+    # and t_ncols = 1 for the constant part
+    value: dict[int, dict[int, Fraction]] = {}
+    for col, row, b in reversed(pivots):
+        acc: dict[int, Fraction] = {ncols: Fraction(b)} if b else {}
+        for c, a in row.items():
+            if c == col:
+                continue
+            solved = value.get(c)
+            if solved is None:
+                acc[c] = acc.get(c, 0) - a
+            else:
+                for k, v in solved.items():
+                    acc[k] = acc.get(k, 0) - a * v
+        p = row[col]
+        value[col] = {k: Fraction(v, p) for k, v in acc.items() if v}
     particular = [Fraction(0)] * ncols
-    for col, rowi in pivots.items():
-        particular[col] = rvec[rowi]
-    free_cols = [c for c in range(ncols) if c not in pivots]
-    kernel = []
-    for f in free_cols:
-        vec = [Fraction(0)] * ncols
+    for col, solved in value.items():
+        particular[col] = solved.get(ncols, Fraction(0))
+    kernel = {f: [Fraction(0)] * ncols for f in range(ncols) if f not in value}
+    for f, vec in kernel.items():
         vec[f] = Fraction(1)
-        for col, rowi in pivots.items():
-            coeff = work[rowi].get(f)
-            if coeff:
-                vec[col] = -coeff
-        kernel.append(vec)
-    return LinSolution(particular=particular, kernel=kernel, rank=len(pivots))
+    for col, solved in value.items():
+        for k, v in solved.items():
+            if k != ncols:
+                kernel[k][col] = v
+    return LinSolution(
+        particular=particular, kernel=list(kernel.values()), rank=len(pivots)
+    )
 
 
 def solve_linear(system: LinSystem) -> LinSolution | None:
@@ -110,10 +161,3 @@ def solve_linear(system: LinSystem) -> LinSolution | None:
         {j: Fraction(v) for j, v in enumerate(row) if v != 0} for row in system.rows
     ]
     return solve_sparse(sparse, [Fraction(v) for v in system.rhs], ncols)
-
-
-def verify_solution(system: LinSystem, solution: Sequence[Fraction]) -> bool:
-    for row, b in zip(system.rows, system.rhs):
-        if sum(a * x for a, x in zip(row, solution)) != b:
-            return False
-    return True

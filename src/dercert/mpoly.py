@@ -25,6 +25,15 @@ class VariableMismatch(ValueError):
     """Operands live over different variable tuples."""
 
 
+class CheckFailed(AssertionError):
+    """An exact self-check of a computed result failed.
+
+    This signals a fault in dercert, never a property of the input, so
+    it is not a ValueError; it is raised explicitly and therefore also
+    runs under ``python -O``.
+    """
+
+
 def _frac(value: RatLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import nonzero_rationals, uni, unipolys
+import dercert.darboux
 from dercert import (
+    CheckFailed,
     CofactorStructure,
     DarbouxPair,
     FamilyA,
@@ -274,3 +276,10 @@ class TestSearch:
         )
         assert out.status == "found"
         assert witness in [p.F for p in out.pairs]
+
+
+def test_inexact_bareiss_division_is_caught(monkeypatch):
+    monkeypatch.setattr(dercert.darboux, "divide_exact", lambda h, g: None)
+    matrix = [[poly("x"), poly("1")], [poly("y"), poly("x + y")]]
+    with pytest.raises(CheckFailed):
+        dercert.darboux._bareiss_det(matrix, XY)

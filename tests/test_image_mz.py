@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import multipolys, uni
+import dercert.image
 from dercert import (
     CertifiedNonMember,
+    CheckFailed,
+    Derivation,
     FamilyA,
     FamilyB,
     FamilyDiag,
@@ -21,7 +24,9 @@ from dercert import (
     image_membership,
     locally_finite_closed_form,
     one_in_image,
+    parse_derivation,
     parse_poly,
+    poly_to_str,
 )
 
 F = Fraction
@@ -91,6 +96,94 @@ class TestMembership:
         with pytest.raises(ValueError):
             image_membership(D, MultiPoly.constant(D.variables, 1), -1)
 
+
+# Canonical preimages and kernel dimensions pinned before the integer
+# elimination replaced the Fraction one: (derivation, target, bound,
+# printed preimage or None for NotFoundUpTo, kernel_dim).
+PLANE_RATIONAL = parse_derivation("deriv{x: y, y: (1/2)*x*y + 1/3}")
+DIAG_X = FamilyDiagX(gammas=(uni([F(1, 2), 1]), uni([0, 0, F(-3, 4)])), ks=(2, 1))
+DIAG_X_FREE = FamilyDiagX(gammas=(uni([F(1, 2), 1]), UniPoly.zero()), ks=(2, 1))
+DIAG_3 = FamilyDiag(gammas=(F(1), F(-1), F(1, 3)), ks=(1, 1, 2))
+DIAG_3_CONST = FamilyDiag(gammas=(F(2), F(-1, 3), F(5, 2)), ks=(2, 1, 0))
+GOLDEN = [
+    (PLANE_RATIONAL, "1", 6, "-3/4*x^2 + 3*y", 1),
+    (PLANE_RATIONAL, "x", 8, None, None),
+    (
+        PLANE_RATIONAL,
+        "x^2*y^2 + y^3 + 5*x^2*y + 11/21*x*y - 2/21",
+        9,
+        "x*y^2 + 5/3*x^3 - 2/7*y",
+        1,
+    ),
+    (
+        PLANE_RATIONAL,
+        "1/2*x^4*y - 3/4*x*y^3 + 3*x^2*y^2 + 1/3*x^3 - 1/2*y^2",
+        10,
+        "x^3*y - 1/2*y^3",
+        1,
+    ),
+    (DIAG_X, "y1", 8, None, None),
+    (
+        DIAG_X,
+        "x^4*y2^2 + x*y1^2*y2 - 3/4*x^2*y1*y2 - 4/3*x*y2^2 + 1/2*y1^2*y2",
+        7,
+        "-2/3*x^2*y2^2 + y1*y2",
+        1,
+    ),
+    (
+        DIAG_X_FREE,
+        "2*x^2*y1^3*y2 + x*y1^3*y2 + 2/5*x*y2^2 + y1^2*y2",
+        6,
+        "1/5*x^2*y2^2 + x*y1^2*y2",
+        7,
+    ),
+    (DIAG_X_FREE, "y2^3", 5, "x*y2^3", 6),
+    (DIAG_3, "1/6*y3^3 - y1*y2^2", 6, "y1*y2^2 + 1/4*y3^2", 4),
+    (DIAG_3, "y1*y2", 6, None, None),
+    (
+        DIAG_3,
+        "-1*y2^2*y3^2 + 1/3*y1*y3^2 + 6*y2^2*y3 + y1*y3",
+        5,
+        "-3*y2^2*y3 + y1*y3",
+        3,
+    ),
+    (DIAG_3_CONST, "y1", 7, None, None),
+    (
+        DIAG_3_CONST,
+        "-1*y2^3*y3 - 7*y1^2*y3 + 5/2*y2^3 - 35/4*y1",
+        6,
+        "y2^3*y3 - 7/2*y1*y3",
+        1,
+    ),
+]
+
+
+class TestCanonicalPreimage:
+    @pytest.mark.parametrize("family, target, bound, preimage, kernel_dim", GOLDEN)
+    def test_golden(self, family, target, bound, preimage, kernel_dim):
+        D = family if isinstance(family, Derivation) else family.to_derivation()
+        result = image_membership(D, parse_poly(target, D.variables), bound)
+        if preimage is None:
+            assert result == NotFoundUpTo(bound=bound)
+        else:
+            assert isinstance(result, Member)
+            assert poly_to_str(result.preimage) == preimage
+            assert result.kernel_dim == kernel_dim
+
+
+    def test_wrong_solver_answer_is_caught(self, monkeypatch):
+        real = dercert.image.solve_sparse
+
+        def off_by_one(rows, rhs, ncols):
+            solution = real(rows, rhs, ncols)
+            solution.particular[0] += 1
+            return solution
+
+        monkeypatch.setattr(dercert.image, "solve_sparse", off_by_one)
+        D = PLANE_RATIONAL
+        with pytest.raises(CheckFailed):
+            image_membership(D, MultiPoly.constant(D.variables, 1), 6)
+        assert not issubclass(CheckFailed, ValueError)
 
 class TestCertified:
     def test_plane_linear_x(self):

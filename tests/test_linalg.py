@@ -3,8 +3,9 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import rationals
+from conftest import nonzero_rationals, rationals
 from dercert import LinSystem, solve_linear
+from dercert.linalg import solve_sparse
 
 F = Fraction
 
@@ -59,3 +60,102 @@ def test_solution_and_kernel_are_exact(matrix_and_n, data):
         for row in rows:
             assert sum(a * x for a, x in zip(row, vec)) == 0
     assert sol.rank + len(sol.kernel) == n
+
+
+def dense_reference(rows, rhs, ncols):
+    """Plain dense Gauss-Jordan over Fraction: leftmost pivots, free variables 0."""
+    work = [[F(v) for v in row] + [F(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        src = next((i for i in range(r, len(work)) if work[i][col]), None)
+        if src is None:
+            continue
+        work[r], work[src] = work[src], work[r]
+        work[r] = [v / work[r][col] for v in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                factor = work[i][col]
+                work[i] = [a - factor * p for a, p in zip(work[i], work[r])]
+        pivots.append(col)
+    if any(not any(row[:ncols]) and row[ncols] for row in work):
+        return None
+    particular = [F(0)] * ncols
+    for r, col in enumerate(pivots):
+        particular[col] = work[r][ncols]
+    kernel = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [F(0)] * ncols
+        vec[f] = F(1)
+        for r, col in enumerate(pivots):
+            vec[col] = -work[r][f]
+        kernel.append(vec)
+    return particular, kernel, len(pivots)
+
+
+# mostly zeros, with int and Fraction entries mixed
+sparse_entries = st.one_of(
+    st.just(0),
+    st.just(0),
+    st.integers(min_value=-5, max_value=5),
+    rationals,
+)
+
+
+@st.composite
+def sparse_systems(draw):
+    ncols = draw(st.integers(min_value=0, max_value=7))
+    # tall (up to twice the columns) and wide systems both occur
+    nrows = draw(st.integers(min_value=0, max_value=2 * ncols + 2))
+    rows = [
+        draw(st.lists(sparse_entries, min_size=ncols, max_size=ncols))
+        for _ in range(nrows)
+    ]
+    rhs = draw(st.lists(rationals, min_size=nrows, max_size=nrows))
+    extra = draw(st.integers(min_value=0, max_value=3))
+    for _ in range(extra):
+        kind = draw(st.sampled_from(["zero", "duplicate", "scaled", "clash"]))
+        if kind == "zero" or not rows:
+            rows.append([0] * ncols)
+            rhs.append(draw(st.sampled_from([0, 0, F(1, 3)])))
+            continue
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        if kind == "duplicate":
+            rows.append(list(rows[i]))
+            rhs.append(rhs[i])
+        elif kind == "scaled":
+            s = draw(nonzero_rationals)
+            rows.append([s * v for v in rows[i]])
+            rhs.append(s * rhs[i])
+        else:  # same row, different rhs: inconsistent unless the row is zero
+            rows.append(list(rows[i]))
+            rhs.append(rhs[i] + 1)
+    return rows, rhs, ncols
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_systems())
+def test_solve_sparse_matches_dense_reference(system_data):
+    rows, rhs, ncols = system_data
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    # rhs entries that are whole numbers are passed as int, like matrix entries
+    mixed_rhs = [b.numerator if b.denominator == 1 else b for b in map(F, rhs)]
+    sol = solve_sparse(sparse, mixed_rhs, ncols)
+    expected = dense_reference(rows, rhs, ncols)
+    if expected is None:
+        assert sol is None
+        return
+    assert sol is not None
+    assert (sol.particular, sol.kernel, sol.rank) == expected
+    assert all(type(v) is F for v in sol.particular)
+    assert all(type(v) is F for vec in sol.kernel for v in vec)
+
+
+def test_solve_sparse_leaves_its_input_alone():
+    rows = [{0: 2, 1: F(1, 2)}, {0: 4, 1: 3}, {1: 5}]
+    rhs = [F(1), 2, F(5, 3)]
+    copies = ([dict(r) for r in rows], list(rhs))
+    solve_sparse(rows, rhs, 2)
+    assert (rows, rhs) == copies
