@@ -4,7 +4,9 @@ Every command produces a versioned JSON report binding the verdict to
 its result tag and certificate; the text rendering is a pure function
 of that JSON.  Exit codes: 0 success, 2 parse error, 3 unsupported
 family for the requested decision, 4 bounded-search outcomes that found
-nothing (not-found-up-to / none-up-to-bounds / undecided).
+nothing (not-found-up-to / none-up-to-bounds / undecided), 5 internal
+fault (an exact self-check of a computed result failed; the report still
+goes to stderr, with the failed check in results.error).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .image import (
     NotFoundUpTo,
     decide_mz,
 )
-from .mpoly import MultiPoly
+from .mpoly import CheckFailed, MultiPoly
 from .simplicity import (
     Certificate,
     NecessaryCheck,
@@ -57,6 +59,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_NOT_FOUND = 4
+EXIT_INTERNAL = 5
 
 # one-line statement of the decision rule behind each result tag
 RULE_TEXT = {
@@ -476,11 +479,15 @@ def run_command(argv: list[str]) -> int:
         # invalid argument values (negative bounds, unreadable grid files)
         report["results"] = {"error": str(exc)}
         code = EXIT_PARSE
+    except CheckFailed as exc:
+        report["results"] = {"error": f"internal check failed: {exc}"}
+        code = EXIT_INTERNAL
     report["exit_code"] = code
     report["timing_ms"] = round((time.perf_counter() - start) * 1000, 3)
     is_scan = args.command == "conjecture-scan"
-    if not is_scan or args.json:
-        # the scan's --out file holds the evidence JSONL, not the report
+    if not is_scan or args.json or code == EXIT_INTERNAL:
+        # the scan's --out file holds the evidence JSONL, not the report;
+        # its report is printed with --json, or always after an internal fault
         _emit(
             report,
             args,

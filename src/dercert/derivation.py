@@ -60,14 +60,6 @@ class Derivation:
             f = self.apply(f)
         return f
 
-    def max_degree_raise(self) -> int:
-        """Largest possible increase of total degree under one application."""
-        raise_by = 0
-        for img in self.images:
-            if not img.is_zero():
-                raise_by = max(raise_by, int(img.total_degree()) - 1)
-        return raise_by
-
 
 # -- structured families ----------------------------------------------
 

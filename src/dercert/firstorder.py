@@ -16,11 +16,12 @@ equation hold identically.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Union
 
-from .mpoly import MultiPoly
+from .mpoly import MultiPoly, VariableMismatch
 from .upoly import UniPoly
 
 MODE_DERIV_MINUS_AC = "c'-a*c=g"
@@ -31,6 +32,10 @@ RatLike = Union[Fraction, int]
 
 class UnsupportedShape(ValueError):
     """The coefficient polynomial a must have degree at least 1."""
+
+
+def _nonzero(coeffs: dict[int, MultiPoly]) -> dict[int, MultiPoly]:
+    return {e: c for e, c in coeffs.items() if c.terms}
 
 
 class ParamPoly:
@@ -52,8 +57,16 @@ class ParamPoly:
         self.coeffs: dict[int, MultiPoly] = {e: c for e, c in acc.items() if not c.is_zero()}
 
     @staticmethod
+    def _from_canonical(params: tuple[str, ...], coeffs: dict[int, MultiPoly]) -> "ParamPoly":
+        """Wrap nonzero coefficients over `params` without copying or checking."""
+        p = object.__new__(ParamPoly)
+        p.params = params
+        p.coeffs = coeffs
+        return p
+
+    @staticmethod
     def zero(params: tuple[str, ...]) -> "ParamPoly":
-        return ParamPoly(params)
+        return ParamPoly._from_canonical(tuple(params), {})
 
     @staticmethod
     def from_unipoly(params: tuple[str, ...], p: UniPoly) -> "ParamPoly":
@@ -78,35 +91,53 @@ class ParamPoly:
     def coeff(self, e: int) -> MultiPoly:
         return self.coeffs.get(e, MultiPoly.zero(self.params))
 
+    def _check(self, other: "ParamPoly") -> None:
+        if self.params != other.params:
+            raise VariableMismatch(f"{self.params} vs {other.params}")
+
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
+        self._check(other)
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
             out[e] = out[e] + c if e in out else c
-        return ParamPoly(self.params, out)
+        return ParamPoly._from_canonical(self.params, _nonzero(out))
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly(self.params, {e: -c for e, c in self.coeffs.items()})
+        return ParamPoly._from_canonical(
+            self.params, {e: -c for e, c in self.coeffs.items()}
+        )
 
     def __sub__(self, other: "ParamPoly") -> "ParamPoly":
         return self + (-other)
 
     def __mul__(self, other: "ParamPoly") -> "ParamPoly":
+        self._check(other)
         out: dict[int, MultiPoly] = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = e1 + e2
                 prod = c1 * c2
                 out[e] = out[e] + prod if e in out else prod
-        return ParamPoly(self.params, out)
+        return ParamPoly._from_canonical(self.params, _nonzero(out))
 
     def mul_uni(self, p: UniPoly) -> "ParamPoly":
-        return self * ParamPoly.from_unipoly(self.params, p)
+        out: dict[int, MultiPoly] = {}
+        for e1, c1 in self.coeffs.items():
+            for e2, a in p.coeffs:
+                e = e1 + e2
+                prod = c1.scale(a)
+                out[e] = out[e] + prod if e in out else prod
+        return ParamPoly._from_canonical(self.params, _nonzero(out))
 
     def scale(self, c: RatLike) -> "ParamPoly":
-        return ParamPoly(self.params, {e: v.scale(c) for e, v in self.coeffs.items()})
+        if c == 0:
+            return ParamPoly.zero(self.params)
+        return ParamPoly._from_canonical(
+            self.params, {e: v.scale(c) for e, v in self.coeffs.items()}
+        )
 
     def derivative(self) -> "ParamPoly":
-        return ParamPoly(
+        return ParamPoly._from_canonical(
             self.params,
             {e - 1: c.scale(e) for e, c in self.coeffs.items() if e >= 1},
         )
@@ -116,12 +147,6 @@ class ParamPoly:
         for e, c in self.coeffs.items():
             out.append((e, c.evaluate(assignment)))
         return UniPoly(out)
-
-    def substitute_param(self, name: str, value: MultiPoly) -> "ParamPoly":
-        return ParamPoly(
-            self.params,
-            {e: c.substitute_poly(name, value) for e, c in self.coeffs.items()},
-        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -171,7 +196,7 @@ def _solve_kac_minus_deriv(
             if upper is not None:
                 acc = acc + upper.scale(j + d + 1)
             b[j] = acc.scale(Fraction(1) / lead)
-    candidate = ParamPoly(params, {j: c for j, c in b.items() if not c.is_zero()})
+    candidate = ParamPoly._from_canonical(params, _nonzero(b))
     # low-order coefficients of k*a*c - c' - g must vanish
     constraints: list[MultiPoly] = []
     for r in range(d):

@@ -5,14 +5,29 @@ from exponent vectors to nonzero rational coefficients.  Terms are kept
 canonical (no zero coefficients); printing and division use graded
 lexicographic order where later variables in the tuple rank higher,
 matching the convention x < y and x < y1 < ... < yn.
+
+Only the public constructor ``MultiPoly(variables, terms)`` validates:
+it checks every exponent vector, converts every coefficient to a
+Fraction and merges repeated monomials.  It is meant for outside input
+(the parser, tests).  Every internal result -- ring operations,
+derivatives, substitutions, reshaping and the steps of `divide_exact`
+-- is built from canonical operands and stored as it is through
+``MultiPoly._from_canonical``.  Each operation merges into one dict and
+drops zero coefficients once, keeping the insertion order the
+validating constructor would give: the first operand's terms first,
+then the other operand's new terms.  Term dicts are never changed after
+construction, so a result may share its operand's dict.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from operator import add
+from typing import Iterable, Union
 
 from .upoly import NEG_INF, UniPoly, ZeroPolynomial
+from .upoly import CheckFailed  # noqa: F401  (re-exported)
 
 RatLike = Union[Fraction, int]
 
@@ -25,15 +40,6 @@ class VariableMismatch(ValueError):
     """Operands live over different variable tuples."""
 
 
-class CheckFailed(AssertionError):
-    """An exact self-check of a computed result failed.
-
-    This signals a fault in dercert, never a property of the input, so
-    it is not a ValueError; it is raised explicitly and therefore also
-    runs under ``python -O``.
-    """
-
-
 def _frac(value: RatLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
@@ -41,6 +47,24 @@ def _frac(value: RatLike) -> Fraction:
 def grlex_key(exps: tuple[int, ...]) -> tuple:
     # total degree first, ties broken from the highest-ranked variable down
     return (sum(exps), tuple(reversed(exps)))
+
+
+def _nonzero(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c}
+
+
+def _add_into(out: dict, terms: Iterable) -> dict:
+    """Add (monomial, coefficient) pairs into out, dropping monomials that cancel."""
+    for e, c in terms:
+        if e in out:
+            total = out[e] + c
+            if total:
+                out[e] = total
+            else:
+                del out[e]
+        else:
+            out[e] = c
+    return out
 
 
 class MultiPoly:
@@ -69,15 +93,27 @@ class MultiPoly:
                 acc[exps] += c
             else:
                 acc[exps] = c
-        self.terms: dict[tuple[int, ...], Fraction] = {
-            e: c for e, c in acc.items() if c != 0
-        }
+        self.terms: dict[tuple[int, ...], Fraction] = _nonzero(acc)
+
+    @staticmethod
+    def _from_canonical(
+        variables: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]
+    ) -> "MultiPoly":
+        """Wrap already-canonical data without copying or checking it.
+
+        The caller guarantees a tuple of names, exponent vectors of that
+        length with no negative entry, and nonzero Fraction coefficients.
+        """
+        p = object.__new__(MultiPoly)
+        p.variables = variables
+        p.terms = terms
+        return p
 
     # -- constructors --------------------------------------------------
 
     @staticmethod
     def zero(variables: tuple[str, ...]) -> "MultiPoly":
-        return MultiPoly(variables)
+        return MultiPoly._from_canonical(tuple(variables), {})
 
     @staticmethod
     def constant(variables: tuple[str, ...], c: RatLike) -> "MultiPoly":
@@ -142,86 +178,123 @@ class MultiPoly:
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        return MultiPoly(
-            self.variables, list(self.terms.items()) + list(other.terms.items())
+        return MultiPoly._from_canonical(
+            self.variables, _add_into(dict(self.terms), other.terms.items())
         )
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        return MultiPoly(
-            self.variables,
-            list(self.terms.items()) + [(e, -c) for e, c in other.terms.items()],
+        negated = [(e, -c) for e, c in other.terms.items()]
+        return MultiPoly._from_canonical(
+            self.variables, _add_into(dict(self.terms), negated)
         )
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.variables, [(e, -c) for e, c in self.terms.items()])
+        return MultiPoly._from_canonical(
+            self.variables, {e: -c for e, c in self.terms.items()}
+        )
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.variables, out)
+                e = tuple(map(add, e1, e2))
+                if e in out:
+                    out[e] += c1 * c2
+                else:
+                    out[e] = c1 * c2
+        return MultiPoly._from_canonical(self.variables, _nonzero(out))
 
     def scale(self, c: RatLike) -> "MultiPoly":
         c = _frac(c)
         if c == 0:
             return MultiPoly.zero(self.variables)
-        return MultiPoly(self.variables, [(e, k * c) for e, k in self.terms.items()])
+        return MultiPoly._from_canonical(
+            self.variables, {e: k * c for e, k in self.terms.items()}
+        )
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power")
-        result = MultiPoly.constant(self.variables, 1)
+        if n == 0:
+            return MultiPoly.constant(self.variables, 1)
+        # square-and-multiply from the low bit; starting from the first
+        # factor instead of 1 keeps the term order of 1 * factor
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def partial(self, name: str) -> "MultiPoly":
         """Formal partial derivative with respect to one variable."""
         idx = self.variables.index(name)
-        terms = []
+        terms = {}
         for exps, c in self.terms.items():
-            if exps[idx] >= 1:
-                new = list(exps)
-                new[idx] -= 1
-                terms.append((tuple(new), c * exps[idx]))
-        return MultiPoly(self.variables, terms)
+            power = exps[idx]
+            if power:
+                terms[exps[:idx] + (power - 1,) + exps[idx + 1 :]] = c * power
+        return MultiPoly._from_canonical(self.variables, terms)
 
     # -- substitution and reshaping ---------------------------------------
 
     def substitute_value(self, name: str, value: RatLike) -> "MultiPoly":
-        """Specialize one variable to a rational; variable stays in the tuple."""
+        """Specialize one variable to a rational; variable stays in the tuple.
+
+        Each power of `value` is computed once.
+        """
         idx = self.variables.index(name)
+        if not any(exps[idx] for exps in self.terms):
+            return MultiPoly._from_canonical(self.variables, self.terms)
         value = _frac(value)
-        terms = []
+        powers: dict[int, Fraction] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
-            new = list(exps)
-            new[idx] = 0
-            terms.append((tuple(new), c * value ** exps[idx]))
-        return MultiPoly(self.variables, terms)
+            power = exps[idx]
+            if power:
+                if power not in powers:
+                    powers[power] = value**power
+                c = c * powers[power]
+                exps = exps[:idx] + (0,) + exps[idx + 1 :]
+            if exps in out:
+                out[exps] += c
+            else:
+                out[exps] = c
+        return MultiPoly._from_canonical(self.variables, _nonzero(out))
 
     def substitute_poly(self, name: str, replacement: "MultiPoly") -> "MultiPoly":
-        """Replace a variable by a polynomial over the same variable tuple."""
+        """Replace a variable by a polynomial over the same variable tuple.
+
+        Sums c * rest * replacement^k over the terms c * rest * name^k in
+        order, each power computed once, dropping a monomial as soon as
+        its coefficient cancels.
+        """
         self._check(replacement)
         idx = self.variables.index(name)
-        result = MultiPoly.zero(self.variables)
+        powers: dict[int, MultiPoly] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
-            rest = list(exps)
-            power = rest[idx]
-            rest[idx] = 0
-            term = MultiPoly(self.variables, [(tuple(rest), c)])
-            result = result + term * replacement**power
-        return result
+            power = exps[idx]
+            if not power:
+                _add_into(out, [(exps, c)])
+                continue
+            if power not in powers:
+                powers[power] = replacement**power
+            rest = exps[:idx] + (0,) + exps[idx + 1 :]
+            _add_into(
+                out,
+                [(tuple(map(add, rest, e)), c * k) for e, k in powers[power].terms.items()],
+            )
+        return MultiPoly._from_canonical(self.variables, out)
 
     def with_variables(self, variables: tuple[str, ...]) -> "MultiPoly":
         """Embed into a larger (or reordered) variable tuple by name."""
+        variables = tuple(variables)
         mapping = []
         for name in self.variables:
             if name not in variables:
@@ -230,26 +303,25 @@ class MultiPoly:
                 mapping.append(None)
             else:
                 mapping.append(variables.index(name))
-        terms = []
+        terms = {}
         for exps, c in self.terms.items():
             new = [0] * len(variables)
             for i, e in enumerate(exps):
                 if e:
                     new[mapping[i]] = e
-            terms.append((tuple(new), c))
-        return MultiPoly(variables, terms)
+            terms[tuple(new)] = c
+        return MultiPoly._from_canonical(variables, terms)
 
     def coeffs_in(self, name: str) -> dict[int, "MultiPoly"]:
         """Decompose as a polynomial in one variable; values keep the full tuple."""
         idx = self.variables.index(name)
-        buckets: dict[int, list] = {}
+        buckets: dict[int, dict] = {}
         for exps, c in self.terms.items():
-            rest = list(exps)
-            power = rest[idx]
-            rest[idx] = 0
-            buckets.setdefault(power, []).append((tuple(rest), c))
+            rest = exps[:idx] + (0,) + exps[idx + 1 :]
+            buckets.setdefault(exps[idx], {})[rest] = c
         return {
-            p: MultiPoly(self.variables, items) for p, items in sorted(buckets.items())
+            p: MultiPoly._from_canonical(self.variables, terms)
+            for p, terms in sorted(buckets.items())
         }
 
     def to_unipoly(self, name: str) -> UniPoly:
@@ -320,7 +392,7 @@ def divide_exact(h: MultiPoly, g: MultiPoly) -> MultiPoly | None:
         diff = tuple(a - b for a, b in zip(r_exps, g_exps))
         if any(d < 0 for d in diff):
             return None
-        t = MultiPoly(h.variables, [(diff, r_coeff / g_coeff)])
+        t = MultiPoly._from_canonical(h.variables, {diff: r_coeff / g_coeff})
         quotient = quotient + t
         rem = rem - t * g
     return quotient

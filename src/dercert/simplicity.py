@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .derivation import Derivation, FamilyA, FamilyPow
 from .mpoly import MultiPoly
-from .upoly import UniPoly, rational_roots
+from .upoly import CheckFailed, UniPoly, rational_roots
 
 TAG_T21 = "T2.1"
 TAG_T41 = "T4.1"
@@ -280,9 +280,10 @@ def conjecture_scan(alpha: int, coeff_grid, bounds) -> list[ScanRow]:
         fam = FamilyPow(alpha=alpha, beta=alpha, a2=a2, a1=a1, a0=a0)
         check = conjecture_necessary(fam)
         if not check.passed:
-            assert check.witness is not None
+            if check.witness is None:
+                raise CheckFailed("a failed necessary condition carries no witness")
             if not verify_stable_ideal(fam.to_derivation(), check.witness.generators):
-                raise AssertionError("constructed witness failed verification")
+                raise CheckFailed("constructed witness failed verification")
             rows.append(
                 ScanRow(alpha, a2, a1, a0, "fail", check.l_value, "skipped")
             )

@@ -10,6 +10,7 @@ arithmetic is exact.  The degree of the zero polynomial is the sentinel
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Union
 
 NEG_INF = float("-inf")
@@ -19,6 +20,15 @@ RatLike = Union[Fraction, int]
 
 class ZeroPolynomial(ValueError):
     """An operation that needs a nonzero polynomial received zero."""
+
+
+class CheckFailed(AssertionError):
+    """An exact self-check of a computed result failed.
+
+    This signals a fault in dercert, never a property of the input, so
+    it is not a ValueError; it is raised explicitly and therefore also
+    runs under ``python -O``.
+    """
 
 
 def _frac(value: RatLike) -> Fraction:
@@ -204,8 +214,11 @@ def _divisors(n: int) -> list[int]:
 def rational_roots(p: UniPoly) -> list[Fraction]:
     """All rational roots of p, each listed once, in increasing order.
 
-    Uses the rational-root theorem on the primitive integer form of p,
-    followed by exact evaluation, so the result is complete over Q.
+    Uses the rational-root theorem on the integer form of p (denominators
+    cleared): every root in lowest terms is num/den with num dividing the
+    constant and den the leading coefficient.  Each candidate is checked
+    exactly in integers, as den^deg * p(num/den) = 0 by Horner's rule, so
+    the result is complete over Q.
     """
     if p.is_zero():
         raise ZeroPolynomial("rational_roots of the zero polynomial")
@@ -215,24 +228,30 @@ def rational_roots(p: UniPoly) -> list[Fraction]:
         roots.append(Fraction(0))
         p = UniPoly([(e - min_exp, c) for e, c in p.coeffs])
     if p.is_constant():
-        return sorted(roots)
-    # clear denominators to get an integer polynomial
-    denom_lcm = 1
-    for _, c in p.coeffs:
-        denom_lcm = denom_lcm * c.denominator // _gcd(denom_lcm, c.denominator)
-    int_coeffs = {e: int(c * denom_lcm) for e, c in p.coeffs}
-    lead = int_coeffs[p.degree()]
-    const = int_coeffs[0] if 0 in int_coeffs else 0
-    assert const != 0  # x-power was factored out above
+        return roots
+    denom_lcm = lcm(*(c.denominator for _, c in p.coeffs))
+    degree = p.degree()
+    dense = [0] * (degree + 1)
+    for e, c in p.coeffs:
+        dense[e] = c.numerator * (denom_lcm // c.denominator)
+    lead, const = dense[degree], dense[0]
+    if const == 0:
+        raise CheckFailed("zero constant term after factoring out the x-power")
     for num in _divisors(const):
         for den in _divisors(lead):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand not in roots and p(cand) == 0:
-                    roots.append(cand)
+            if gcd(num, den) != 1:
+                continue  # its reduced form is a candidate of its own
+            for n in (num, -num):
+                if _integer_horner(dense, n, den) == 0:
+                    roots.append(Fraction(n, den))
     return sorted(roots)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
+def _integer_horner(dense: list[int], num: int, den: int) -> int:
+    """den^deg * p(num/den) for p with dense integer coefficients, low to high."""
+    acc = dense[-1]
+    den_power = 1
+    for c in reversed(dense[:-1]):
+        den_power *= den
+        acc = acc * num + c * den_power
+    return acc

@@ -1,6 +1,8 @@
 import json
 
-from dercert.cli import run_command
+import dercert.image
+import dercert.simplicity
+from dercert.cli import EXIT_INTERNAL, run_command
 
 
 def run_json(capsys, argv):
@@ -110,6 +112,41 @@ class TestDarboux:
             capsys, ["darboux", "deriv{x: y, y: y^2 + 1}"]
         )
         assert code == 3
+
+
+class TestInternalFault:
+    def test_failed_self_check_exits_five_with_report(self, monkeypatch, capsys):
+        real = dercert.image.solve_sparse
+
+        def off_by_one(rows, rhs, ncols):
+            solution = real(rows, rhs, ncols)
+            solution.particular[0] += 1
+            return solution
+
+        monkeypatch.setattr(dercert.image, "solve_sparse", off_by_one)
+        code = run_command(
+            ["image", "deriv{x: y, y: x*y + 1}", "--target", "1", "--bound", "3", "--json"]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL == 5
+        assert captured.out == ""
+        report = json.loads(captured.err)
+        assert report["exit_code"] == 5
+        assert "does not map to the target" in report["results"]["error"]
+
+    def test_scan_fault_is_reported_without_json(self, monkeypatch, tmp_path, capsys):
+        grid = tmp_path / "grid.jsonl"
+        # x*y^2 + (x + 1)*y^3 + 1 fails condition 3 with l = 1, so its
+        # witness is replayed
+        grid.write_text('{"a2": "x + 1", "a1": "x", "a0": "1"}\n')
+        monkeypatch.setattr(dercert.simplicity, "verify_stable_ideal", lambda D, gens: False)
+        code = run_command(
+            ["conjecture-scan", "--alpha", "2", "--grid", str(grid), "--out", str(tmp_path / "ev")]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert "exit_code" not in captured.out
+        assert "internal check failed: constructed witness failed verification" in captured.err
 
 
 class TestParseErrors:

@@ -11,6 +11,7 @@ from dercert import (
     CofactorStructure,
     DarbouxPair,
     FamilyA,
+    FamilyPow,
     MultiPoly,
     NotDarboux,
     SearchBounds,
@@ -19,8 +20,10 @@ from dercert import (
     ZeroPolynomial,
     audit_structure,
     darboux_search_family_a,
+    darboux_search_power_family,
     decide_simple_family_a,
     parse_poly,
+    poly_to_str,
     solve_residual_system,
     verify_darboux,
 )
@@ -283,3 +286,103 @@ def test_inexact_bareiss_division_is_caught(monkeypatch):
     matrix = [[poly("x"), poly("1")], [poly("y"), poly("x + y")]]
     with pytest.raises(CheckFailed):
         dercert.darboux._bareiss_det(matrix, XY)
+
+
+# Every residual system `_search_fixed_n` hands to `solve_residual_system`
+# for two cells, recorded term by term in insertion order: the order of
+# the constraints and of the terms inside each one steers which
+# elimination step the residual solver takes first.
+GOLDEN_SEARCH_CELLS = [
+    (
+        # alpha = 3, a2 = x - 1, a1 = a0 = 1
+        FamilyPow(3, 3, uni([-1, 1]), UniPoly.one(), UniPoly.one()),
+        SearchBounds(2, 1, 2),
+        [
+            [
+                [((0, 0, 0, 0, 0, 0), "-1"), ((0, 0, 0, 0, 1, 0), "1"), ((0, 0, 0, 0, 0, 1), "1")],
+                [((0, 0, 0, 0, 0, 0), "1"), ((1, 0, 0, 0, 0, 1), "1")],
+                [((0, 1, 0, 0, 0, 1), "1")],
+                [((1, 0, 0, 0, 0, 0), "-1"), ((0, 0, 1, 0, 0, 1), "1")],
+                [((0, 1, 0, 0, 0, 0), "-1"), ((0, 0, 0, 1, 0, 1), "1")],
+                [((0, 0, 1, 0, 0, 0), "-1"), ((0, 0, 0, 0, 1, 1), "1")],
+                [((0, 0, 0, 1, 0, 0), "-1"), ((0, 0, 0, 0, 0, 2), "1")],
+            ],
+            [
+                [((0, 0, 0, 0, 0, 0), "-2"), ((0, 0, 0, 0, 1, 0), "1"), ((0, 0, 0, 0, 0, 1), "1")],
+                [
+                    ((0, 0, 0, 0, 0, 1), "1"),
+                    ((0, 0, 1, 0, 0, 0), "1"),
+                    ((0, 0, 0, 0, 1, 1), "-1"),
+                    ((0, 0, 0, 1, 0, 0), "1"),
+                    ((0, 0, 0, 0, 0, 2), "-1"),
+                ],
+                [((0, 0, 0, 0, 0, 1), "-1"), ((1, 0, 0, 1, 0, 0), "1/2"), ((1, 0, 0, 0, 0, 2), "-1/2")],
+                [((0, 1, 0, 1, 0, 0), "1/2"), ((0, 1, 0, 0, 0, 2), "-1/2")],
+                [
+                    ((0, 0, 0, 0, 0, 0), "2"),
+                    ((1, 0, 0, 0, 0, 1), "1"),
+                    ((0, 0, 1, 1, 0, 0), "1/2"),
+                    ((0, 0, 1, 0, 0, 2), "-1/2"),
+                ],
+                [((0, 1, 0, 0, 0, 1), "1"), ((0, 0, 0, 2, 0, 0), "1/2"), ((0, 0, 0, 1, 0, 2), "-1/2")],
+                [
+                    ((1, 0, 0, 0, 0, 0), "-1"),
+                    ((0, 0, 1, 0, 0, 1), "1"),
+                    ((0, 0, 0, 1, 1, 0), "1/2"),
+                    ((0, 0, 0, 0, 1, 2), "-1/2"),
+                ],
+                [((0, 1, 0, 0, 0, 0), "-1"), ((0, 0, 0, 1, 0, 1), "3/2"), ((0, 0, 0, 0, 0, 3), "-1/2")],
+            ],
+        ],
+        ("none-up-to-bounds", [], ""),
+    ),
+    (
+        # alpha = 1, built non-simple: a2 = l*a1 - l^2*a0 with l = 2
+        FamilyPow(1, 1, uni([-4, 2]), UniPoly.x(), UniPoly.one()),
+        SearchBounds(2, 1, 2),
+        [
+            [
+                [((1, 0), "1"), ((0, 0), "-2"), ((0, 1), "2")],
+                [((0, 0), "1"), ((1, 0), "-1/2"), ((1, 1), "1/2")],
+                [((0, 1), "-1/2"), ((0, 2), "1/2")],
+            ],
+            [
+                [((1, 0), "1"), ((0, 0), "-4"), ((0, 1), "2")],
+                [((0, 0), "-4"), ((1, 0), "1"), ((1, 1), "-1/2"), ((0, 1), "3"), ((0, 2), "-1")],
+                [
+                    ((0, 0), "1"),
+                    ((0, 1), "-1/2"),
+                    ((1, 0), "-1/4"),
+                    ((1, 1), "3/8"),
+                    ((1, 2), "-1/8"),
+                ],
+                [((0, 1), "-1/4"), ((0, 2), "3/8"), ((0, 3), "-1/8")],
+            ],
+        ],
+        (
+            "found",
+            [("y + 1/2", "2*x*y - 4*y + 2"), ("y^2 + y + 1/4", "4*x*y - 8*y + 4")],
+            "",
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "family, bounds, systems, outcome", GOLDEN_SEARCH_CELLS, ids=["alpha3", "alpha1-nonsimple"]
+)
+def test_residual_systems_are_pinned(monkeypatch, family, bounds, systems, outcome):
+    seen = []
+    real = dercert.darboux.solve_residual_system
+
+    def recording(system, effort):
+        seen.append([[(e, str(c)) for e, c in p.terms.items()] for p in system])
+        return real(system, effort)
+
+    monkeypatch.setattr(dercert.darboux, "solve_residual_system", recording)
+    out = darboux_search_power_family(family, bounds)
+    assert seen == systems
+    status, pairs, detail = outcome
+    assert out.status == status
+    assert [(poly_to_str(p.F), poly_to_str(p.cofactor)) for p in out.pairs] == pairs
+    assert out.detail == detail

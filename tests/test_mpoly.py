@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import multipolys, nonzero_multipolys, uni
+from conftest import multipolys, nonzero_multipolys, rationals, uni
 from dercert import DivisorZero, MultiPoly, UniPoly, divide_exact, parse_poly
 
 XY = ("x", "y")
@@ -90,3 +91,138 @@ class TestReshaping:
     def test_evaluate(self):
         p = poly("x*y + 1/2")
         assert p.evaluate({"x": 2, "y": Fraction(1, 4)}) == 1
+
+
+XZY = ("x", "z", "y")
+
+
+def items(p: MultiPoly) -> list:
+    return list(p.terms.items())
+
+
+def assert_canonical(p: MultiPoly, variables=XY) -> None:
+    assert p.variables == variables
+    for exps, c in p.terms.items():
+        assert type(exps) is tuple and len(exps) == len(variables)
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(c) is Fraction and c != 0
+
+
+def assert_built_as(p: MultiPoly, terms, variables=XY) -> None:
+    """p is canonical and equals, term order included, the validated `terms`."""
+    assert_canonical(p, variables)
+    assert items(p) == items(MultiPoly(variables, terms))
+
+
+def naive_substitution(p: MultiPoly, name: str, power_of) -> MultiPoly:
+    """Sum of c * rest * power_of(k) over the terms c * rest * name^k of p."""
+    idx = p.variables.index(name)
+    total = MultiPoly.zero(p.variables)
+    for exps, c in p.terms.items():
+        rest = tuple(0 if i == idx else e for i, e in enumerate(exps))
+        total = total + MultiPoly(p.variables, [(rest, c)]) * power_of(exps[idx])
+    return total
+
+
+class TestTrustedCore:
+    """Internal results skip the validating constructor; they must not need it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(multipolys(), multipolys(), rationals)
+    def test_ring_operations(self, a, b, k):
+        assert_built_as(a + b, items(a) + items(b))
+        assert_built_as(a - b, items(a) + [(e, -c) for e, c in items(b)])
+        assert_built_as(-a, [(e, -c) for e, c in items(a)])
+        assert_built_as(
+            a * b,
+            [
+                (tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+                for e1, c1 in items(a)
+                for e2, c2 in items(b)
+            ],
+        )
+        assert_built_as(a.scale(k), [(e, c * k) for e, c in items(a)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(multipolys(max_degree=2, max_terms=4), st.integers(min_value=0, max_value=5))
+    def test_power(self, a, n):
+        # square-and-multiply from the low bit, starting at 1
+        expected, base, m = MultiPoly.constant(XY, 1), a, n
+        while m:
+            if m & 1:
+                expected = expected * base
+            base = base * base
+            m >>= 1
+        assert_built_as(a**n, items(expected))
+
+    @settings(max_examples=200, deadline=None)
+    @given(multipolys(), st.sampled_from(XY))
+    def test_partial(self, a, name):
+        i = XY.index(name)
+        assert_built_as(
+            a.partial(name),
+            [
+                (tuple(e - (j == i) for j, e in enumerate(exps)), c * exps[i])
+                for exps, c in items(a)
+                if exps[i]
+            ],
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(multipolys(), st.sampled_from(XY), rationals)
+    def test_substitute_value(self, a, name, value):
+        i = XY.index(name)
+        result = a.substitute_value(name, value)
+        assert_built_as(
+            result,
+            [
+                (tuple(0 if j == i else e for j, e in enumerate(exps)), c * value ** exps[i])
+                for exps, c in items(a)
+            ],
+        )
+        assert result == naive_substitution(
+            a, name, lambda k: MultiPoly.constant(XY, value**k)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(multipolys(), st.sampled_from(XY), multipolys(max_degree=2, max_terms=3))
+    def test_substitute_poly(self, a, name, replacement):
+        result = a.substitute_poly(name, replacement)
+        assert_canonical(result)
+        assert result == MultiPoly(XY, items(result))
+        naive = naive_substitution(a, name, lambda k: replacement**k)
+        assert result == naive
+        # the term order is that of adding c * rest * replacement^k term by term
+        assert items(result) == items(naive)
+
+    @settings(max_examples=200, deadline=None)
+    @given(multipolys(), st.sampled_from(XY))
+    def test_coeffs_in(self, a, name):
+        i = XY.index(name)
+        total = MultiPoly.zero(XY)
+        for power, coeff in a.coeffs_in(name).items():
+            assert_built_as(
+                coeff,
+                [
+                    (tuple(0 if j == i else e for j, e in enumerate(exps)), c)
+                    for exps, c in items(a)
+                    if exps[i] == power
+                ],
+            )
+            total = total + coeff * MultiPoly.var(XY, name, power)
+        assert total == a
+
+    @settings(max_examples=200, deadline=None)
+    @given(multipolys())
+    def test_with_variables(self, a):
+        lifted = a.with_variables(XZY)
+        assert_built_as(lifted, [((x, 0, y), c) for (x, y), c in items(a)], XZY)
+        assert_built_as(lifted.with_variables(XY), items(a))
+
+    @settings(max_examples=200, deadline=None)
+    @given(multipolys(max_degree=3), nonzero_multipolys(max_degree=3))
+    def test_divide_exact_quotient(self, q, g):
+        quotient = divide_exact(q * g, g)
+        assert_canonical(quotient)
+        assert quotient == MultiPoly(XY, items(quotient))
+        assert quotient == q

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
@@ -65,6 +66,25 @@ class TestRationalRoots:
     def test_no_rational_roots(self):
         assert rational_roots(uni([1, 0, 1])) == []
 
+    def test_candidates_sharing_a_factor(self):
+        # lead 4, constant -2: 2/4 and 2/2 reduce to candidates of their own
+        p = uni([-1, 2]) * uni([2, 2])  # 4x^2 + 2x - 2
+        assert rational_roots(p) == [-1, Fraction(1, 2)]
+        assert rational_roots(uni([-2, 4])) == [Fraction(1, 2)]
+
+    def test_coefficients_with_denominators(self):
+        p = (UniPoly.x() - UniPoly.constant(Fraction(2, 3))) * (
+            UniPoly.x() + UniPoly.constant(Fraction(3, 5))
+        )
+        assert rational_roots(p) == [Fraction(-3, 5), Fraction(2, 3)]
+        assert rational_roots(p.scale(Fraction(7, 4))) == [Fraction(-3, 5), Fraction(2, 3)]
+
+    def test_repeated_root_zero(self):
+        p = UniPoly.x(3) * uni([-1, 1]) * uni([-1, 1])
+        assert rational_roots(p) == [0, 1]
+        assert rational_roots(UniPoly.x(2).scale(Fraction(1, 3))) == [0]
+        assert rational_roots(UniPoly.x(2) * uni([1, 0, 1])) == [0]
+
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomial):
             rational_roots(UniPoly.zero())
@@ -78,6 +98,19 @@ class TestRationalRoots:
         )
         roots = rational_roots(p.scale(lead))
         assert r1 in roots and r2 in roots
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=6), max_size=4),
+        st.integers(min_value=0, max_value=2),
+        nonzero_rationals,
+    )
+    def test_roots_of_linear_products(self, planted, zero_power, lead):
+        p = UniPoly.x(zero_power).scale(lead)
+        for r in planted:
+            p = p * (UniPoly.x() - UniPoly.constant(r))
+        expected = set(planted) | ({Fraction(0)} if zero_power else set())
+        assert rational_roots(p) == sorted(expected)
 
     @settings(max_examples=200, deadline=None)
     @given(unipolys())
