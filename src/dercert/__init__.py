@@ -36,11 +36,8 @@ from .derivation import (
 )
 from .expr import ParseError, parse_derivation, parse_poly, poly_to_str
 from .firstorder import (
-    MODE_DERIV_MINUS_AC,
-    MODE_KAC_MINUS_DERIV,
     FirstOrderSolution,
     NoSolutionShape,
-    ParamPoly,
     UnsupportedShape,
     solve_first_order,
 )
@@ -54,7 +51,7 @@ from .image import (
     image_membership,
     one_in_image,
 )
-from .linalg import LinSolution, LinSystem, solve_linear
+from .linalg import LinSolution
 from .mpoly import CheckFailed, DivisorZero, MultiPoly, VariableMismatch, divide_exact
 from .simplicity import (
     Certificate,
@@ -98,11 +95,8 @@ __all__ = [
     "parse_derivation",
     "parse_poly",
     "poly_to_str",
-    "MODE_DERIV_MINUS_AC",
-    "MODE_KAC_MINUS_DERIV",
     "FirstOrderSolution",
     "NoSolutionShape",
-    "ParamPoly",
     "UnsupportedShape",
     "solve_first_order",
     "CertifiedNonMember",
@@ -114,8 +108,6 @@ __all__ = [
     "image_membership",
     "one_in_image",
     "LinSolution",
-    "LinSystem",
-    "solve_linear",
     "CheckFailed",
     "DivisorZero",
     "MultiPoly",

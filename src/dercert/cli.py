@@ -12,6 +12,7 @@ goes to stderr, with the failed check in results.error).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -296,22 +297,21 @@ def _cmd_image(args, report: dict) -> int:
     return EXIT_NOT_FOUND
 
 
-def _cmd_darboux(args, report: dict) -> int:
-    D = parse_derivation(args.derivation)
-    family = recognize_family(D)
-    report["family"] = describe_family(family)
-    bounds = SearchBounds(
+def _search_bounds(args) -> SearchBounds:
+    return SearchBounds(
         n_max=args.n_max,
         d0_deg_max=args.d0_deg,
         cx_deg_max=args.cx_deg,
         residual_effort=args.effort,
     )
-    report["bounds"] = {
-        "n_max": bounds.n_max,
-        "d0_deg_max": bounds.d0_deg_max,
-        "cx_deg_max": bounds.cx_deg_max,
-        "residual_effort": bounds.residual_effort,
-    }
+
+
+def _cmd_darboux(args, report: dict) -> int:
+    D = parse_derivation(args.derivation)
+    family = recognize_family(D)
+    report["family"] = describe_family(family)
+    bounds = _search_bounds(args)
+    report["bounds"] = dataclasses.asdict(bounds)
     if isinstance(family, FamilyB):
         family = family.as_family_a()
     searchable = (
@@ -357,12 +357,7 @@ def _parse_uni(src: str) -> UniPoly:
 
 
 def _cmd_scan(args, report: dict) -> int:
-    bounds = SearchBounds(
-        n_max=args.n_max,
-        d0_deg_max=args.d0_deg,
-        cx_deg_max=args.cx_deg,
-        residual_effort=args.effort,
-    )
+    bounds = _search_bounds(args)
     grid = _read_grid(args.grid)
     rows = conjecture_scan(args.alpha, grid, bounds)
     lines = list(scan_rows_to_jsonl(rows, bounds))
@@ -380,11 +375,7 @@ def _cmd_scan(args, report: dict) -> int:
         ),
         "found": sum(1 for r in rows if r.darboux_status == "found"),
     }
-    report["bounds"] = {
-        "n_max": bounds.n_max,
-        "d0_deg_max": bounds.d0_deg_max,
-        "cx_deg_max": bounds.cx_deg_max,
-    }
+    report["bounds"] = bounds.degree_bounds()
     return EXIT_OK
 
 
@@ -485,9 +476,9 @@ def run_command(argv: list[str]) -> int:
     report["exit_code"] = code
     report["timing_ms"] = round((time.perf_counter() - start) * 1000, 3)
     is_scan = args.command == "conjecture-scan"
-    if not is_scan or args.json or code == EXIT_INTERNAL:
+    if not is_scan or args.json or code != EXIT_OK:
         # the scan's --out file holds the evidence JSONL, not the report;
-        # its report is printed with --json, or always after an internal fault
+        # its report is printed with --json, or always when it failed
         _emit(
             report,
             args,

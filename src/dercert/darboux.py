@@ -23,12 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .derivation import Derivation, FamilyA, FamilyPow
-from .firstorder import (
-    MODE_KAC_MINUS_DERIV,
-    NoSolutionShape,
-    ParamPoly,
-    solve_first_order,
-)
+from .firstorder import NoSolutionShape, solve_first_order, split_x
 from .mpoly import CheckFailed, MultiPoly, divide_exact
 from .upoly import UniPoly, ZeroPolynomial, rational_roots
 
@@ -366,6 +361,14 @@ class SearchBounds:
     cx_deg_max: int
     residual_effort: int = 100
 
+    def degree_bounds(self) -> dict[str, int]:
+        """The three degree bounds, as scan reports and evidence rows record them."""
+        return {
+            "n_max": self.n_max,
+            "d0_deg_max": self.d0_deg_max,
+            "cx_deg_max": self.cx_deg_max,
+        }
+
 
 @dataclass
 class SearchOutcome:
@@ -385,40 +388,52 @@ def _search_fixed_n(
         s: [f"u{s}_{j}" for j in range(bounds.d0_deg_max + 1)] for s in range(alpha)
     }
     params = tuple(name for s in range(alpha) for name in blocks[s])
-    e_low = {s: ParamPoly.unknown_block(params, blocks[s]) for s in range(alpha)}
-    one = ParamPoly.from_unipoly(params, UniPoly.one())
-    c: dict[int, ParamPoly] = {n: one}
-    zero = ParamPoly.zero(params)
+    # unknowns first, x last: the layout solve_first_order expects
+    variables = params + ("x",)
+    # e_low[s] = u{s}_0 + u{s}_1*x + ... with unknown coefficients
+    e_low = {
+        s: MultiPoly(
+            variables,
+            [
+                (tuple(int(v == name) for v in params) + (j,), 1)
+                for j, name in enumerate(blocks[s])
+            ],
+        )
+        for s in range(alpha)
+    }
+    a1_x = MultiPoly.from_unipoly(variables, "x", a1)
+    c: dict[int, MultiPoly] = {n: MultiPoly.constant(variables, 1)}
+    zero = MultiPoly.zero(variables)
     constraints: list[MultiPoly] = []
     for i in range(n - 1, -1, -1):
         rhs = (
-            c.get(i + 1, zero).mul_uni(a1).scale(i + 1)
+            (c.get(i + 1, zero) * a1_x).scale(i + 1)
             + c.get(i + alpha + 1, zero).scale(Fraction(i + alpha + 1) * a0_val)
         )
         for s in range(alpha):
             rhs = rhs - e_low[s] * c.get(i + alpha - s, zero)
-        sol = solve_first_order(a2, rhs, MODE_KAC_MINUS_DERIV, k=Fraction(n - i))
+        sol = solve_first_order(a2, rhs, k=Fraction(n - i))
         if isinstance(sol, NoSolutionShape):
             return [], False
         c[i] = sol.c
         constraints.extend(sol.constraints)
-        for j in range(bounds.cx_deg_max + 1, sol.c.formal_degree() + 1):
-            coeff = sol.c.coeff(j)
-            if not coeff.is_zero():
-                constraints.append(coeff)
+        c_x = split_x(sol.c)
+        constraints.extend(c_x[j] for j in sorted(c_x) if j > bounds.cx_deg_max)
     for m in range(alpha):
         residue = c.get(m + 1, zero).scale(Fraction(m + 1) * a0_val)
         for s in range(min(alpha - 1, m) + 1):
             residue = residue - e_low[s] * c.get(m - s, zero)
-        for coeff in residue.coeffs.values():
-            constraints.append(coeff)
+        constraints.extend(split_x(residue).values())
     result = solve_residual_system(constraints, bounds.residual_effort)
     D = fam.to_derivation()
     pairs = []
     for point in result.solutions:
         F = MultiPoly.zero(PLANE)
         for i, ci in c.items():
-            F = F + MultiPoly.from_unipoly(PLANE, "x", ci.specialize(point)) * MultiPoly.var(
+            ci_at_point = UniPoly(
+                [(e, coeff.evaluate(point)) for e, coeff in split_x(ci).items()]
+            )
+            F = F + MultiPoly.from_unipoly(PLANE, "x", ci_at_point) * MultiPoly.var(
                 PLANE, "y", i
             )
         verified = verify_darboux(D, F)

@@ -179,7 +179,7 @@ def certified_nonmembership(
         return None
     check = image_membership(D, target, sanity_bound)
     if not isinstance(check, NotFoundUpTo):
-        raise AssertionError(
+        raise CheckFailed(
             "certified pattern contradicted by a bounded membership solve"
         )
     return cert
@@ -298,7 +298,7 @@ def _first_obstruction_diag_x(D: Derivation, family: FamilyDiagX) -> MultiPoly:
     for i in nonzero:
         if family.gammas[i].degree() >= 1:
             return _y_var(D, i)
-    raise AssertionError("called without an obstruction")
+    raise CheckFailed("called without an obstruction")
 
 
 def _first_obstruction_diag(D: Derivation, family: FamilyDiag) -> MultiPoly:

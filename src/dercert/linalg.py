@@ -24,12 +24,6 @@ from fractions import Fraction
 
 
 @dataclass
-class LinSystem:
-    rows: list[list[Fraction]]
-    rhs: list[Fraction]
-
-
-@dataclass
 class LinSolution:
     particular: list[Fraction]
     kernel: list[list[Fraction]]
@@ -147,17 +141,3 @@ def solve_sparse(
     return LinSolution(
         particular=particular, kernel=list(kernel.values()), rank=len(pivots)
     )
-
-
-def solve_linear(system: LinSystem) -> LinSolution | None:
-    """Exact Gaussian elimination; None signals an inconsistent system."""
-    ncols = len(system.rows[0]) if system.rows else 0
-    for row in system.rows:
-        if len(row) != ncols:
-            raise ValueError("ragged coefficient matrix")
-    if len(system.rhs) != len(system.rows):
-        raise ValueError("rhs length does not match row count")
-    sparse = [
-        {j: Fraction(v) for j, v in enumerate(row) if v != 0} for row in system.rows
-    ]
-    return solve_sparse(sparse, [Fraction(v) for v in system.rhs], ncols)

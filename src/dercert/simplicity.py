@@ -76,21 +76,7 @@ def condition3_solve(a2: UniPoly, a1: UniPoly, a0: Fraction) -> list[Fraction]:
     nonconstant a1 pins l to a single candidate; a constant a1 forces a2
     constant and leaves a quadratic in l.
     """
-    if a0 == 0:
-        raise ValueError("a0 must be a nonzero rational")
-    if a1.degree() >= 1:
-        j = a1.degree()
-        l = a2.coeff(j) / a1.coeff(j)
-        if l != 0 and a2 == a1.scale(l) - UniPoly.constant(a0 * l * l):
-            return [l]
-        return []
-    if a2.degree() >= 1:
-        return []
-    # both constant: l^2*a0 - l*a1 + a2 = 0
-    quad = UniPoly(
-        [(2, a0), (1, -a1.constant_value()), (0, a2.constant_value())]
-    )
-    return [r for r in rational_roots(quad) if r != 0]
+    return power_condition3_solve(a2, a1, a0, 1)
 
 
 def power_condition3_solve(
@@ -307,11 +293,7 @@ def scan_rows_to_jsonl(rows: Iterable[ScanRow], bounds) -> Iterator[str]:
             "a0": poly_to_str(_xp(row.a0)),
             "necessary": row.necessary,
             "darboux_status": row.darboux_status,
-            "bounds": {
-                "n_max": bounds.n_max,
-                "d0_deg_max": bounds.d0_deg_max,
-                "cx_deg_max": bounds.cx_deg_max,
-            },
+            "bounds": bounds.degree_bounds(),
         }
         if row.l_witness is not None:
             record["l_witness"] = str(row.l_witness)

@@ -3,6 +3,7 @@ import json
 import dercert.image
 import dercert.simplicity
 from dercert.cli import EXIT_INTERNAL, run_command
+from dercert.image import Member, NotFoundUpTo
 
 
 def run_json(capsys, argv):
@@ -149,6 +150,26 @@ class TestInternalFault:
         assert "internal check failed: constructed witness failed verification" in captured.err
 
 
+    def test_contradicted_certificate_exits_five(self, monkeypatch, capsys):
+        # the P2.2 pattern says x is never in the image; a sanity solve that
+        # finds x at bound 4 contradicts it
+        def membership(D, target, bound):
+            if bound == 3:
+                return NotFoundUpTo(bound=bound)
+            return Member(preimage=target, kernel_dim=1, bound=bound)
+
+        monkeypatch.setattr(dercert.image, "image_membership", membership)
+        code = run_command(
+            ["--json", "image", "deriv{x: y, y: x*y + 1}", "--target", "x", "--bound", "3"]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert captured.out == ""
+        report = json.loads(captured.err)
+        assert report["exit_code"] == EXIT_INTERNAL
+        assert "certified pattern contradicted" in report["results"]["error"]
+
+
 class TestParseErrors:
     def test_bad_polynomial(self, capsys):
         code, report = run_json(
@@ -173,6 +194,15 @@ class TestParseErrors:
             capsys, ["conjecture-scan", "--alpha", "2", "--grid", "/nonexistent.jsonl"]
         )
         assert code == 2
+
+    def test_missing_grid_file_reported_without_json(self, tmp_path, capsys):
+        missing = tmp_path / "missing.jsonl"
+        code = run_command(["conjecture-scan", "--alpha", "2", "--grid", str(missing)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "command: conjecture-scan" in captured.err
+        assert str(missing) in captured.err
 
 
 class TestScan:

@@ -9,10 +9,7 @@ from dercert import (
     FamilyDiag,
     FamilyDiagX,
     FamilyPow,
-    LinSystem,
-    MODE_KAC_MINUS_DERIV,
     MultiPoly,
-    ParamPoly,
     ParseError,
     UniPoly,
     UnsupportedIdealShape,
@@ -21,7 +18,6 @@ from dercert import (
     parse_derivation,
     parse_poly,
     solve_first_order,
-    solve_linear,
     verify_stable_ideal,
 )
 from dercert.derivation import FamilyA
@@ -90,19 +86,10 @@ def test_family_validation():
         FamilyDiag(gammas=(F(0), F(1)), ks=(1, 1))
 
 
-def test_solve_linear_shape_guards():
-    with pytest.raises(ValueError):
-        solve_linear(LinSystem(rows=[[F(1)], [F(1), F(2)]], rhs=[F(0), F(0)]))
-    with pytest.raises(ValueError):
-        solve_linear(LinSystem(rows=[[F(1)]], rhs=[]))
-
-
 def test_first_order_guards():
-    g = ParamPoly.from_unipoly((), UniPoly.one())
+    g = MultiPoly.from_unipoly(("x",), "x", UniPoly.one())
     with pytest.raises(ValueError):
-        solve_first_order(UniPoly.x(), g, MODE_KAC_MINUS_DERIV, k=0)
-    with pytest.raises(ValueError):
-        solve_first_order(UniPoly.x(), g, "no-such-mode")
+        solve_first_order(UniPoly.x(), g, k=0)
 
 
 def test_verify_stable_ideal_zero_generator():

@@ -6,38 +6,35 @@ from hypothesis import given, settings
 
 from conftest import uni, unipolys
 from dercert import (
-    LinSystem,
-    MODE_DERIV_MINUS_AC,
-    MODE_KAC_MINUS_DERIV,
     MultiPoly,
     NoSolutionShape,
-    ParamPoly,
     UniPoly,
     UnsupportedShape,
     solve_first_order,
-    solve_linear,
 )
+from dercert.linalg import solve_sparse
 
 F = Fraction
-NO_PARAMS: tuple[str, ...] = ()
+X_ONLY = ("x",)
 
 
-def plain(p: UniPoly) -> ParamPoly:
-    return ParamPoly.from_unipoly(NO_PARAMS, p)
+def plain(p: UniPoly) -> MultiPoly:
+    """A right-hand side with no parameters: a polynomial over ("x",)."""
+    return MultiPoly.from_unipoly(X_ONLY, "x", p)
 
 
 def test_simple_instance():
-    # c' - x*c = -x has c = 1
-    sol = solve_first_order(UniPoly.x(), plain(uni([0, -1])), MODE_DERIV_MINUS_AC)
+    # c' - x*c = -x, that is x*c - c' = x, has c = 1
+    sol = solve_first_order(UniPoly.x(), -plain(uni([0, -1])))
     assert sol.constraints == []
-    c = sol.c.specialize({})
+    c = sol.c.to_unipoly("x")
     assert c == UniPoly.one()
     assert c.derivative() - UniPoly.x() * c == uni([0, -1])
 
 
 def test_impossible_degree_shape():
     # c' - x*c = 1 needs deg c < 0 with nonzero right side
-    result = solve_first_order(UniPoly.x(), plain(UniPoly.one()), MODE_DERIV_MINUS_AC)
+    result = solve_first_order(UniPoly.x(), -plain(UniPoly.one()))
     assert isinstance(result, NoSolutionShape)
 
 
@@ -51,52 +48,53 @@ def test_exhaustive_low_degree_confirms_no_solution():
 
 def test_shift_mode_against_linear_system_oracle():
     # 2*x*c - c' = 2x^3: solve the 4x3 coefficient system exactly
-    sys = LinSystem(
-        rows=[
-            # unknowns (c2, c1, c0); rows are x^3, x^2, x^1, x^0 coefficients
-            [F(2), F(0), F(0)],
-            [F(0), F(2), F(0)],
-            [F(-2), F(0), F(2)],
-            [F(0), F(-1), F(0)],
-        ],
-        rhs=[F(2), F(0), F(0), F(0)],
-    )
-    oracle = solve_linear(sys)
+    rows = [
+        # unknowns (c2, c1, c0); rows are x^3, x^2, x^1, x^0 coefficients
+        [F(2), F(0), F(0)],
+        [F(0), F(2), F(0)],
+        [F(-2), F(0), F(2)],
+        [F(0), F(-1), F(0)],
+    ]
+    rhs = [F(2), F(0), F(0), F(0)]
+    oracle = solve_sparse([{j: v for j, v in enumerate(row) if v} for row in rows], rhs, 3)
     assert oracle is not None and oracle.kernel == []
     c2, c1, c0 = oracle.particular
     expected = UniPoly([(2, c2), (1, c1), (0, c0)])
     assert expected == uni([1, 0, 1])  # x^2 + 1
 
-    sol = solve_first_order(
-        UniPoly.x(), plain(UniPoly([(3, 2)])), MODE_KAC_MINUS_DERIV, k=2
-    )
+    sol = solve_first_order(UniPoly.x(), plain(UniPoly([(3, 2)])), k=2)
     assert sol.constraints == []
-    c = sol.c.specialize({})
+    c = sol.c.to_unipoly("x")
     assert c == expected
     assert UniPoly.x() * c.scale(2) - c.derivative() == UniPoly([(3, 2)])
 
 
 def test_constant_a_rejected():
     with pytest.raises(UnsupportedShape):
-        solve_first_order(UniPoly.one(), plain(UniPoly.one()), MODE_DERIV_MINUS_AC)
+        solve_first_order(UniPoly.one(), plain(UniPoly.one()))
 
 
 def test_parametric_right_hand_side():
     # x*c - c' = u0 + u1*x^2 forces c = u1*x and the constraint u0 + u1 = 0
-    params = ("u0", "u1")
-    g = ParamPoly(
-        params,
-        {0: MultiPoly.var(params, "u0"), 2: MultiPoly.var(params, "u1")},
+    variables = ("u0", "u1", "x")
+    g = MultiPoly.var(variables, "u0") + MultiPoly.var(variables, "u1") * MultiPoly.var(
+        variables, "x", 2
     )
-    sol = solve_first_order(UniPoly.x(), g, MODE_KAC_MINUS_DERIV, k=1)
+    sol = solve_first_order(UniPoly.x(), g, k=1)
+    assert sol.c.variables == variables
     assert len(sol.constraints) == 1
     con = sol.constraints[0]
+    assert con.variables == ("u0", "u1")
     # constraint vanishes exactly on u0 = -u1
     assert con.evaluate({"u0": -3, "u1": 3}) == 0
     assert con.evaluate({"u0": 1, "u1": 3}) != 0
-    c = sol.c.specialize({"u0": -5, "u1": 5})
+
+    def at_point(p: MultiPoly) -> UniPoly:
+        return p.substitute_value("u0", -5).substitute_value("u1", 5).to_unipoly("x")
+
+    c = at_point(sol.c)
     lhs = UniPoly.x() * c - c.derivative()
-    assert lhs == g.specialize({"u0": -5, "u1": 5})
+    assert lhs == at_point(g)
 
 
 @settings(max_examples=200, deadline=None)
@@ -104,12 +102,13 @@ def test_parametric_right_hand_side():
 def test_empty_constraints_mean_identity(a, g):
     if a.degree() < 1:
         return
-    result = solve_first_order(a, plain(g), MODE_DERIV_MINUS_AC)
+    # c' - a*c = g is a*c - c' = -g
+    result = solve_first_order(a, -plain(g))
     if isinstance(result, NoSolutionShape):
         return
     if result.constraints:
         return
-    c = result.c.specialize({})
+    c = result.c.to_unipoly("x")
     assert c.derivative() - a * c == g
 
 
@@ -120,16 +119,17 @@ def test_empty_constraints_mean_identity(a, g):
     st.sampled_from([F(1), F(2), F(1, 2), F(3)]),
 )
 def test_planted_solution_recovered_in_both_modes(a, c_true, k):
+    # both operator shapes, k*a*c - c' = g and c' - a*c = g
     if a.degree() < 1:
         return
     g = a * c_true.scale(k) - c_true.derivative()
-    sol = solve_first_order(a, plain(g), MODE_KAC_MINUS_DERIV, k=k)
+    sol = solve_first_order(a, plain(g), k=k)
     assert not isinstance(sol, NoSolutionShape)
     assert sol.constraints == []
-    assert sol.c.specialize({}) == c_true
+    assert sol.c.to_unipoly("x") == c_true
 
     g2 = c_true.derivative() - a * c_true
-    sol2 = solve_first_order(a, plain(g2), MODE_DERIV_MINUS_AC)
+    sol2 = solve_first_order(a, -plain(g2), k=1)
     assert not isinstance(sol2, NoSolutionShape)
     assert sol2.constraints == []
-    assert sol2.c.specialize({}) == c_true
+    assert sol2.c.to_unipoly("x") == c_true

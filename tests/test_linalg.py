@@ -4,26 +4,26 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from conftest import nonzero_rationals, rationals
-from dercert import LinSystem, solve_linear
 from dercert.linalg import solve_sparse
 
 F = Fraction
 
 
-def system(rows, rhs) -> LinSystem:
-    return LinSystem(
-        rows=[[F(v) for v in row] for row in rows], rhs=[F(v) for v in rhs]
-    )
+def solve_dense(rows, rhs):
+    """solve_sparse on a dense matrix: each row becomes {column: value}."""
+    ncols = len(rows[0]) if rows else 0
+    sparse = [{j: F(v) for j, v in enumerate(row) if v} for row in rows]
+    return solve_sparse(sparse, [F(b) for b in rhs], ncols)
 
 
 def test_identity_system():
-    sol = solve_linear(system([[1, 0], [0, 1]], [2, 3]))
+    sol = solve_dense([[1, 0], [0, 1]], [2, 3])
     assert sol.particular == [F(2), F(3)]
     assert sol.kernel == []
 
 
 def test_underdetermined_kernel():
-    sol = solve_linear(system([[1, 1]], [0]))
+    sol = solve_dense([[1, 1]], [0])
     assert sol.particular == [F(0), F(0)]
     assert len(sol.kernel) == 1
     v = sol.kernel[0]
@@ -31,7 +31,7 @@ def test_underdetermined_kernel():
 
 
 def test_inconsistent():
-    assert solve_linear(system([[1], [1]], [1, 2])) is None
+    assert solve_dense([[1], [1]], [1, 2]) is None
 
 
 matrices = st.integers(min_value=1, max_value=4).flatmap(
@@ -51,7 +51,7 @@ def test_solution_and_kernel_are_exact(matrix_and_n, data):
     rhs = data.draw(
         st.lists(rationals, min_size=len(rows), max_size=len(rows))
     )
-    sol = solve_linear(system(rows, rhs))
+    sol = solve_dense(rows, rhs)
     if sol is None:
         return
     for row, b in zip(rows, rhs):
