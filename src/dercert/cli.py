@@ -16,6 +16,7 @@ import dataclasses
 import json
 import sys
 import time
+from collections import Counter
 
 from .darboux import (
     SearchBounds,
@@ -367,13 +368,16 @@ def _cmd_scan(args, report: dict) -> int:
     else:
         for line in lines:
             print(line)
+    status = Counter(r.darboux_status for r in rows)
+    # every row counts once: a failing cell is skipped, a passing one searched
+    # or unsupported
     report["results"] = {
         "cells": len(rows),
         "necessary_fail": sum(1 for r in rows if r.necessary == "fail"),
-        "none_up_to_bounds": sum(
-            1 for r in rows if r.darboux_status == "none-up-to-bounds"
-        ),
-        "found": sum(1 for r in rows if r.darboux_status == "found"),
+        "none_up_to_bounds": status["none-up-to-bounds"],
+        "found": status["found"],
+        "undecided_residual": status["undecided-residual"],
+        "unsupported": status["unsupported"],
     }
     report["bounds"] = bounds.degree_bounds()
     return EXIT_OK
@@ -443,10 +447,23 @@ _DISPATCH = {
 }
 
 
+# the parser run_command uses, built on its first call
+_parser: argparse.ArgumentParser | None = None
+
+
 def run_command(argv: list[str]) -> int:
-    parser = build_parser()
+    """Run one CLI request and return its exit code.
+
+    One parser, built on the first call, serves every call in the
+    process.  No state carries over between requests: each parse starts
+    from a fresh namespace, and the SUPPRESS defaults leave --json,
+    --seed and --out unset unless this request gives them.
+    """
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     args.json = getattr(args, "json", False)

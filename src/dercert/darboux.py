@@ -203,12 +203,19 @@ def _resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
 
 
 def _support(p: MultiPoly) -> set[str]:
-    used = set()
-    for exps in p.terms:
-        for name, e in zip(p.variables, exps):
-            if e:
-                used.add(name)
-    return used
+    return {name for name, column in zip(p.variables, zip(*p.terms)) if any(column)}
+
+
+def _merge(branches) -> ResidualResult:
+    """Union of branch results; an undecided union keeps its first branch's reason."""
+    solutions: list[dict[str, Fraction]] = []
+    note = ""
+    undecided = False
+    for branch in branches:
+        solutions.extend(branch.solutions)
+        if branch.undecided and not undecided:
+            undecided, note = True, branch.note
+    return ResidualResult(solutions, undecided, note)
 
 
 def _solve_recursive(
@@ -234,27 +241,27 @@ def _solve_recursive(
         for name in params:
             full.setdefault(name, Fraction(0))
         return ResidualResult([full], False)
+    supports = [sorted(_support(e)) for e in eqs]
 
     # univariate equation: branch over its rational roots
-    for e in eqs:
-        sup = _support(e)
+    for e, sup in zip(eqs, supports):
         if len(sup) == 1:
             (name,) = sup
             roots = rational_roots(e.to_unipoly(name))
-            solutions: list[dict[str, Fraction]] = []
-            undecided = False
-            for r in roots:
-                sub = [other.substitute_value(name, r) for other in eqs if other is not e]
-                branch = _solve_recursive(
-                    sub, params, pending, {**assignment, name: r}, budget
+            return _merge(
+                _solve_recursive(
+                    [other.substitute_value(name, r) for other in eqs if other is not e],
+                    params,
+                    pending,
+                    {**assignment, name: r},
+                    budget,
                 )
-                solutions.extend(branch.solutions)
-                undecided = undecided or branch.undecided
-            return ResidualResult(solutions, undecided)
+                for r in roots
+            )
 
     # an equation every term of which contains v splits as v = 0 or quotient = 0
-    for pos, e in enumerate(eqs):
-        for name in sorted(_support(e)):
+    for pos, (e, sup) in enumerate(zip(eqs, supports)):
+        for name in sup:
             idx = e.variables.index(name)
             if all(exps[idx] >= 1 for exps in e.terms):
                 quotient = MultiPoly(
@@ -274,14 +281,11 @@ def _solve_recursive(
                 rest = list(eqs)
                 rest[pos] = quotient
                 quot_branch = _solve_recursive(rest, params, pending, assignment, budget)
-                return ResidualResult(
-                    zero_branch.solutions + quot_branch.solutions,
-                    zero_branch.undecided or quot_branch.undecided,
-                )
+                return _merge([zero_branch, quot_branch])
 
     # variable appearing linearly with a constant coefficient: eliminate it
-    for e in eqs:
-        for name in sorted(_support(e)):
+    for e, sup in zip(eqs, supports):
+        for name in sup:
             partial = e.partial(name)
             if partial.is_constant() and not partial.is_zero():
                 coeff = partial.constant_value()
@@ -303,7 +307,7 @@ def _solve_recursive(
     # fall back to resultants, bounded by the effort budget
     seen = {frozenset(e.terms.items()) for e in eqs}
     candidates = sorted(
-        ((name, e) for e in eqs for name in _support(e)), key=lambda t: t[0]
+        ((name, e) for e, sup in zip(eqs, supports) for name in sup), key=lambda t: t[0]
     )
     by_var: dict[str, list[MultiPoly]] = {}
     for name, e in candidates:
@@ -379,8 +383,12 @@ class SearchOutcome:
 
 def _search_fixed_n(
     fam: FamilyPow, n: int, bounds: SearchBounds
-) -> tuple[list[DarbouxPair], bool]:
-    """One y-degree slice of the search; returns (pairs, undecided)."""
+) -> tuple[list[DarbouxPair], str | None]:
+    """One y-degree slice of the search.
+
+    Returns the verified pairs and, when the residual solver left the
+    slice undecided, its reason (None when the slice is decided).
+    """
     alpha = fam.alpha
     a2, a1 = fam.a2, fam.a1
     a0_val = fam.a0.constant_value()
@@ -414,7 +422,7 @@ def _search_fixed_n(
             rhs = rhs - e_low[s] * c.get(i + alpha - s, zero)
         sol = solve_first_order(a2, rhs, k=Fraction(n - i))
         if isinstance(sol, NoSolutionShape):
-            return [], False
+            return [], None
         c[i] = sol.c
         constraints.extend(sol.constraints)
         c_x = split_x(sol.c)
@@ -439,7 +447,7 @@ def _search_fixed_n(
         verified = verify_darboux(D, F)
         if isinstance(verified, DarbouxPair):
             pairs.append(verified)
-    return pairs, result.undecided
+    return pairs, result.note if result.undecided else None
 
 
 def _search_power(fam: FamilyPow, bounds: SearchBounds) -> SearchOutcome:
@@ -450,19 +458,19 @@ def _search_power(fam: FamilyPow, bounds: SearchBounds) -> SearchOutcome:
     if not fam.a0.is_constant() or fam.a0.is_zero():
         raise ValueError("search requires a0 to be a nonzero constant")
     pairs: list[DarbouxPair] = []
-    undecided_at: list[int] = []
+    gave_up: list[str] = []
     for n in range(1, bounds.n_max + 1):
-        found, undecided = _search_fixed_n(fam, n, bounds)
+        found, reason = _search_fixed_n(fam, n, bounds)
         pairs.extend(found)
-        if undecided:
-            undecided_at.append(n)
+        if reason is not None:
+            gave_up.append(f"y-degree {n} ({reason})")
     if pairs:
         return SearchOutcome("found", pairs)
-    if undecided_at:
+    if gave_up:
         return SearchOutcome(
             "undecided-residual",
             [],
-            f"residual solver gave up at y-degree {undecided_at}",
+            "residual solver gave up at " + ", ".join(gave_up),
         )
     return SearchOutcome("none-up-to-bounds", [])
 

@@ -11,7 +11,6 @@ a bounded solve.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from operator import add
 
@@ -63,16 +62,24 @@ ImageResult = Member | NotFoundUpTo | CertifiedNonMember
 
 def _monomials(variables: tuple[str, ...], bound: int) -> list[tuple[int, ...]]:
     """Exponent vectors of total degree <= bound, decreasing graded-lex."""
-    nvars = len(variables)
-    out = []
-    for total in range(bound + 1):
-        for combo in itertools.combinations_with_replacement(range(nvars), total):
-            exps = [0] * nvars
-            for idx in combo:
-                exps[idx] += 1
-            out.append(tuple(exps))
-    out.sort(key=grlex_key, reverse=True)
-    return out
+    if not variables:
+        return [()]
+    return [
+        exps
+        for total in range(bound, -1, -1)
+        for exps in _exponents_of_degree(total, len(variables))
+    ]
+
+
+def _exponents_of_degree(total: int, nvars: int) -> list[tuple[int, ...]]:
+    """Exponent vectors summing to total, last exponent descending, then the one before."""
+    if nvars == 1:
+        return [(total,)]
+    return [
+        head + (last,)
+        for last in range(total, -1, -1)
+        for head in _exponents_of_degree(total - last, nvars - 1)
+    ]
 
 
 def image_membership(D: Derivation, target: MultiPoly, bound: int) -> Member | NotFoundUpTo:

@@ -33,10 +33,17 @@ class LinSolution:
 def _integer_rows(
     rows: list[dict[int, Fraction | int]], rhs: list[Fraction | int]
 ) -> tuple[list[dict[int, int]], list[int]]:
-    """Scale every row and its rhs by the lcm of their denominators."""
+    """Scale every row and its rhs by the lcm of their denominators.
+
+    A row whose entries and rhs are all int is copied without its zeros.
+    """
     int_rows = []
     int_rhs = []
     for row, b in zip(rows, rhs):
+        if type(b) is int and all(type(v) is int for v in row.values()):
+            int_rows.append({c: v for c, v in row.items() if v})
+            int_rhs.append(b)
+            continue
         scale = math.lcm(b.denominator, *(v.denominator for v in row.values()))
         int_rows.append(
             {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}

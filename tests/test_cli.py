@@ -1,5 +1,7 @@
+import argparse
 import json
 
+import dercert.cli
 import dercert.image
 import dercert.simplicity
 from dercert.cli import EXIT_INTERNAL, run_command
@@ -107,6 +109,22 @@ class TestDarboux:
         )
         assert code == 4
         assert report["results"]["search"]["status"] == "none-up-to-bounds"
+
+    def test_undecided_reports_the_solver_reason(self, capsys):
+        code, report = run_json(
+            capsys,
+            [
+                "darboux",
+                "deriv{x: y^3, y: (x+1)*y^4 + (2*x-1)*y^3 + 1}",
+                "--n-max", "3", "--d0-deg", "2", "--cx-deg", "4", "--effort", "0",
+            ],
+        )
+        assert code == 4
+        search = report["results"]["search"]
+        assert search["status"] == "undecided-residual"
+        assert search["detail"] == (
+            "residual solver gave up at y-degree 3 (effort budget exhausted)"
+        )
 
     def test_unsupported_shape(self, capsys):
         code, report = run_json(
@@ -239,6 +257,37 @@ class TestScan:
             assert row["alpha"] == 2
             assert set(row) >= {"alpha", "a2", "a1", "a0", "necessary", "darboux_status", "bounds"}
 
+    def test_counts_cover_every_cell(self, tmp_path, capsys):
+        grid = tmp_path / "grid.jsonl"
+        grid.write_text(
+            "\n".join(
+                json.dumps({"a2": a2, "a1": a1, "a0": "1"})
+                for a2, a1 in [("x", "0"), ("x - 1", "x"), ("1", "x"), ("x + 1", "x")]
+            )
+        )
+        # alpha = 3: x - 1 = l*a1 - l^4*a0 with l = 1 fails the necessary
+        # conditions, constant a2 is unsupported, and effort 0 leaves
+        # a2 = x + 1 undecided at y-degree 3
+        code, report = run_json(
+            capsys,
+            [
+                "conjecture-scan", "--alpha", "3", "--grid", str(grid),
+                "--n-max", "3", "--cx-deg", "4", "--effort", "0",
+                "--out", str(tmp_path / "evidence.jsonl"),
+            ],
+        )
+        assert code == 0
+        counts = report["results"]
+        assert counts == {
+            "cells": 4,
+            "found": 0,
+            "necessary_fail": 1,
+            "none_up_to_bounds": 1,
+            "undecided_residual": 1,
+            "unsupported": 1,
+        }
+        assert sum(v for k, v in counts.items() if k != "cells") == counts["cells"]
+
 
 class TestReportPlumbing:
     def test_out_file(self, tmp_path):
@@ -264,3 +313,68 @@ class TestReportPlumbing:
         text_once = render_text(report)
         text_twice = render_text(json.loads(json.dumps(report)))
         assert text_once == text_twice
+
+
+ANALYZE = ["analyze", "deriv{x: y, y: x*y^2 + 1}"]
+
+
+class TestReusedParser:
+    """Requests in one process share a parser; no flag carries over."""
+
+    def test_json_does_not_carry_over(self, capsys):
+        run_json(capsys, ANALYZE)
+        assert run_command(ANALYZE) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("command: analyze\n")
+
+    def test_darboux_bound_falls_back_to_its_default(self, capsys):
+        darboux = ["darboux", "deriv{x: y, y: x*y^2 + 1}"]
+        _, first = run_json(capsys, darboux + ["--n-max", "1"])
+        assert first["bounds"]["n_max"] == 1
+        _, second = run_json(capsys, darboux)
+        assert second["bounds"]["n_max"] == 3
+
+    def test_seed_does_not_carry_over(self, capsys):
+        _, first = run_json(capsys, ["--seed", "7"] + ANALYZE)
+        assert first["seed"] == 7
+        _, second = run_json(capsys, ANALYZE)
+        assert "seed" not in second
+
+    def test_out_does_not_carry_over(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        assert run_command(["--json", "--out", str(path)] + ANALYZE) == 0
+        written = path.read_text()
+        assert run_command(["--json"] + ANALYZE) == 0
+        assert json.loads(capsys.readouterr().out)["exit_code"] == 0
+        assert path.read_text() == written
+
+    def test_parse_error_then_valid_request(self, capsys):
+        assert run_command(["analyze"]) == 2
+        assert "the following arguments are required: derivation" in capsys.readouterr().err
+        code, report = run_json(capsys, ANALYZE)
+        assert code == 0
+        assert report["results"]["simplicity"]["simple"] is True
+
+    def test_help_then_valid_request(self, capsys):
+        assert run_command(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: dercert")
+        code, report = run_json(capsys, ANALYZE)
+        assert code == 0
+        assert report["command"] == "analyze"
+
+    def test_parser_is_built_on_the_first_call_only(self, monkeypatch, capsys):
+        monkeypatch.setattr(dercert.cli, "_parser", None, raising=False)
+        built: list[int] = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built[-1] += 1
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for _ in range(3):
+            built.append(0)
+            assert run_command(ANALYZE) == 0
+        capsys.readouterr()
+        assert built[0] > 0
+        assert built[1:] == [0, 0]

@@ -152,6 +152,18 @@ class TestResidualSolver:
         result = solve_residual_system(S, 0)
         assert result.undecided
 
+    def test_undecided_branch_keeps_its_reason(self):
+        # u3^2 = 1 branches on u3 = +-1; each branch then needs a resultant
+        P = ("u1", "u2", "u3")
+        S = [
+            MultiPoly(P, {(2, 2, 0): F(1), (1, 1, 0): F(1), (0, 0, 0): F(-6)}),
+            MultiPoly(P, {(3, 0, 0): F(1), (0, 5, 0): F(-1), (1, 1, 0): F(1)}),
+            MultiPoly(P, {(0, 0, 2): F(1), (0, 0, 0): F(-1)}),
+        ]
+        result = solve_residual_system(S, 0)
+        assert result.undecided
+        assert result.note == "effort budget exhausted"
+
     def test_solutions_vanish_on_system(self):
         P = ("u1", "u2", "u3")
         S = [

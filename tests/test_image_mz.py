@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from dercert import (
     parse_poly,
     poly_to_str,
 )
+from dercert.mpoly import grlex_key
 
 F = Fraction
 
@@ -95,6 +97,18 @@ class TestMembership:
         D = mk_b(UniPoly.x(), 1).to_derivation()
         with pytest.raises(ValueError):
             image_membership(D, MultiPoly.constant(D.variables, 1), -1)
+
+    @pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+    def test_basis_is_sorted_graded_lex(self, nvars):
+        variables = tuple(f"v{i}" for i in range(nvars))
+        for bound in range(13):
+            every = [
+                e
+                for e in itertools.product(range(bound + 1), repeat=nvars)
+                if sum(e) <= bound
+            ]
+            expected = sorted(every, key=grlex_key, reverse=True)
+            assert dercert.image._monomials(variables, bound) == expected
 
 
 # Canonical preimages and kernel dimensions pinned before the integer

@@ -159,3 +159,14 @@ def test_solve_sparse_leaves_its_input_alone():
     copies = ([dict(r) for r in rows], list(rhs))
     solve_sparse(rows, rhs, 2)
     assert (rows, rhs) == copies
+
+
+def test_integer_rows_drop_zeros_and_stay_unmutated():
+    rows = [{0: 1, 1: 0, 2: 1}, {1: 2, 2: 0}, {0: 0}]
+    rhs = [3, 4, 0]
+    copies = ([dict(r) for r in rows], list(rhs))
+    sol = solve_sparse(rows, rhs, 3)
+    assert (rows, rhs) == copies
+    assert sol.particular == [3, 2, 0]
+    assert sol.kernel == [[-1, 0, 1]]
+    assert sol.rank == 2
