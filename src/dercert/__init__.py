@@ -31,7 +31,6 @@ from .derivation import (
     Generic,
     UnsupportedFamily,
     locally_finite_closed_form,
-    locally_finite_probe,
     recognize_family,
 )
 from .expr import ParseError, parse_derivation, parse_poly, poly_to_str
@@ -49,10 +48,17 @@ from .image import (
     certified_nonmembership,
     decide_mz,
     image_membership,
-    one_in_image,
 )
 from .linalg import LinSolution
-from .mpoly import CheckFailed, DivisorZero, MultiPoly, VariableMismatch, divide_exact
+from .mpoly import (
+    NEG_INF,
+    CheckFailed,
+    DivisorZero,
+    MultiPoly,
+    VariableMismatch,
+    ZeroPolynomial,
+    divide_exact,
+)
 from .simplicity import (
     Certificate,
     NecessaryCheck,
@@ -63,10 +69,9 @@ from .simplicity import (
     conjecture_scan,
     decide_simple_family_a,
     power_condition3_solve,
-    unit_ideal_check,
     verify_stable_ideal,
 )
-from .upoly import NEG_INF, UniPoly, ZeroPolynomial, rational_roots
+from .upoly import rational_roots
 
 __all__ = [
     "CofactorStructure",
@@ -89,7 +94,6 @@ __all__ = [
     "Generic",
     "UnsupportedFamily",
     "locally_finite_closed_form",
-    "locally_finite_probe",
     "recognize_family",
     "ParseError",
     "parse_derivation",
@@ -106,12 +110,13 @@ __all__ = [
     "certified_nonmembership",
     "decide_mz",
     "image_membership",
-    "one_in_image",
     "LinSolution",
+    "NEG_INF",
     "CheckFailed",
     "DivisorZero",
     "MultiPoly",
     "VariableMismatch",
+    "ZeroPolynomial",
     "divide_exact",
     "Certificate",
     "NecessaryCheck",
@@ -122,10 +127,6 @@ __all__ = [
     "conjecture_scan",
     "decide_simple_family_a",
     "power_condition3_solve",
-    "unit_ideal_check",
     "verify_stable_ideal",
-    "NEG_INF",
-    "UniPoly",
-    "ZeroPolynomial",
     "rational_roots",
 ]

@@ -5,8 +5,10 @@ its result tag and certificate; the text rendering is a pure function
 of that JSON.  Exit codes: 0 success, 2 parse error, 3 unsupported
 family for the requested decision, 4 bounded-search outcomes that found
 nothing (not-found-up-to / none-up-to-bounds / undecided), 5 internal
-fault (an exact self-check of a computed result failed; the report still
-goes to stderr, with the failed check in results.error).
+fault (an exact self-check of a computed result failed, or the
+polynomial core rejected an internal operand: ZeroPolynomial,
+DivisorZero, VariableMismatch; the report still goes to stderr, with
+the fault in results.error).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .derivation import (
     FamilyDiag,
     FamilyDiagX,
     FamilyPow,
+    X_ONLY,
     Generic,
     UnsupportedFamily,
     locally_finite_closed_form,
@@ -43,7 +46,7 @@ from .image import (
     NotFoundUpTo,
     decide_mz,
 )
-from .mpoly import CheckFailed, MultiPoly
+from .mpoly import CheckFailed, MultiPoly, VariableMismatch, ZeroPolynomial
 from .simplicity import (
     Certificate,
     NecessaryCheck,
@@ -53,7 +56,6 @@ from .simplicity import (
     scan_rows_to_jsonl,
     conjecture_scan,
 )
-from .upoly import UniPoly
 
 SCHEMA = "dercert-report/1"
 
@@ -78,33 +80,29 @@ RULE_TEXT = {
 }
 
 
-def _uni_str(p: UniPoly) -> str:
-    return poly_to_str(MultiPoly.from_unipoly(("x",), "x", p))
-
-
 def describe_family(family) -> dict:
     if isinstance(family, FamilyB):
-        return {"name": "plane-linear", "a1": _uni_str(family.a1), "a0": str(family.a0)}
+        return {"name": "plane-linear", "a1": poly_to_str(family.a1), "a0": str(family.a0)}
     if isinstance(family, FamilyA):
         return {
             "name": "plane-quadratic",
-            "a2": _uni_str(family.a2),
-            "a1": _uni_str(family.a1),
-            "a0": _uni_str(family.a0),
+            "a2": poly_to_str(family.a2),
+            "a1": poly_to_str(family.a1),
+            "a0": poly_to_str(family.a0),
         }
     if isinstance(family, FamilyPow):
         return {
             "name": "plane-power",
             "alpha": family.alpha,
             "beta": family.beta,
-            "a2": _uni_str(family.a2),
-            "a1": _uni_str(family.a1),
-            "a0": _uni_str(family.a0),
+            "a2": poly_to_str(family.a2),
+            "a1": poly_to_str(family.a1),
+            "a0": poly_to_str(family.a0),
         }
     if isinstance(family, FamilyDiagX):
         return {
             "name": "translation-diagonal",
-            "gammas": [_uni_str(g) for g in family.gammas],
+            "gammas": [poly_to_str(g) for g in family.gammas],
             "ks": list(family.ks),
         }
     if isinstance(family, FamilyDiag):
@@ -317,7 +315,7 @@ def _cmd_darboux(args, report: dict) -> int:
         family = family.as_family_a()
     searchable = (
         isinstance(family, (FamilyA, FamilyPow))
-        and family.a2.degree() >= 1
+        and family.a2.total_degree() >= 1
         and family.a0.is_constant()
         and not family.a0.is_zero()
         and (not isinstance(family, FamilyPow) or family.alpha == family.beta)
@@ -353,8 +351,8 @@ def _read_grid(path: str):
     return cells
 
 
-def _parse_uni(src: str) -> UniPoly:
-    return parse_poly(src, ("x",)).to_unipoly("x")
+def _parse_uni(src: str) -> MultiPoly:
+    return parse_poly(src, X_ONLY).restrict("x")
 
 
 def _cmd_scan(args, report: dict) -> int:
@@ -390,10 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--json", action="store_true", default=argparse.SUPPRESS,
         help="emit the JSON report",
-    )
-    shared.add_argument(
-        "--seed", type=int, default=argparse.SUPPRESS,
-        help="seed recorded in the report",
     )
     shared.add_argument(
         "--out", default=argparse.SUPPRESS, help="write the report to a file"
@@ -456,8 +450,8 @@ def run_command(argv: list[str]) -> int:
 
     One parser, built on the first call, serves every call in the
     process.  No state carries over between requests: each parse starts
-    from a fresh namespace, and the SUPPRESS defaults leave --json,
-    --seed and --out unset unless this request gives them.
+    from a fresh namespace, and the SUPPRESS defaults leave --json and
+    --out unset unless this request gives them.
     """
     global _parser
     if _parser is None:
@@ -467,14 +461,11 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
     args.json = getattr(args, "json", False)
-    args.seed = getattr(args, "seed", None)
     args.out = getattr(args, "out", None)
     start = time.perf_counter()
     report: dict = {"schema": SCHEMA, "command": args.command}
     if getattr(args, "derivation", None) is not None:
         report["input"] = args.derivation
-    if args.seed is not None:
-        report["seed"] = args.seed
     try:
         code = _DISPATCH[args.command](args, report)
     except ParseError as exc:
@@ -483,6 +474,10 @@ def run_command(argv: list[str]) -> int:
     except UnsupportedFamily as exc:
         report["results"] = {"error": str(exc)}
         code = EXIT_UNSUPPORTED
+    except (ZeroPolynomial, VariableMismatch) as exc:
+        # ValueErrors raised by the polynomial core on internal results
+        report["results"] = {"error": f"internal fault: {exc}"}
+        code = EXIT_INTERNAL
     except (ValueError, OSError) as exc:
         # invalid argument values (negative bounds, unreadable grid files)
         report["results"] = {"error": str(exc)}

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .derivation import Derivation, FamilyA, FamilyPow
+from .derivation import X_ONLY, Derivation, FamilyA, FamilyPow
 from .firstorder import NoSolutionShape, solve_first_order, split_x
-from .mpoly import CheckFailed, MultiPoly, divide_exact
-from .upoly import UniPoly, ZeroPolynomial, rational_roots
+from .mpoly import CheckFailed, MultiPoly, ZeroPolynomial, divide_exact
+from .upoly import rational_roots
 
 PLANE = ("x", "y")
 
@@ -60,9 +60,9 @@ def verify_darboux(D: Derivation, F: MultiPoly) -> DarbouxPair | NotDarboux:
 @dataclass(frozen=True)
 class CofactorStructure:
     n: int
-    d1: UniPoly
-    d0: UniPoly
-    c: tuple[UniPoly, ...]
+    d1: MultiPoly
+    d0: MultiPoly
+    c: tuple[MultiPoly, ...]
     regime: str  # "full" | "no-linear-term" | "outside-hypotheses"
     note: str = ""
 
@@ -73,8 +73,8 @@ class ViolationReport:
     detail: str = ""
 
 
-def _decompose_in_y(p: MultiPoly) -> dict[int, UniPoly]:
-    return {e: c.to_unipoly("x") for e, c in p.coeffs_in("y").items()}
+def _decompose_in_y(p: MultiPoly) -> dict[int, MultiPoly]:
+    return {e: c.restrict("x") for e, c in p.coeffs_in("y").items()}
 
 
 def audit_structure(
@@ -96,14 +96,15 @@ def audit_structure(
     n = max(by_y) if by_y else 0
     if n == 0:
         return ViolationReport("y-degree", "F has y-degree 0")
-    c = tuple(by_y.get(i, UniPoly.zero()) for i in range(n + 1))
+    zero = MultiPoly.zero(X_ONLY)
+    c = tuple(by_y.get(i, zero) for i in range(n + 1))
     cof_y = _decompose_in_y(cof)
     if cof_y and max(cof_y) > 1:
         return ViolationReport("cofactor-y-degree", "deg_y of cofactor exceeds 1")
-    d1 = cof_y.get(1, UniPoly.zero())
-    d0 = cof_y.get(0, UniPoly.zero())
+    d1 = cof_y.get(1, zero)
+    d0 = cof_y.get(0, zero)
     in_hypotheses = (
-        fam.a2.degree() >= 1
+        fam.a2.total_degree() >= 1
         and fam.a0.is_constant()
         and not fam.a0.is_zero()
     )
@@ -124,7 +125,7 @@ def audit_structure(
     a0 = fam.a0.constant_value()
     a1, a2 = fam.a1, fam.a2
     # top recurrence: c_{n-1}' = a2*c_{n-1} + (d0 - n*a1)*c_n
-    top = c[n - 1].derivative() - (
+    top = c[n - 1].partial("x") - (
         a2 * c[n - 1] + (d0 - a1.scale(n)) * c[n]
     )
     if not top.is_zero():
@@ -134,7 +135,7 @@ def audit_structure(
         rhs = (
             a2.scale(n - i + 1) * c[i - 1]
             + (d0 - a1.scale(i)) * c[i]
-            - c[i - 1].derivative()
+            - c[i - 1].partial("x")
         )
         if lhs != rhs:
             return ViolationReport(
@@ -202,10 +203,6 @@ def _resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     return _bareiss_det(rows, p.variables)
 
 
-def _support(p: MultiPoly) -> set[str]:
-    return {name for name, column in zip(p.variables, zip(*p.terms)) if any(column)}
-
-
 def _merge(branches) -> ResidualResult:
     """Union of branch results; an undecided union keeps its first branch's reason."""
     solutions: list[dict[str, Fraction]] = []
@@ -234,20 +231,20 @@ def _solve_recursive(
         # unwind linear eliminations, then zero any remaining free parameters
         for name, expr, inv in reversed(pending):
             missing = {
-                v: Fraction(0) for v in _support(expr) if v not in full
+                v: Fraction(0) for v in expr.support() if v not in full
             }
             full.update(missing)
             full[name] = expr.evaluate(full) * inv
         for name in params:
             full.setdefault(name, Fraction(0))
         return ResidualResult([full], False)
-    supports = [sorted(_support(e)) for e in eqs]
+    supports = [sorted(e.support()) for e in eqs]
 
     # univariate equation: branch over its rational roots
     for e, sup in zip(eqs, supports):
         if len(sup) == 1:
             (name,) = sup
-            roots = rational_roots(e.to_unipoly(name))
+            roots = rational_roots(e)
             return _merge(
                 _solve_recursive(
                     [other.substitute_value(name, r) for other in eqs if other is not e],
@@ -409,7 +406,7 @@ def _search_fixed_n(
         )
         for s in range(alpha)
     }
-    a1_x = MultiPoly.from_unipoly(variables, "x", a1)
+    a1_x = a1.with_variables(variables)
     c: dict[int, MultiPoly] = {n: MultiPoly.constant(variables, 1)}
     zero = MultiPoly.zero(variables)
     constraints: list[MultiPoly] = []
@@ -438,11 +435,10 @@ def _search_fixed_n(
     for point in result.solutions:
         F = MultiPoly.zero(PLANE)
         for i, ci in c.items():
-            ci_at_point = UniPoly(
-                [(e, coeff.evaluate(point)) for e, coeff in split_x(ci).items()]
-            )
-            F = F + MultiPoly.from_unipoly(PLANE, "x", ci_at_point) * MultiPoly.var(
-                PLANE, "y", i
+            # c_i at the point times y^i, in ascending x-degree
+            F = F + MultiPoly(
+                PLANE,
+                [((e, i), coeff.evaluate(point)) for e, coeff in sorted(split_x(ci).items())],
             )
         verified = verify_darboux(D, F)
         if isinstance(verified, DarbouxPair):
@@ -453,7 +449,7 @@ def _search_fixed_n(
 def _search_power(fam: FamilyPow, bounds: SearchBounds) -> SearchOutcome:
     if fam.alpha != fam.beta:
         raise ValueError("triangular search requires matching powers")
-    if fam.a2.degree() < 1:
+    if fam.a2.total_degree() < 1:
         raise ValueError("search requires deg a2 >= 1")
     if not fam.a0.is_constant() or fam.a0.is_zero():
         raise ValueError("search requires a0 to be a nonzero constant")

@@ -11,7 +11,9 @@ raw derivation to the most specific structured family:
   FamilyDiag  sum gamma_i * y_i^(k_i) * d_i             (n >= 2, gamma_i != 0)
 
 FamilyB is a sub-shape of FamilyA, which is FamilyPow with
-alpha = beta = 1; recognition always returns the tightest match.
+alpha = beta = 1; recognition always returns the tightest match.  The
+coefficients a2, a1, a0 and gamma_i are MultiPoly values over X_ONLY,
+their terms in ascending degree.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .mpoly import MultiPoly, VariableMismatch
-from .upoly import UniPoly
+
+# the variable tuple of the family coefficients a2(x), a1(x), a0(x), gamma_i(x)
+X_ONLY = ("x",)
 
 
 class UnsupportedFamily(ValueError):
@@ -39,9 +43,6 @@ class Derivation:
             if img.variables != self.variables:
                 raise VariableMismatch("images must share the ambient variables")
 
-    def image_of(self, name: str) -> MultiPoly:
-        return self.images[self.variables.index(name)]
-
     def apply(self, f: MultiPoly) -> MultiPoly:
         """D(f) via the product rule; linear in f, zero on constants."""
         if f.variables != self.variables:
@@ -53,44 +54,37 @@ class Derivation:
             out = out + img * f.partial(name)
         return out
 
-    def apply_iterated(self, f: MultiPoly, j: int) -> MultiPoly:
-        if j < 0:
-            raise ValueError("iteration count must be nonnegative")
-        for _ in range(j):
-            f = self.apply(f)
-        return f
-
 
 # -- structured families ----------------------------------------------
 
 
 @dataclass(frozen=True)
 class FamilyA:
-    a2: UniPoly
-    a1: UniPoly
-    a0: UniPoly
+    a2: MultiPoly
+    a1: MultiPoly
+    a0: MultiPoly
 
     def to_derivation(self) -> Derivation:
         v = ("x", "y")
         y = MultiPoly.var(v, "y")
         img_y = (
-            MultiPoly.from_unipoly(v, "x", self.a2) * y**2
-            + MultiPoly.from_unipoly(v, "x", self.a1) * y
-            + MultiPoly.from_unipoly(v, "x", self.a0)
+            self.a2.with_variables(v) * y**2
+            + self.a1.with_variables(v) * y
+            + self.a0.with_variables(v)
         )
         return Derivation(v, (y, img_y))
 
 
 @dataclass(frozen=True)
 class FamilyB:
-    a1: UniPoly
+    a1: MultiPoly
     a0: Fraction
 
     def to_derivation(self) -> Derivation:
         return self.as_family_a().to_derivation()
 
     def as_family_a(self) -> FamilyA:
-        return FamilyA(UniPoly.zero(), self.a1, UniPoly.constant(self.a0))
+        return FamilyA(MultiPoly.zero(X_ONLY), self.a1, MultiPoly.constant(X_ONLY, self.a0))
 
 
 @dataclass(frozen=True)
@@ -99,9 +93,9 @@ class FamilyPow:
 
     alpha: int
     beta: int
-    a2: UniPoly
-    a1: UniPoly
-    a0: UniPoly
+    a2: MultiPoly
+    a1: MultiPoly
+    a0: MultiPoly
 
     def __post_init__(self):
         if not (1 <= self.alpha <= self.beta):
@@ -112,16 +106,16 @@ class FamilyPow:
         y = MultiPoly.var(v, "y")
         img_x = y**self.alpha
         img_y = (
-            MultiPoly.from_unipoly(v, "x", self.a2) * y ** (self.beta + 1)
-            + MultiPoly.from_unipoly(v, "x", self.a1) * y**self.beta
-            + MultiPoly.from_unipoly(v, "x", self.a0)
+            self.a2.with_variables(v) * y ** (self.beta + 1)
+            + self.a1.with_variables(v) * y**self.beta
+            + self.a0.with_variables(v)
         )
         return Derivation(v, (img_x, img_y))
 
 
 @dataclass(frozen=True)
 class FamilyDiagX:
-    gammas: tuple[UniPoly, ...]
+    gammas: tuple[MultiPoly, ...]
     ks: tuple[int, ...]
 
     def __post_init__(self):
@@ -135,9 +129,7 @@ class FamilyDiagX:
         v = ("x",) + tuple(f"y{i + 1}" for i in range(n))
         images = [MultiPoly.constant(v, 1)]
         for i, (g, k) in enumerate(zip(self.gammas, self.ks)):
-            images.append(
-                MultiPoly.from_unipoly(v, "x", g) * MultiPoly.var(v, v[i + 1], k)
-            )
+            images.append(g.with_variables(v) * MultiPoly.var(v, v[i + 1], k))
         return Derivation(v, tuple(images))
 
 
@@ -175,7 +167,7 @@ Family = FamilyA | FamilyB | FamilyPow | FamilyDiagX | FamilyDiag | Generic
 # -- recognition --------------------------------------------------------
 
 
-def _single_var_power(p: MultiPoly, var: str) -> tuple[UniPoly, int] | None:
+def _single_var_power(p: MultiPoly, var: str) -> tuple[MultiPoly, int] | None:
     """Match p = gamma(x) * var^k with k >= 1 fixed; None otherwise."""
     if p.is_zero() or not p.uses_only(["x", var]):
         return None
@@ -185,7 +177,7 @@ def _single_var_power(p: MultiPoly, var: str) -> tuple[UniPoly, int] | None:
     (k, coeff), = by_power.items()
     if k < 1:
         return None
-    return coeff.to_unipoly("x"), k
+    return coeff.restrict("x"), k
 
 
 def _recognize_plane(D: Derivation) -> Family:
@@ -204,21 +196,21 @@ def _recognize_plane(D: Derivation) -> Family:
     for coeff in by_y.values():
         if not coeff.uses_only([x]):
             return Generic()
-    a0 = by_y.get(0, MultiPoly.zero(D.variables)).to_unipoly(x)
+    a0 = by_y.get(0, MultiPoly.zero(D.variables)).restrict(x)
     support = sorted(e for e in by_y if e >= 1)
     if alpha == 1 and all(e <= 2 for e in support):
-        a2 = by_y.get(2, MultiPoly.zero(D.variables)).to_unipoly(x)
-        a1 = by_y.get(1, MultiPoly.zero(D.variables)).to_unipoly(x)
+        a2 = by_y.get(2, MultiPoly.zero(D.variables)).restrict(x)
+        a1 = by_y.get(1, MultiPoly.zero(D.variables)).restrict(x)
         if a2.is_zero() and a0.is_constant():
             return FamilyB(a1=a1, a0=a0.constant_value())
         return FamilyA(a2=a2, a1=a1, a0=a0)
-    zero = UniPoly.zero()
+    zero = MultiPoly.zero(X_ONLY)
 
     def read(e2: int | None, e1: int | None, beta: int) -> FamilyPow | None:
         if beta < alpha:
             return None
-        a2 = by_y[e2].to_unipoly(x) if e2 is not None else zero
-        a1 = by_y[e1].to_unipoly(x) if e1 is not None else zero
+        a2 = by_y[e2].restrict(x) if e2 is not None else zero
+        a1 = by_y[e1].restrict(x) if e1 is not None else zero
         return FamilyPow(alpha=alpha, beta=beta, a2=a2, a1=a1, a0=a0)
 
     if not support:
@@ -241,7 +233,7 @@ def _recognize_diag_x(D: Derivation) -> Family:
     gammas, ks = [], []
     for name, img in zip(D.variables[1:], D.images[1:]):
         if img.is_zero():
-            gammas.append(UniPoly.zero())
+            gammas.append(MultiPoly.zero(X_ONLY))
             ks.append(1)
             continue
         matched = _single_var_power(img, name)
@@ -295,36 +287,7 @@ def locally_finite_closed_form(family: Family) -> bool:
     if isinstance(family, FamilyDiag):
         return all(k <= 1 for k in family.ks)
     if isinstance(family, FamilyB):
-        return family.a1.degree() <= 0
+        return family.a1.total_degree() <= 0
     raise UnsupportedFamily(
         f"no closed-form local-finiteness test for {type(family).__name__}"
     )
-
-
-@dataclass(frozen=True)
-class ProbeResult:
-    bounded: bool
-    iterations: int
-    variable: str | None = None
-    exceeded_at: int | None = None
-
-
-def locally_finite_probe(D: Derivation, cutoff_deg: int, max_iter: int) -> ProbeResult:
-    """Iterate D on each generator and watch for degree blow-up.
-
-    Heuristic only: a bounded answer is NOT a proof of local finiteness,
-    it just reports that no iterate exceeded cutoff_deg within max_iter
-    steps.  An exceeded answer names the first generator and iteration
-    where the total degree passed the cutoff.
-    """
-    current = {
-        name: MultiPoly.var(D.variables, name) for name in D.variables
-    }
-    for j in range(1, max_iter + 1):
-        for name in D.variables:
-            current[name] = D.apply(current[name])
-            if current[name].total_degree() > cutoff_deg:
-                return ProbeResult(
-                    bounded=False, iterations=j, variable=name, exceeded_at=j
-                )
-    return ProbeResult(bounded=True, iterations=max_iter)

@@ -24,7 +24,6 @@ from fractions import Fraction
 from typing import Union
 
 from .mpoly import MultiPoly
-from .upoly import UniPoly
 
 RatLike = Union[Fraction, int]
 
@@ -58,23 +57,25 @@ class NoSolutionShape:
 
 
 def solve_first_order(
-    a: UniPoly, g: MultiPoly, k: RatLike = 1
+    a: MultiPoly, g: MultiPoly, k: RatLike = 1
 ) -> FirstOrderSolution | NoSolutionShape:
     """Unique degree-compatible c with k*a*c - c' = g, plus residual constraints.
 
-    g is a polynomial over ``params + ("x",)``: x must be the last
-    variable, the others are the parameters.  The candidate c lives over
+    a is a polynomial in x alone, over ``("x",)``.  g is a polynomial
+    over ``params + ("x",)``: x must be the last variable, the others
+    are the parameters.  The candidate c lives over
     the same tuple and the constraints over ``params``.  Requires
     deg a >= 1 so that c -> k*a*c - c' is injective and shifts degrees
     by deg a; constant a is handled by closed forms elsewhere.
     """
-    if a.is_zero() or a.degree() < 1:
+    d = a.total_degree()
+    if d < 1:
         raise UnsupportedShape("coefficient polynomial must have degree >= 1")
     k = Fraction(k)
     if k == 0:
         raise ValueError("k must be nonzero")
-    d = a.degree()
-    lead = a.leading_coeff() * k
+    lead = a.terms[(d,)] * k
+    a_terms = sorted((q, aq) for (q,), aq in a.terms.items())
     if g.is_zero():
         return FirstOrderSolution(g, [])
     g_x = split_x(g)
@@ -83,7 +84,7 @@ def solve_first_order(
     b: dict[int, MultiPoly] = {}
     for j in range(m, -1, -1):
         acc = g_x.get(j + d, zero)
-        for q, aq in a.coeffs:
+        for q, aq in a_terms:
             p = j + d - q
             if p > j and p in b:
                 acc = acc - b[p].scale(aq * k)
@@ -100,7 +101,7 @@ def solve_first_order(
     constraints: list[MultiPoly] = []
     for r in range(d):
         acc = -g_x.get(r, zero)
-        for q, aq in a.coeffs:
+        for q, aq in a_terms:
             p = r - q
             if p in b:
                 acc = acc + b[p].scale(aq * k)

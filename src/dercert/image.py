@@ -198,7 +198,7 @@ def _match_pattern(
     if isinstance(family, FamilyB):
         if (
             family.a0 != 0
-            and family.a1.degree() >= 1
+            and family.a1.total_degree() >= 1
             and target == MultiPoly.var(D.variables, "x")
         ):
             return CertifiedNonMember(TAG_P22, "x-outside-image", target)
@@ -210,7 +210,7 @@ def _match_pattern(
                 return CertifiedNonMember(TAG_T51, "high-power-coordinate", target)
         if all(family.ks[i] == 1 for i in nonzero):
             for i in nonzero:
-                if family.gammas[i].degree() >= 1 and target == _y_var(D, i):
+                if family.gammas[i].total_degree() >= 1 and target == _y_var(D, i):
                     return CertifiedNonMember(
                         TAG_T51, "nonconstant-coefficient", target
                     )
@@ -264,7 +264,7 @@ def decide_mz(D: Derivation, sanity_bound: int = DEFAULT_SANITY_BOUND) -> MzVerd
     """
     family = recognize_family(D)
     if isinstance(family, FamilyB):
-        simple = family.a0 != 0 and family.a1.degree() >= 1
+        simple = family.a0 != 0 and family.a1.total_degree() >= 1
         if simple:
             evidence = certified_nonmembership(
                 D, MultiPoly.var(D.variables, "x"), sanity_bound
@@ -303,7 +303,7 @@ def _first_obstruction_diag_x(D: Derivation, family: FamilyDiagX) -> MultiPoly:
         if family.ks[i] > 1:
             return _y_var(D, i)
     for i in nonzero:
-        if family.gammas[i].degree() >= 1:
+        if family.gammas[i].total_degree() >= 1:
             return _y_var(D, i)
     raise CheckFailed("called without an obstruction")
 
@@ -316,13 +316,3 @@ def _first_obstruction_diag(D: Derivation, family: FamilyDiag) -> MultiPoly:
         return _y_var(D, high) * _y_var(D, other) ** DEFAULT_M_MIN
     return _y_var(D, high)
 
-
-def one_in_image(family: FamilyB) -> MultiPoly:
-    """Explicit preimage of 1: a0^-1 * (y - A(x)), A the antiderivative of a1."""
-    if family.a0 == 0:
-        raise ValueError("requires a0 != 0")
-    v = ("x", "y")
-    anti = family.a1.antiderivative()
-    return (
-        MultiPoly.var(v, "y") - MultiPoly.from_unipoly(v, "x", anti)
-    ).scale(1 / family.a0)

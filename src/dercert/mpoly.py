@@ -17,6 +17,11 @@ drops zero coefficients once, keeping the insertion order the
 validating constructor would give: the first operand's terms first,
 then the other operand's new terms.  Term dicts are never changed after
 construction, so a result may share its operand's dict.
+
+A polynomial in one variable is a MultiPoly over a one-name tuple; the
+family coefficients a2(x), a1(x), a0(x) and gamma_i(x) live over
+``("x",)``, with their terms in ascending degree as `restrict` returns
+them.  The zero polynomial has total degree `NEG_INF`.
 """
 
 from __future__ import annotations
@@ -26,10 +31,23 @@ from fractions import Fraction
 from operator import add
 from typing import Iterable, Union
 
-from .upoly import NEG_INF, UniPoly, ZeroPolynomial
-from .upoly import CheckFailed  # noqa: F401  (re-exported)
-
 RatLike = Union[Fraction, int]
+
+# the degree of the zero polynomial; compares below every integer
+NEG_INF = float("-inf")
+
+
+class ZeroPolynomial(ValueError):
+    """An operation that needs a nonzero polynomial received zero."""
+
+
+class CheckFailed(AssertionError):
+    """An exact self-check of a computed result failed.
+
+    This signals a fault in dercert, never a property of the input, so
+    it is not a ValueError; it is raised explicitly and therefore also
+    runs under ``python -O``.
+    """
 
 
 class DivisorZero(ZeroPolynomial):
@@ -126,15 +144,6 @@ class MultiPoly:
         exps = tuple(power if i == idx else 0 for i in range(len(variables)))
         return MultiPoly(variables, [(exps, 1)])
 
-    @staticmethod
-    def from_unipoly(variables: tuple[str, ...], name: str, p: UniPoly) -> "MultiPoly":
-        idx = variables.index(name)
-        terms = []
-        for e, c in p.coeffs:
-            exps = tuple(e if i == idx else 0 for i in range(len(variables)))
-            terms.append((exps, c))
-        return MultiPoly(variables, terms)
-
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -160,6 +169,10 @@ class MultiPoly:
             return NEG_INF
         idx = self.variables.index(name)
         return max(exps[idx] for exps in self.terms)
+
+    def support(self) -> set[str]:
+        """Names of the variables that occur in some term."""
+        return {name for name, column in zip(self.variables, zip(*self.terms)) if any(column)}
 
     def uses_only(self, names: Iterable[str]) -> bool:
         allowed = {self.variables.index(n) for n in names}
@@ -324,12 +337,18 @@ class MultiPoly:
             for p, terms in sorted(buckets.items())
         }
 
-    def to_unipoly(self, name: str) -> UniPoly:
-        """Collapse to a UniPoly; every other variable must be absent."""
+    def restrict(self, name: str) -> "MultiPoly":
+        """The same polynomial over ``(name,)``, terms in ascending degree.
+
+        Every other variable must be absent.
+        """
         if not self.uses_only([name]):
             raise VariableMismatch(f"polynomial involves more than {name}")
         idx = self.variables.index(name)
-        return UniPoly([(exps[idx], c) for exps, c in self.terms.items()])
+        return MultiPoly._from_canonical(
+            (name,),
+            {(exps[idx],): c for exps, c in sorted(self.terms.items(), key=lambda t: t[0][idx])},
+        )
 
     def evaluate(self, point: Mapping[str, RatLike]) -> Fraction:
         total = Fraction(0)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .derivation import Derivation, FamilyA, FamilyPow
-from .mpoly import MultiPoly
-from .upoly import CheckFailed, UniPoly, rational_roots
+from .derivation import X_ONLY, Derivation, FamilyA, FamilyPow
+from .mpoly import CheckFailed, MultiPoly, divide_exact
+from .upoly import rational_roots
 
 TAG_T21 = "T2.1"
 TAG_T41 = "T4.1"
@@ -51,25 +51,11 @@ class SimplicityVerdict:
     theorem: str
 
 
-def _xp(p: UniPoly) -> MultiPoly:
-    return MultiPoly.from_unipoly(PLANE, "x", p)
-
-
 def _y(power: int = 1) -> MultiPoly:
     return MultiPoly.var(PLANE, "y", power)
 
 
-def unit_ideal_check(P: MultiPoly) -> bool:
-    """True iff the ideal (y, P) is the whole ring.
-
-    Modulo y the ideal collapses to (P(x, 0)), so it is everything
-    exactly when P(x, 0) is a nonzero constant.
-    """
-    at_y0 = P.substitute_value("y", 0)
-    return at_y0.is_constant() and at_y0.constant_value() != 0
-
-
-def condition3_solve(a2: UniPoly, a1: UniPoly, a0: Fraction) -> list[Fraction]:
+def condition3_solve(a2: MultiPoly, a1: MultiPoly, a0: Fraction) -> list[Fraction]:
     """All l in Q* with a2 = l*a1 - l^2*a0, exhaustively over Q.
 
     For x-degrees j >= 1 the identity forces a2_j = l*a1_j, so any
@@ -80,30 +66,31 @@ def condition3_solve(a2: UniPoly, a1: UniPoly, a0: Fraction) -> list[Fraction]:
 
 
 def power_condition3_solve(
-    a2: UniPoly, a1: UniPoly, a0: Fraction, beta: int
+    a2: MultiPoly, a1: MultiPoly, a0: Fraction, beta: int
 ) -> list[Fraction]:
     """All l in Q* with a2 = l*a1 + (-1)^beta * l^(beta+1) * a0."""
     if a0 == 0:
         raise ValueError("a0 must be a nonzero rational")
     sign = Fraction(-1) ** beta
-    if a1.degree() >= 1:
-        j = a1.degree()
-        l = a2.coeff(j) / a1.coeff(j)
-        if l != 0 and a2 == a1.scale(l) + UniPoly.constant(sign * l ** (beta + 1) * a0):
+    j = a1.total_degree()
+    if j >= 1:
+        l = a2.terms.get((j,), 0) / a1.terms[(j,)]
+        if l != 0 and a2 == a1.scale(l) + MultiPoly.constant(X_ONLY, sign * l ** (beta + 1) * a0):
             return [l]
         return []
-    if a2.degree() >= 1:
+    if a2.total_degree() >= 1:
         return []
-    poly = UniPoly(
-        [(beta + 1, sign * a0), (1, a1.constant_value()), (0, -a2.constant_value())]
+    poly = MultiPoly(
+        X_ONLY,
+        [((beta + 1,), sign * a0), ((1,), a1.constant_value()), ((0,), -a2.constant_value())],
     )
     return [r for r in rational_roots(poly) if r != 0]
 
 
-def _uni_divides_mod(value: UniPoly, modulus: UniPoly) -> bool:
+def _divides_mod(value: MultiPoly, modulus: MultiPoly) -> bool:
     if modulus.is_zero():
         return value.is_zero()
-    return modulus.divides(value)
+    return divide_exact(value, modulus) is not None
 
 
 def verify_stable_ideal(D: Derivation, generators: Sequence[MultiPoly]) -> bool:
@@ -114,8 +101,6 @@ def verify_stable_ideal(D: Derivation, generators: Sequence[MultiPoly]) -> bool:
     (y, p(x)), stable iff both D(y) and D(p) vanish modulo the ideal,
     i.e. their y-free parts are divisible by p(x).
     """
-    from .mpoly import divide_exact
-
     gens = list(generators)
     if len(gens) == 1:
         g = gens[0].with_variables(D.variables)
@@ -130,10 +115,9 @@ def verify_stable_ideal(D: Derivation, generators: Sequence[MultiPoly]) -> bool:
             raise UnsupportedIdealShape("pair ideals must look like (y, p(x))")
         if not p.uses_only(["x"]):
             raise UnsupportedIdealShape("second generator must only involve x")
-        p_uni = p.to_unipoly("x")
-        dy = D.apply(lead).substitute_value("y", 0).to_unipoly("x")
-        dp = D.apply(p).substitute_value("y", 0).to_unipoly("x")
-        return _uni_divides_mod(dy, p_uni) and _uni_divides_mod(dp, p_uni)
+        dy = D.apply(lead).substitute_value("y", 0)
+        dp = D.apply(p).substitute_value("y", 0)
+        return _divides_mod(dy, p) and _divides_mod(dp, p)
     raise UnsupportedIdealShape(f"{len(gens)} generators")
 
 
@@ -143,7 +127,7 @@ def _stable(generators: Iterable[MultiPoly], l_value: Fraction | None = None) ->
     )
 
 
-def _pick_tag(a2: UniPoly, a1: UniPoly) -> str:
+def _pick_tag(a2: MultiPoly, a1: MultiPoly) -> str:
     if a1.is_zero():
         return TAG_T21
     if a2.is_constant():
@@ -165,7 +149,7 @@ def decide_simple_family_a(fam: FamilyA) -> SimplicityVerdict:
     if a0.is_zero():
         return SimplicityVerdict(False, _stable([_y()]), tag)
     if not a0.is_constant():
-        return SimplicityVerdict(False, _stable([_y(), _xp(a0)]), tag)
+        return SimplicityVerdict(False, _stable([_y(), a0.with_variables(PLANE)]), tag)
     a0_val = a0.constant_value()
     if a1.is_constant() and a2.is_constant():
         if not a2.is_zero():
@@ -215,7 +199,7 @@ def conjecture_necessary(fam: FamilyPow) -> NecessaryCheck:
     if a0.is_zero():
         return NecessaryCheck(False, 1, _stable([_y()]))
     if not a0.is_constant():
-        return NecessaryCheck(False, 1, _stable([_y(), _xp(a0)]))
+        return NecessaryCheck(False, 1, _stable([_y(), a0.with_variables(PLANE)]))
     a0_val = a0.constant_value()
     if a1.is_constant() and a2.is_constant():
         if a2.is_zero() and a1.is_zero():
@@ -224,7 +208,9 @@ def conjecture_necessary(fam: FamilyPow) -> NecessaryCheck:
             ) - MultiPoly.var(PLANE, "x").scale(a0_val)
             return NecessaryCheck(False, 2, _stable([witness]))
         witness = (
-            _xp(a2) * _y(fam.beta + 1) + _xp(a1) * _y(fam.beta) + _xp(a0)
+            a2.with_variables(PLANE) * _y(fam.beta + 1)
+            + a1.with_variables(PLANE) * _y(fam.beta)
+            + a0.with_variables(PLANE)
         )
         return NecessaryCheck(False, 2, _stable([witness]))
     solutions = power_condition3_solve(a2, a1, a0_val, fam.beta)
@@ -238,9 +224,9 @@ def conjecture_necessary(fam: FamilyPow) -> NecessaryCheck:
 @dataclass(frozen=True)
 class ScanRow:
     alpha: int
-    a2: UniPoly
-    a1: UniPoly
-    a0: UniPoly
+    a2: MultiPoly
+    a1: MultiPoly
+    a0: MultiPoly
     necessary: str  # "pass" | "fail"
     l_witness: Fraction | None
     darboux_status: str  # "found" | "none-up-to-bounds" | "undecided-residual" |
@@ -274,7 +260,7 @@ def conjecture_scan(alpha: int, coeff_grid, bounds) -> list[ScanRow]:
                 ScanRow(alpha, a2, a1, a0, "fail", check.l_value, "skipped")
             )
             continue
-        if a2.degree() < 1:
+        if a2.total_degree() < 1:
             rows.append(ScanRow(alpha, a2, a1, a0, "pass", None, "unsupported"))
             continue
         outcome = darboux_search_power_family(fam, bounds)
@@ -288,9 +274,9 @@ def scan_rows_to_jsonl(rows: Iterable[ScanRow], bounds) -> Iterator[str]:
     for row in rows:
         record = {
             "alpha": row.alpha,
-            "a2": poly_to_str(_xp(row.a2)),
-            "a1": poly_to_str(_xp(row.a1)),
-            "a0": poly_to_str(_xp(row.a0)),
+            "a2": poly_to_str(row.a2),
+            "a1": poly_to_str(row.a1),
+            "a0": poly_to_str(row.a0),
             "necessary": row.necessary,
             "darboux_status": row.darboux_status,
             "bounds": bounds.degree_bounds(),

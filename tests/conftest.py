@@ -2,21 +2,25 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from dercert import MultiPoly, UniPoly
+from dercert import Derivation, MultiPoly
+
+X_ONLY = ("x",)
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
 
 
 def unipolys(max_degree: int = 6, max_terms: int = 5):
+    """Polynomials over ("x",), terms in ascending degree."""
     return st.lists(
         st.tuples(st.integers(min_value=0, max_value=max_degree), rationals),
         max_size=max_terms,
-    ).map(UniPoly)
+    ).map(lambda terms: MultiPoly(X_ONLY, [((e,), c) for e, c in terms]).restrict("x"))
 
 
 def multipolys(variables=("x", "y"), max_degree: int = 4, max_terms: int = 5):
@@ -35,6 +39,35 @@ def nonzero_multipolys(variables=("x", "y"), max_degree: int = 4, max_terms: int
     )
 
 
-def uni(src_coeffs) -> UniPoly:
-    """Dense low-to-high coefficient list, for readable fixtures."""
-    return UniPoly.from_list([Fraction(c) for c in src_coeffs])
+def uni(src_coeffs) -> MultiPoly:
+    """Polynomial over ("x",) from a dense low-to-high coefficient list."""
+    return MultiPoly(X_ONLY, [((e,), Fraction(c)) for e, c in enumerate(src_coeffs)])
+
+
+@dataclass(frozen=True)
+class ProbeResult:
+    bounded: bool
+    iterations: int
+    variable: str | None = None
+    exceeded_at: int | None = None
+
+
+def locally_finite_probe(D: Derivation, cutoff_deg: int, max_iter: int) -> ProbeResult:
+    """Iterate D on each generator and watch for degree blow-up.
+
+    Heuristic only: a bounded answer is NOT a proof of local finiteness,
+    it just reports that no iterate exceeded cutoff_deg within max_iter
+    steps.  An exceeded answer names the first generator and iteration
+    where the total degree passed the cutoff.
+    """
+    current = {
+        name: MultiPoly.var(D.variables, name) for name in D.variables
+    }
+    for j in range(1, max_iter + 1):
+        for name in D.variables:
+            current[name] = D.apply(current[name])
+            if current[name].total_degree() > cutoff_deg:
+                return ProbeResult(
+                    bounded=False, iterations=j, variable=name, exceeded_at=j
+                )
+    return ProbeResult(bounded=True, iterations=max_iter)

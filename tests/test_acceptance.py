@@ -8,6 +8,7 @@ suite is reproducible.
 import random
 from fractions import Fraction
 
+from conftest import locally_finite_probe, uni
 from dercert import (
     CertifiedNonMember,
     CofactorStructure,
@@ -21,7 +22,6 @@ from dercert import (
     MultiPoly,
     NotFoundUpTo,
     SearchBounds,
-    UniPoly,
     audit_structure,
     conjecture_necessary,
     conjecture_scan,
@@ -32,7 +32,6 @@ from dercert import (
     divide_exact,
     image_membership,
     locally_finite_closed_form,
-    locally_finite_probe,
     parse_poly,
     poly_to_str,
     rational_roots,
@@ -58,16 +57,16 @@ def report(num: int, name: str, failures: list[str]) -> None:
 def test_criterion_1_quadratic_family_grid():
     failures = []
     simple_a2 = [
-        UniPoly.x(),
-        UniPoly.x().scale(2),
-        poly("x + 1", ("x",)).to_unipoly("x"),
-        UniPoly.x(2),
-        poly("x^3 - x", ("x",)).to_unipoly("x"),
+        uni([0, 1]),
+        uni([0, 1]).scale(2),
+        poly("x + 1", ("x",)).restrict("x"),
+        uni([0, 0, 1]),
+        poly("x^3 - x", ("x",)).restrict("x"),
     ]
     bounds = SearchBounds(n_max=3, d0_deg_max=3, cx_deg_max=4)
     for a2 in simple_a2:
         for a0 in (F(1), F(2), F(-3)):
-            fam = FamilyA(a2=a2, a1=UniPoly.zero(), a0=UniPoly.constant(a0))
+            fam = FamilyA(a2=a2, a1=uni([]), a0=uni([a0]))
             verdict = decide_simple_family_a(fam)
             if not verdict.simple:
                 failures.append(f"a2={a2!r} a0={a0} expected simple")
@@ -82,7 +81,7 @@ def test_criterion_1_quadratic_family_grid():
     for a2_const in (F(0), F(1), F(5)):
         for a0 in (F(1), F(2), F(-3)):
             fam = FamilyA(
-                a2=UniPoly.constant(a2_const), a1=UniPoly.zero(), a0=UniPoly.constant(a0)
+                a2=uni([a2_const]), a1=uni([]), a0=uni([a0])
             )
             verdict = decide_simple_family_a(fam)
             if verdict.simple:
@@ -100,7 +99,7 @@ def _random_instances(seed: int, count: int):
         deg = rng.randint(1, 3)
         coeffs = [F(rng.randint(-5, 5)) for _ in range(deg)]
         lead = F(rng.choice([s for s in range(-5, 6) if s]))
-        a1 = UniPoly(list(enumerate(coeffs)) + [(deg, lead)])
+        a1 = uni(coeffs + [lead])
         a0 = F(rng.choice([s for s in range(-6, 7) if s]), rng.randint(1, 4))
         yield l, a1, a0
 
@@ -108,12 +107,12 @@ def _random_instances(seed: int, count: int):
 def test_criterion_2_planted_l_instances():
     failures = []
     for idx, (l, a1, a0) in enumerate(_random_instances(seed=1202, count=100)):
-        a2 = a1.scale(l) - UniPoly.constant(l * l * a0)
+        a2 = a1.scale(l) - uni([l * l * a0])
         solutions = condition3_solve(a2, a1, a0)
         if l not in solutions:
             failures.append(f"instance {idx}: l={l} not recovered")
             continue
-        fam = FamilyA(a2=a2, a1=a1, a0=UniPoly.constant(a0))
+        fam = FamilyA(a2=a2, a1=a1, a0=uni([a0]))
         verdict = decide_simple_family_a(fam)
         if verdict.simple:
             failures.append(f"instance {idx}: expected non-simple")
@@ -127,7 +126,7 @@ def test_criterion_2_planted_l_instances():
         if divide_exact(D.apply(witness), witness) is None:
             failures.append(f"instance {idx}: witness fails exact division")
     fam = FamilyA(
-        a2=poly("x - 1", ("x",)).to_unipoly("x"), a1=UniPoly.x(), a0=UniPoly.one()
+        a2=poly("x - 1", ("x",)).restrict("x"), a1=uni([0, 1]), a0=uni([1])
     )
     pair = verify_darboux(fam.to_derivation(), poly("y + 1"))
     if not isinstance(pair, DarbouxPair) or pair.cofactor != poly("(x - 1)*y + 1"):
@@ -139,18 +138,18 @@ def _pairs_for_audit():
     """Darboux pairs over families inside the structure hypotheses (a1 != 0)."""
     collected = []
     fixed = [
-        FamilyA(a2=poly("x - 1", ("x",)).to_unipoly("x"), a1=UniPoly.x(), a0=UniPoly.one()),
-        FamilyA(a2=poly("2*x - 4", ("x",)).to_unipoly("x"), a1=UniPoly.x(), a0=UniPoly.one()),
+        FamilyA(a2=poly("x - 1", ("x",)).restrict("x"), a1=uni([0, 1]), a0=uni([1])),
+        FamilyA(a2=poly("2*x - 4", ("x",)).restrict("x"), a1=uni([0, 1]), a0=uni([1])),
     ]
     for fam in fixed:
         outcome = darboux_search_family_a(fam, SearchBounds(2, 2, 3))
         for pair in outcome.pairs:
             collected.append((fam, pair))
     for l, a1, a0 in _random_instances(seed=331, count=20):
-        a2 = a1.scale(l) - UniPoly.constant(l * l * a0)
-        if a2.degree() < 1:
+        a2 = a1.scale(l) - uni([l * l * a0])
+        if a2.total_degree() < 1:
             continue
-        fam = FamilyA(a2=a2, a1=a1, a0=UniPoly.constant(a0))
+        fam = FamilyA(a2=a2, a1=a1, a0=uni([a0]))
         witness = poly("y") + MultiPoly.constant(XY, 1 / l)
         pair = verify_darboux(fam.to_derivation(), witness)
         if isinstance(pair, DarbouxPair):
@@ -186,7 +185,7 @@ def test_criterion_3_cofactor_structure_audit():
 
 def test_criterion_4_linear_family_images():
     failures = []
-    fam = FamilyB(a1=UniPoly.x(), a0=F(1))
+    fam = FamilyB(a1=uni([0, 1]), a0=F(1))
     D = fam.to_derivation()
     member = image_membership(D, MultiPoly.constant(XY, 1), 3)
     if not isinstance(member, Member) or member.preimage != poly("y - 1/2*x^2"):
@@ -196,13 +195,13 @@ def test_criterion_4_linear_family_images():
     if decide_mz(D).mz is not False:
         failures.append("simple linear family must not have an MZ image")
 
-    fam_const = FamilyB(a1=UniPoly.one(), a0=F(1))
+    fam_const = FamilyB(a1=uni([1]), a0=F(1))
     if decide_mz(fam_const.to_derivation()).mz is not True:
         failures.append("constant-coefficient family must have an MZ image")
     if locally_finite_closed_form(fam_const) is not True:
         failures.append("constant-coefficient family must be locally finite")
 
-    fam_zero = FamilyB(a1=UniPoly.x(), a0=F(0))
+    fam_zero = FamilyB(a1=uni([0, 1]), a0=F(0))
     D0 = fam_zero.to_derivation()
     member_xy = image_membership(D0, poly("x*y"), 2)
     if not isinstance(member_xy, Member) or member_xy.preimage != poly("1/2*x^2"):
@@ -213,7 +212,7 @@ def test_criterion_4_linear_family_images():
 
 
 def _diag_x_cells():
-    gammas = [UniPoly.zero(), UniPoly.one(), UniPoly.constant(2), UniPoly.x(), UniPoly.x(2)]
+    gammas = [uni([]), uni([1]), uni([2]), uni([0, 1]), uni([0, 0, 1])]
     ks = [1, 2, 3]
     singles = [(g, k) for g in gammas for k in ks]
     cells = [((g,), (k,)) for g, k in singles]
@@ -237,7 +236,7 @@ def test_criterion_5_translation_diagonal_grid():
         )
         loc_fin = locally_finite_closed_form(fam)
         verdict = decide_mz(D)
-        label = f"gammas={[poly_to_str(MultiPoly.from_unipoly(('x',), 'x', g)) for g in gammas]} ks={list(ks)}"
+        label = f"gammas={[poly_to_str(g) for g in gammas]} ks={list(ks)}"
         if loc_fin != expected:
             failures.append(f"{label}: closed form disagrees")
             continue
@@ -290,14 +289,14 @@ def test_criterion_6_diagonal_grid():
 def test_criterion_7_power_family_checks():
     failures = []
     failing = [
-        FamilyPow(alpha=2, beta=2, a2=UniPoly.x(), a1=UniPoly.zero(), a0=UniPoly.x()),
-        FamilyPow(alpha=2, beta=2, a2=UniPoly.zero(), a1=UniPoly.zero(), a0=UniPoly.one()),
+        FamilyPow(alpha=2, beta=2, a2=uni([0, 1]), a1=uni([]), a0=uni([0, 1])),
+        FamilyPow(alpha=2, beta=2, a2=uni([]), a1=uni([]), a0=uni([1])),
         FamilyPow(
             alpha=2,
             beta=2,
-            a2=poly("x + 1", ("x",)).to_unipoly("x"),
-            a1=UniPoly.x(),
-            a0=UniPoly.one(),
+            a2=poly("x + 1", ("x",)).restrict("x"),
+            a1=uni([0, 1]),
+            a0=uni([1]),
         ),
     ]
     for fam in failing:
@@ -312,7 +311,7 @@ def test_criterion_7_power_family_checks():
         failures.append("condition-3 failure should report l0 = 1")
     rows = conjecture_scan(
         2,
-        [(UniPoly.x(), UniPoly.zero(), UniPoly.one())],
+        [(uni([0, 1]), uni([]), uni([1]))],
         SearchBounds(n_max=2, d0_deg_max=2, cx_deg_max=3),
     )
     if rows[0].necessary != "pass" or rows[0].darboux_status != "none-up-to-bounds":
@@ -323,11 +322,6 @@ def test_criterion_7_power_family_checks():
 def test_criterion_8_algebra_substrate():
     failures = []
     rng = random.Random(808)
-
-    def rand_uni():
-        return UniPoly(
-            [(rng.randint(0, 6), F(rng.randint(-6, 6), rng.randint(1, 4))) for _ in range(rng.randint(0, 5))]
-        )
 
     def rand_multi(variables=XY, deg=4):
         terms = []
@@ -369,7 +363,7 @@ def test_criterion_8_algebra_substrate():
     for _ in range(200):
         r1 = F(rng.randint(-6, 6), rng.randint(1, 4))
         r2 = F(rng.randint(-6, 6), rng.randint(1, 4))
-        p = (UniPoly.x() - UniPoly.constant(r1)) * (UniPoly.x() - UniPoly.constant(r2))
+        p = uni([-r1, 1]) * uni([-r2, 1])
         roots = rational_roots(p)
         if r1 not in roots or r2 not in roots:
             failures.append("rational root recovery failure")

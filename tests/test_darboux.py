@@ -15,7 +15,6 @@ from dercert import (
     MultiPoly,
     NotDarboux,
     SearchBounds,
-    UniPoly,
     ViolationReport,
     ZeroPolynomial,
     audit_structure,
@@ -40,8 +39,8 @@ def fam(a2, a1, a0):
     return FamilyA(a2=a2, a1=a1, a0=a0)
 
 
-QUADRATIC = fam(UniPoly.one(), UniPoly.zero(), UniPoly.one())
-WITNESSED = fam(uni([-1, 1]), UniPoly.x(), UniPoly.one())
+QUADRATIC = fam(uni([1]), uni([]), uni([1]))
+WITNESSED = fam(uni([-1, 1]), uni([0, 1]), uni([1]))
 
 
 class TestVerify:
@@ -57,7 +56,7 @@ class TestVerify:
 
     def test_non_darboux(self):
         result = verify_darboux(
-            fam(UniPoly.x(), UniPoly.zero(), UniPoly.one()).to_derivation(), poly("y")
+            fam(uni([0, 1]), uni([]), uni([1])).to_derivation(), poly("y")
         )
         assert isinstance(result, NotDarboux)
 
@@ -93,8 +92,8 @@ class TestAudit:
         assert isinstance(structure, CofactorStructure)
         assert structure.n == 1
         assert structure.d1 == uni([-1, 1])
-        assert structure.d0 == UniPoly.one()
-        assert structure.c == (UniPoly.one(), UniPoly.one())
+        assert structure.d0 == uni([1])
+        assert structure.c == (uni([1]), uni([1]))
         assert structure.regime == "full"
 
     def test_outside_hypotheses_still_decomposes(self):
@@ -103,8 +102,8 @@ class TestAudit:
         assert isinstance(structure, CofactorStructure)
         assert structure.regime == "outside-hypotheses"
         assert structure.n == 2
-        assert structure.d1 == UniPoly.constant(2)
-        assert structure.d0 == UniPoly.zero()
+        assert structure.d1 == uni([2])
+        assert structure.d0 == uni([])
 
     def test_tampered_cofactor_is_caught(self):
         pair = verify_darboux(WITNESSED.to_derivation(), poly("y + 1"))
@@ -117,7 +116,7 @@ class TestAudit:
         # genuine pair exists under these hypotheses; a fabricated one
         # must be rejected at the product identity, not waved through as
         # outside-hypotheses
-        family = fam(uni([-1, 1]), UniPoly.zero(), UniPoly.one())
+        family = fam(uni([-1, 1]), uni([]), uni([1]))
         out = darboux_search_family_a(family, SearchBounds(2, 2, 3))
         assert out.status == "none-up-to-bounds"
         fake = DarbouxPair(F=poly("y + 1"), cofactor=poly("(x - 1)*y + 1"))
@@ -211,7 +210,7 @@ class TestResidualSolver:
 class TestSearch:
     def test_simple_family_has_none(self):
         out = darboux_search_family_a(
-            fam(UniPoly.x(), UniPoly.zero(), UniPoly.one()), SearchBounds(3, 3, 4)
+            fam(uni([0, 1]), uni([]), uni([1])), SearchBounds(3, 3, 4)
         )
         assert out.status == "none-up-to-bounds"
 
@@ -222,7 +221,7 @@ class TestSearch:
 
     def test_constant_a1_is_simple_and_searchless(self):
         out = darboux_search_family_a(
-            fam(UniPoly.x(), UniPoly.one(), UniPoly.one()), SearchBounds(3, 3, 4)
+            fam(uni([0, 1]), uni([1]), uni([1])), SearchBounds(3, 3, 4)
         )
         assert out.status == "none-up-to-bounds"
 
@@ -235,11 +234,11 @@ class TestSearch:
     def test_preconditions_rejected(self):
         with pytest.raises(ValueError):
             darboux_search_family_a(
-                fam(UniPoly.one(), UniPoly.x(), UniPoly.one()), SearchBounds(2, 2, 3)
+                fam(uni([1]), uni([0, 1]), uni([1])), SearchBounds(2, 2, 3)
             )
         with pytest.raises(ValueError):
             darboux_search_family_a(
-                fam(UniPoly.x(), UniPoly.x(), UniPoly.x()), SearchBounds(2, 2, 3)
+                fam(uni([0, 1]), uni([0, 1]), uni([0, 1])), SearchBounds(2, 2, 3)
             )
 
     @settings(max_examples=25, deadline=None)
@@ -249,10 +248,8 @@ class TestSearch:
         nonzero_rationals,
     )
     def test_search_never_contradicts_decision(self, a2c, a1c, a0v):
-        family = fam(
-            UniPoly.from_list(a2c), UniPoly.from_list(a1c), UniPoly.constant(a0v)
-        )
-        if family.a2.degree() < 1:
+        family = fam(uni(a2c), uni(a1c), uni([a0v]))
+        if family.a2.total_degree() < 1:
             return
         verdict = decide_simple_family_a(family)
         out = darboux_search_family_a(family, SearchBounds(3, 3, 4))
@@ -262,14 +259,14 @@ class TestSearch:
     @settings(max_examples=40, deadline=None)
     @given(
         st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(lambda q: q != 0),
-        unipolys(max_degree=2, max_terms=3).filter(lambda p: p.degree() >= 1),
+        unipolys(max_degree=2, max_terms=3).filter(lambda p: p.total_degree() >= 1),
         nonzero_rationals,
     )
     def test_planted_witness_always_rediscovered(self, l, a1, a0):
-        a2 = a1.scale(l) - UniPoly.constant(l * l * a0)
-        family = fam(a2, a1, UniPoly.constant(a0))
+        a2 = a1.scale(l) - uni([l * l * a0])
+        family = fam(a2, a1, uni([a0]))
         bounds = SearchBounds(
-            n_max=1, d0_deg_max=max(2, int(a1.degree())), cx_deg_max=3
+            n_max=1, d0_deg_max=max(2, int(a1.total_degree())), cx_deg_max=3
         )
         out = darboux_search_family_a(family, bounds)
         expected = poly("y") + MultiPoly.constant(XY, 1 / l)
@@ -307,7 +304,7 @@ def test_inexact_bareiss_division_is_caught(monkeypatch):
 GOLDEN_SEARCH_CELLS = [
     (
         # alpha = 3, a2 = x - 1, a1 = a0 = 1
-        FamilyPow(3, 3, uni([-1, 1]), UniPoly.one(), UniPoly.one()),
+        FamilyPow(3, 3, uni([-1, 1]), uni([1]), uni([1])),
         SearchBounds(2, 1, 2),
         [
             [
@@ -350,7 +347,7 @@ GOLDEN_SEARCH_CELLS = [
     ),
     (
         # alpha = 1, built non-simple: a2 = l*a1 - l^2*a0 with l = 2
-        FamilyPow(1, 1, uni([-4, 2]), UniPoly.x(), UniPoly.one()),
+        FamilyPow(1, 1, uni([-4, 2]), uni([0, 1]), uni([1])),
         SearchBounds(2, 1, 2),
         [
             [

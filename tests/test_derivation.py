@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import multipolys, rationals, uni, unipolys
+from conftest import locally_finite_probe, multipolys, rationals, uni, unipolys
 from dercert import (
     FamilyA,
     FamilyB,
@@ -13,11 +13,9 @@ from dercert import (
     FamilyPow,
     Generic,
     MultiPoly,
-    UniPoly,
     UnsupportedFamily,
     VariableMismatch,
     locally_finite_closed_form,
-    locally_finite_probe,
     parse_derivation,
     parse_poly,
     recognize_family,
@@ -33,7 +31,7 @@ def poly(src, variables=XY):
 
 class TestApply:
     def setup_method(self):
-        self.fam = FamilyA(a2=UniPoly.x(), a1=UniPoly.zero(), a0=UniPoly.one())
+        self.fam = FamilyA(a2=uni([0, 1]), a1=uni([]), a0=uni([1]))
         self.D = self.fam.to_derivation()
 
     def test_image_of_y(self):
@@ -53,13 +51,13 @@ class TestApply:
     @settings(max_examples=200, deadline=None)
     @given(multipolys(max_degree=4), multipolys(max_degree=4))
     def test_leibniz(self, f, g):
-        D = FamilyA(a2=UniPoly.x(), a1=UniPoly.zero(), a0=UniPoly.one()).to_derivation()
+        D = FamilyA(a2=uni([0, 1]), a1=uni([]), a0=uni([1])).to_derivation()
         assert D.apply(f * g) == D.apply(f) * g + f * D.apply(g)
 
     @settings(max_examples=200, deadline=None)
     @given(multipolys(), multipolys(), rationals, rationals)
     def test_linearity(self, f, g, alpha, beta):
-        D = FamilyA(a2=UniPoly.x(), a1=UniPoly.zero(), a0=UniPoly.one()).to_derivation()
+        D = FamilyA(a2=uni([0, 1]), a1=uni([]), a0=uni([1])).to_derivation()
         lhs = D.apply(f.scale(alpha) + g.scale(beta))
         assert lhs == D.apply(f).scale(alpha) + D.apply(g).scale(beta)
 
@@ -67,40 +65,35 @@ class TestApply:
 class TestIterated:
     def test_partial_x_cube(self):
         D = parse_derivation("deriv{x: 1, y: 0}")
-        assert D.apply_iterated(poly("x^3"), 3) == poly("6")
-
-    def test_zero_iterations_is_identity(self):
-        D = parse_derivation("deriv{x: y, y: x}")
-        f = poly("x*y + 1")
-        assert D.apply_iterated(f, 0) == f
+        assert D.apply(D.apply(D.apply(poly("x^3")))) == poly("6")
 
     def test_diag_square_growth(self):
         D = FamilyDiag(gammas=(F(1), F(1)), ks=(2, 1)).to_derivation()
         y1 = MultiPoly.var(D.variables, "y1")
-        assert D.apply_iterated(y1, 2) == MultiPoly.var(D.variables, "y1", 3).scale(2)
+        assert D.apply(D.apply(y1)) == MultiPoly.var(D.variables, "y1", 3).scale(2)
 
 
 class TestRecognize:
     def test_family_a(self):
         fam = recognize_family(parse_derivation("deriv{x: y, y: x*y^2 + 1}"))
-        assert fam == FamilyA(a2=UniPoly.x(), a1=UniPoly.zero(), a0=UniPoly.one())
+        assert fam == FamilyA(a2=uni([0, 1]), a1=uni([]), a0=uni([1]))
 
     def test_family_b_is_preferred(self):
         fam = recognize_family(parse_derivation("deriv{x: y, y: x*y + 1}"))
-        assert fam == FamilyB(a1=UniPoly.x(), a0=F(1))
+        assert fam == FamilyB(a1=uni([0, 1]), a0=F(1))
 
     def test_family_a_when_a0_not_constant(self):
         fam = recognize_family(parse_derivation("deriv{x: y, y: x*y + x}"))
-        assert fam == FamilyA(a2=UniPoly.zero(), a1=UniPoly.x(), a0=UniPoly.x())
+        assert fam == FamilyA(a2=uni([]), a1=uni([0, 1]), a0=uni([0, 1]))
 
     def test_diag_x(self):
         fam = recognize_family(parse_derivation("deriv{x: 1, y1: x*y1}"))
-        assert fam == FamilyDiagX(gammas=(UniPoly.x(),), ks=(1,))
+        assert fam == FamilyDiagX(gammas=(uni([0, 1]),), ks=(1,))
 
     def test_power_family_with_constant_y_image(self):
         fam = recognize_family(parse_derivation("deriv{x: y^2, y: x}"))
         assert fam == FamilyPow(
-            alpha=2, beta=2, a2=UniPoly.zero(), a1=UniPoly.zero(), a0=UniPoly.x()
+            alpha=2, beta=2, a2=uni([]), a1=uni([]), a0=uni([0, 1])
         )
 
     def test_generic(self):
@@ -152,11 +145,11 @@ class TestRecognize:
 
 class TestLocallyFinite:
     def test_diag_x_constant_linear(self):
-        fam = FamilyDiagX(gammas=(UniPoly.one(), UniPoly.constant(2)), ks=(1, 1))
+        fam = FamilyDiagX(gammas=(uni([1]), uni([2])), ks=(1, 1))
         assert locally_finite_closed_form(fam) is True
 
     def test_diag_x_nonconstant_gamma(self):
-        fam = FamilyDiagX(gammas=(UniPoly.x(),), ks=(1,))
+        fam = FamilyDiagX(gammas=(uni([0, 1]),), ks=(1,))
         assert locally_finite_closed_form(fam) is False
 
     def test_diag_high_power(self):
@@ -164,13 +157,13 @@ class TestLocallyFinite:
         assert locally_finite_closed_form(fam) is False
 
     def test_family_b(self):
-        assert locally_finite_closed_form(FamilyB(a1=UniPoly.one(), a0=F(1))) is True
-        assert locally_finite_closed_form(FamilyB(a1=UniPoly.x(), a0=F(1))) is False
+        assert locally_finite_closed_form(FamilyB(a1=uni([1]), a0=F(1))) is True
+        assert locally_finite_closed_form(FamilyB(a1=uni([0, 1]), a0=F(1))) is False
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedFamily):
             locally_finite_closed_form(
-                FamilyA(a2=UniPoly.x(), a1=UniPoly.zero(), a0=UniPoly.one())
+                FamilyA(a2=uni([0, 1]), a1=uni([]), a0=uni([1]))
             )
 
 
@@ -197,7 +190,7 @@ class TestProbe:
         # probe never reports blow-up when the closed form says locally finite
         grid = [
             FamilyDiagX(gammas=(g,), ks=(k,))
-            for g in (UniPoly.zero(), UniPoly.one(), UniPoly.x())
+            for g in (uni([]), uni([1]), uni([0, 1]))
             for k in (1, 2)
             if not (g.is_zero() and k != 1)
         ]

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import uni
 from dercert import (
     Derivation,
     FamilyDiag,
@@ -11,7 +12,6 @@ from dercert import (
     FamilyPow,
     MultiPoly,
     ParseError,
-    UniPoly,
     UnsupportedIdealShape,
     VariableMismatch,
     ZeroPolynomial,
@@ -26,24 +26,27 @@ F = Fraction
 XY = ("x", "y")
 
 
+# "unipoly": a polynomial in x alone, a MultiPoly over ("x",)
+
+
 def test_unipoly_rejects_negative_exponent():
     with pytest.raises(ValueError):
-        UniPoly([(-1, 1)])
+        MultiPoly(("x",), [((-1,), 1)])
 
 
 def test_unipoly_constant_value_guard():
     with pytest.raises(ValueError):
-        UniPoly.x().constant_value()
+        uni([0, 1]).constant_value()
 
 
 def test_unipoly_leading_coeff_of_zero():
     with pytest.raises(ZeroPolynomial):
-        UniPoly.zero().leading_coeff()
+        uni([]).leading_term()
 
 
 def test_unipoly_negative_power():
     with pytest.raises(ValueError):
-        UniPoly.x() ** -1
+        uni([0, 1]) ** -1
 
 
 def test_multipoly_exponent_vector_length_checked():
@@ -69,17 +72,11 @@ def test_derivation_requires_matching_images():
         Derivation(XY, (MultiPoly.var(XY, "y"), MultiPoly.var(("x",), "x")))
 
 
-def test_apply_iterated_negative():
-    D = FamilyA(a2=UniPoly.x(), a1=UniPoly.zero(), a0=UniPoly.one()).to_derivation()
-    with pytest.raises(ValueError):
-        D.apply_iterated(MultiPoly.var(XY, "y"), -1)
-
-
 def test_family_validation():
     with pytest.raises(ValueError):
-        FamilyPow(alpha=2, beta=1, a2=UniPoly.zero(), a1=UniPoly.zero(), a0=UniPoly.one())
+        FamilyPow(alpha=2, beta=1, a2=uni([]), a1=uni([]), a0=uni([1]))
     with pytest.raises(ValueError):
-        FamilyDiagX(gammas=(UniPoly.one(),), ks=(0,))
+        FamilyDiagX(gammas=(uni([1]),), ks=(0,))
     with pytest.raises(ValueError):
         FamilyDiag(gammas=(F(1),), ks=(1,))
     with pytest.raises(ValueError):
@@ -87,13 +84,12 @@ def test_family_validation():
 
 
 def test_first_order_guards():
-    g = MultiPoly.from_unipoly(("x",), "x", UniPoly.one())
     with pytest.raises(ValueError):
-        solve_first_order(UniPoly.x(), g, k=0)
+        solve_first_order(uni([0, 1]), uni([1]), k=0)
 
 
 def test_verify_stable_ideal_zero_generator():
-    D = FamilyA(a2=UniPoly.x(), a1=UniPoly.zero(), a0=UniPoly.one()).to_derivation()
+    D = FamilyA(a2=uni([0, 1]), a1=uni([]), a0=uni([1])).to_derivation()
     with pytest.raises(UnsupportedIdealShape):
         verify_stable_ideal(D, [MultiPoly.zero(XY)])
 

@@ -95,7 +95,7 @@ class TestParseDerivation:
     def test_plane(self):
         D = parse_derivation("deriv{x: y, y: x*y^2 + 1}")
         assert D.variables == ("x", "y")
-        assert D.image_of("x") == parse_poly("y", XY)
+        assert D.images[D.variables.index("x")] == parse_poly("y", XY)
 
     def test_multi(self):
         D = parse_derivation("deriv{x: 1, y1: x*y1, y2: y2}")
@@ -111,7 +111,7 @@ class TestParseDerivation:
 
     def test_zero_entries_allowed(self):
         D = parse_derivation("deriv{x: 0, y: 1}")
-        assert D.image_of("x").is_zero()
+        assert D.images[D.variables.index("x")].is_zero()
 
     def test_declaration_order_is_canonical(self):
         D = parse_derivation("deriv{y: x, x: y}")

@@ -8,33 +8,26 @@ from conftest import uni, unipolys
 from dercert import (
     MultiPoly,
     NoSolutionShape,
-    UniPoly,
     UnsupportedShape,
     solve_first_order,
 )
 from dercert.linalg import solve_sparse
 
 F = Fraction
-X_ONLY = ("x",)
-
-
-def plain(p: UniPoly) -> MultiPoly:
-    """A right-hand side with no parameters: a polynomial over ("x",)."""
-    return MultiPoly.from_unipoly(X_ONLY, "x", p)
 
 
 def test_simple_instance():
     # c' - x*c = -x, that is x*c - c' = x, has c = 1
-    sol = solve_first_order(UniPoly.x(), -plain(uni([0, -1])))
+    sol = solve_first_order(uni([0, 1]), -uni([0, -1]))
     assert sol.constraints == []
-    c = sol.c.to_unipoly("x")
-    assert c == UniPoly.one()
-    assert c.derivative() - UniPoly.x() * c == uni([0, -1])
+    c = sol.c.restrict("x")
+    assert c == uni([1])
+    assert c.partial("x") - uni([0, 1]) * c == uni([0, -1])
 
 
 def test_impossible_degree_shape():
     # c' - x*c = 1 needs deg c < 0 with nonzero right side
-    result = solve_first_order(UniPoly.x(), -plain(UniPoly.one()))
+    result = solve_first_order(uni([0, 1]), -uni([1]))
     assert isinstance(result, NoSolutionShape)
 
 
@@ -42,8 +35,8 @@ def test_exhaustive_low_degree_confirms_no_solution():
     # brute force over deg c <= 3: no c satisfies c' - x*c = 1
     for num in range(-3, 4):
         for coeffs in [(num, a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)]:
-            c = UniPoly.from_list([F(v) for v in coeffs])
-            assert c.derivative() - UniPoly.x() * c != UniPoly.one()
+            c = uni([F(v) for v in coeffs])
+            assert c.partial("x") - uni([0, 1]) * c != uni([1])
 
 
 def test_shift_mode_against_linear_system_oracle():
@@ -59,19 +52,19 @@ def test_shift_mode_against_linear_system_oracle():
     oracle = solve_sparse([{j: v for j, v in enumerate(row) if v} for row in rows], rhs, 3)
     assert oracle is not None and oracle.kernel == []
     c2, c1, c0 = oracle.particular
-    expected = UniPoly([(2, c2), (1, c1), (0, c0)])
+    expected = uni([c0, c1, c2])
     assert expected == uni([1, 0, 1])  # x^2 + 1
 
-    sol = solve_first_order(UniPoly.x(), plain(UniPoly([(3, 2)])), k=2)
+    sol = solve_first_order(uni([0, 1]), uni([0, 0, 0, 2]), k=2)
     assert sol.constraints == []
-    c = sol.c.to_unipoly("x")
+    c = sol.c.restrict("x")
     assert c == expected
-    assert UniPoly.x() * c.scale(2) - c.derivative() == UniPoly([(3, 2)])
+    assert uni([0, 1]) * c.scale(2) - c.partial("x") == uni([0, 0, 0, 2])
 
 
 def test_constant_a_rejected():
     with pytest.raises(UnsupportedShape):
-        solve_first_order(UniPoly.one(), plain(UniPoly.one()))
+        solve_first_order(uni([1]), uni([1]))
 
 
 def test_parametric_right_hand_side():
@@ -80,7 +73,7 @@ def test_parametric_right_hand_side():
     g = MultiPoly.var(variables, "u0") + MultiPoly.var(variables, "u1") * MultiPoly.var(
         variables, "x", 2
     )
-    sol = solve_first_order(UniPoly.x(), g, k=1)
+    sol = solve_first_order(uni([0, 1]), g, k=1)
     assert sol.c.variables == variables
     assert len(sol.constraints) == 1
     con = sol.constraints[0]
@@ -89,27 +82,27 @@ def test_parametric_right_hand_side():
     assert con.evaluate({"u0": -3, "u1": 3}) == 0
     assert con.evaluate({"u0": 1, "u1": 3}) != 0
 
-    def at_point(p: MultiPoly) -> UniPoly:
-        return p.substitute_value("u0", -5).substitute_value("u1", 5).to_unipoly("x")
+    def at_point(p: MultiPoly) -> MultiPoly:
+        return p.substitute_value("u0", -5).substitute_value("u1", 5).restrict("x")
 
     c = at_point(sol.c)
-    lhs = UniPoly.x() * c - c.derivative()
+    lhs = uni([0, 1]) * c - c.partial("x")
     assert lhs == at_point(g)
 
 
 @settings(max_examples=200, deadline=None)
 @given(unipolys(max_degree=4, max_terms=4), unipolys(max_degree=3, max_terms=3))
 def test_empty_constraints_mean_identity(a, g):
-    if a.degree() < 1:
+    if a.total_degree() < 1:
         return
     # c' - a*c = g is a*c - c' = -g
-    result = solve_first_order(a, -plain(g))
+    result = solve_first_order(a, -g)
     if isinstance(result, NoSolutionShape):
         return
     if result.constraints:
         return
-    c = result.c.to_unipoly("x")
-    assert c.derivative() - a * c == g
+    c = result.c.restrict("x")
+    assert c.partial("x") - a * c == g
 
 
 @settings(max_examples=200, deadline=None)
@@ -120,16 +113,16 @@ def test_empty_constraints_mean_identity(a, g):
 )
 def test_planted_solution_recovered_in_both_modes(a, c_true, k):
     # both operator shapes, k*a*c - c' = g and c' - a*c = g
-    if a.degree() < 1:
+    if a.total_degree() < 1:
         return
-    g = a * c_true.scale(k) - c_true.derivative()
-    sol = solve_first_order(a, plain(g), k=k)
+    g = a * c_true.scale(k) - c_true.partial("x")
+    sol = solve_first_order(a, g, k=k)
     assert not isinstance(sol, NoSolutionShape)
     assert sol.constraints == []
-    assert sol.c.to_unipoly("x") == c_true
+    assert sol.c.restrict("x") == c_true
 
-    g2 = c_true.derivative() - a * c_true
-    sol2 = solve_first_order(a, -plain(g2), k=1)
+    g2 = c_true.partial("x") - a * c_true
+    sol2 = solve_first_order(a, -g2, k=1)
     assert not isinstance(sol2, NoSolutionShape)
     assert sol2.constraints == []
-    assert sol2.c.to_unipoly("x") == c_true
+    assert sol2.c.restrict("x") == c_true

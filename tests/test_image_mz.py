@@ -17,14 +17,12 @@ from dercert import (
     Member,
     MultiPoly,
     NotFoundUpTo,
-    UniPoly,
     UnsupportedFamily,
     certified_nonmembership,
     decide_mz,
     decide_simple_family_a,
     image_membership,
     locally_finite_closed_form,
-    one_in_image,
     parse_derivation,
     parse_poly,
     poly_to_str,
@@ -40,19 +38,19 @@ def mk_b(a1, a0):
 
 class TestMembership:
     def test_one_has_explicit_preimage(self):
-        D = mk_b(UniPoly.x(), 1).to_derivation()
+        D = mk_b(uni([0, 1]), 1).to_derivation()
         result = image_membership(D, MultiPoly.constant(D.variables, 1), 3)
         assert isinstance(result, Member)
         assert result.preimage == parse_poly("y - 1/2*x^2", D.variables)
 
     def test_x_not_reachable_within_bound(self):
-        D = mk_b(UniPoly.x(), 1).to_derivation()
+        D = mk_b(uni([0, 1]), 1).to_derivation()
         result = image_membership(D, MultiPoly.var(D.variables, "x"), 10)
         assert isinstance(result, NotFoundUpTo)
         assert result.bound == 10
 
     def test_zero_constant_term_family(self):
-        D = mk_b(UniPoly.x(), 0).to_derivation()
+        D = mk_b(uni([0, 1]), 0).to_derivation()
         target = parse_poly("x*y", D.variables)
         result = image_membership(D, target, 2)
         assert isinstance(result, Member)
@@ -73,7 +71,7 @@ class TestMembership:
         assert D.apply(result.preimage) == target
 
     def test_monotone_in_bound(self):
-        D = mk_b(UniPoly.x(), 1).to_derivation()
+        D = mk_b(uni([0, 1]), 1).to_derivation()
         target = MultiPoly.constant(D.variables, 1)
         first = image_membership(D, target, 3)
         assert isinstance(first, Member)
@@ -86,7 +84,7 @@ class TestMembership:
     @given(multipolys(max_degree=3, max_terms=4))
     def test_planted_preimage_always_member(self, f):
         # anything of the form D(f) must be reachable at bound deg f
-        D = mk_b(UniPoly.x(), 1).to_derivation()
+        D = mk_b(uni([0, 1]), 1).to_derivation()
         target = D.apply(f)
         bound = int(f.total_degree()) if not f.is_zero() else 0
         result = image_membership(D, target, bound)
@@ -94,7 +92,7 @@ class TestMembership:
         assert D.apply(result.preimage) == target
 
     def test_negative_bound_rejected(self):
-        D = mk_b(UniPoly.x(), 1).to_derivation()
+        D = mk_b(uni([0, 1]), 1).to_derivation()
         with pytest.raises(ValueError):
             image_membership(D, MultiPoly.constant(D.variables, 1), -1)
 
@@ -116,7 +114,7 @@ class TestMembership:
 # printed preimage or None for NotFoundUpTo, kernel_dim).
 PLANE_RATIONAL = parse_derivation("deriv{x: y, y: (1/2)*x*y + 1/3}")
 DIAG_X = FamilyDiagX(gammas=(uni([F(1, 2), 1]), uni([0, 0, F(-3, 4)])), ks=(2, 1))
-DIAG_X_FREE = FamilyDiagX(gammas=(uni([F(1, 2), 1]), UniPoly.zero()), ks=(2, 1))
+DIAG_X_FREE = FamilyDiagX(gammas=(uni([F(1, 2), 1]), uni([])), ks=(2, 1))
 DIAG_3 = FamilyDiag(gammas=(F(1), F(-1), F(1, 3)), ks=(1, 1, 2))
 DIAG_3_CONST = FamilyDiag(gammas=(F(2), F(-1, 3), F(5, 2)), ks=(2, 1, 0))
 GOLDEN = [
@@ -201,13 +199,13 @@ class TestCanonicalPreimage:
 
 class TestCertified:
     def test_plane_linear_x(self):
-        D = mk_b(UniPoly.x(), 1).to_derivation()
+        D = mk_b(uni([0, 1]), 1).to_derivation()
         cert = certified_nonmembership(D, MultiPoly.var(D.variables, "x"))
         assert isinstance(cert, CertifiedNonMember)
         assert cert.theorem == "P2.2"
 
     def test_diag_x_high_power(self):
-        D = FamilyDiagX(gammas=(UniPoly.one(),), ks=(2,)).to_derivation()
+        D = FamilyDiagX(gammas=(uni([1]),), ks=(2,)).to_derivation()
         cert = certified_nonmembership(D, MultiPoly.var(D.variables, "y1"))
         assert isinstance(cert, CertifiedNonMember)
         assert cert.theorem == "T5.1"
@@ -220,11 +218,11 @@ class TestCertified:
         assert cert.theorem == "T5.3" and cert.m_used == 7
 
     def test_member_gets_no_certificate(self):
-        D = mk_b(UniPoly.x(), 1).to_derivation()
+        D = mk_b(uni([0, 1]), 1).to_derivation()
         assert certified_nonmembership(D, MultiPoly.constant(D.variables, 1)) is None
 
     def test_certificates_hold_at_growing_bounds(self):
-        D = FamilyDiagX(gammas=(UniPoly.x(),), ks=(1,)).to_derivation()
+        D = FamilyDiagX(gammas=(uni([0, 1]),), ks=(1,)).to_derivation()
         target = MultiPoly.var(D.variables, "y1")
         cert = certified_nonmembership(D, target)
         assert isinstance(cert, CertifiedNonMember)
@@ -234,12 +232,12 @@ class TestCertified:
 
 class TestDecideMz:
     def test_locally_finite_diag_x(self):
-        fam = FamilyDiagX(gammas=(UniPoly.one(), UniPoly.constant(2)), ks=(1, 1))
+        fam = FamilyDiagX(gammas=(uni([1]), uni([2])), ks=(1, 1))
         verdict = decide_mz(fam.to_derivation())
         assert verdict.mz is True and verdict.theorem == "T5.1"
 
     def test_nonconstant_gamma(self):
-        fam = FamilyDiagX(gammas=(UniPoly.x(),), ks=(1,))
+        fam = FamilyDiagX(gammas=(uni([0, 1]),), ks=(1,))
         verdict = decide_mz(fam.to_derivation())
         assert verdict.mz is False
         assert isinstance(verdict.evidence, CertifiedNonMember)
@@ -249,27 +247,27 @@ class TestDecideMz:
         assert decide_mz(fam.to_derivation()).mz is True
 
     def test_zero_a0_image_is_principal_ideal(self):
-        verdict = decide_mz(mk_b(UniPoly.x(), 0).to_derivation())
+        verdict = decide_mz(mk_b(uni([0, 1]), 0).to_derivation())
         assert verdict.mz is True
         assert verdict.evidence == ("image-is-ideal", "y")
 
     def test_simple_plane_family_not_mz(self):
-        verdict = decide_mz(mk_b(UniPoly.x(), 1).to_derivation())
+        verdict = decide_mz(mk_b(uni([0, 1]), 1).to_derivation())
         assert verdict.mz is False and verdict.theorem == "C2.3"
 
     def test_quadratic_plane_family_refused(self):
-        D = FamilyA(a2=UniPoly.x(), a1=UniPoly.zero(), a0=UniPoly.one()).to_derivation()
+        D = FamilyA(a2=uni([0, 1]), a1=uni([]), a0=uni([1])).to_derivation()
         with pytest.raises(UnsupportedFamily):
             decide_mz(D)
 
     def test_nonconstant_a0_refused(self):
-        D = FamilyA(a2=UniPoly.zero(), a1=UniPoly.x(), a0=UniPoly.x()).to_derivation()
+        D = FamilyA(a2=uni([]), a1=uni([0, 1]), a0=uni([0, 1])).to_derivation()
         with pytest.raises(UnsupportedFamily):
             decide_mz(D)
 
     def test_linear_family_grid_matches_simplicity(self):
         # mz is the exact negation of simplicity when a0 is constant
-        shapes = [UniPoly.zero(), UniPoly.one(), UniPoly.x(), uni([0, 0, 1]), uni([0, 0, 3])]
+        shapes = [uni([]), uni([1]), uni([0, 1]), uni([0, 0, 1]), uni([0, 0, 3])]
         for a1 in shapes:
             for a0 in (F(0), F(1), F(2)):
                 fam = FamilyB(a1=a1, a0=a0)
@@ -278,7 +276,7 @@ class TestDecideMz:
                 assert verdict.mz == (not simple)
 
     def test_diag_x_grid_matches_local_finiteness(self):
-        shapes = [UniPoly.zero(), UniPoly.one(), UniPoly.x()]
+        shapes = [uni([]), uni([1]), uni([0, 1])]
         for g in shapes:
             for k in (1, 2):
                 if g.is_zero() and k != 1:
@@ -286,21 +284,3 @@ class TestDecideMz:
                 fam = FamilyDiagX(gammas=(g,), ks=(k,))
                 assert decide_mz(fam.to_derivation()).mz == locally_finite_closed_form(fam)
 
-
-class TestOneInImage:
-    def test_explicit_formula(self):
-        assert one_in_image(mk_b(UniPoly.x(), 1)) == parse_poly("y - 1/2*x^2", ("x", "y"))
-
-    def test_zero_linear_part(self):
-        assert one_in_image(mk_b(UniPoly.zero(), 2)) == parse_poly("1/2*y", ("x", "y"))
-
-    def test_cubic_antiderivative(self):
-        fam = mk_b(uni([0, 0, 3]), 1)
-        preimage = one_in_image(fam)
-        assert preimage == parse_poly("y - x^3", ("x", "y"))
-        D = fam.to_derivation()
-        assert D.apply(preimage) == MultiPoly.constant(D.variables, 1)
-
-    def test_zero_a0_rejected(self):
-        with pytest.raises(ValueError):
-            one_in_image(mk_b(UniPoly.x(), 0))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import multipolys, nonzero_multipolys, rationals, uni
-from dercert import DivisorZero, MultiPoly, UniPoly, divide_exact, parse_poly
+from dercert import DivisorZero, MultiPoly, VariableMismatch, divide_exact, parse_poly
 
 XY = ("x", "y")
 
@@ -65,9 +65,16 @@ class TestReshaping:
     def test_coeffs_in_y(self):
         p = poly("(x - 1)*y^2 + x*y + 1")
         by_y = p.coeffs_in("y")
-        assert by_y[2].to_unipoly("x") == uni([-1, 1])
-        assert by_y[1].to_unipoly("x") == UniPoly.x()
-        assert by_y[0].to_unipoly("x") == UniPoly.one()
+        assert by_y[2].restrict("x") == uni([-1, 1])
+        assert by_y[1].restrict("x") == uni([0, 1])
+        assert by_y[0].restrict("x") == uni([1])
+
+    def test_restrict_orders_terms_by_degree(self):
+        r = poly("x^3 + 2*x + 1").restrict("x")
+        assert r.variables == ("x",)
+        assert list(r.terms) == [(0,), (1,), (3,)]
+        with pytest.raises(VariableMismatch):
+            poly("x*y").restrict("x")
 
     def test_substitute_value(self):
         p = poly("x*y^2 + x")
