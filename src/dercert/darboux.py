@@ -230,10 +230,7 @@ def _solve_recursive(
         full = dict(assignment)
         # unwind linear eliminations, then zero any remaining free parameters
         for name, expr, inv in reversed(pending):
-            missing = {
-                v: Fraction(0) for v in expr.support() if v not in full
-            }
-            full.update(missing)
+            full.update({v: Fraction(0) for v in expr.support() if v not in full})
             full[name] = expr.evaluate(full) * inv
         for name in params:
             full.setdefault(name, Fraction(0))
@@ -260,13 +257,12 @@ def _solve_recursive(
     for pos, (e, sup) in enumerate(zip(eqs, supports)):
         for name in sup:
             idx = e.variables.index(name)
-            if all(exps[idx] >= 1 for exps in e.terms):
-                quotient = MultiPoly(
+            if all(exps[idx] >= 1 for exps in e.nums):
+                # lowering one exponent keeps the canonical form
+                quotient = MultiPoly._from_canonical(
                     e.variables,
-                    [
-                        (tuple(x - (1 if i == idx else 0) for i, x in enumerate(exps)), c)
-                        for exps, c in e.terms.items()
-                    ],
+                    {x[:idx] + (x[idx] - 1,) + x[idx + 1 :]: c for x, c in e.nums.items()},
+                    e.den,
                 )
                 zero_branch = _solve_recursive(
                     [other.substitute_value(name, 0) for other in eqs],
@@ -288,11 +284,7 @@ def _solve_recursive(
                 coeff = partial.constant_value()
                 rest = e.substitute_value(name, 0)
                 replacement = rest.scale(Fraction(-1) / coeff)
-                sub = [
-                    other.substitute_poly(name, replacement)
-                    for other in eqs
-                    if other is not e
-                ]
+                sub = [other.substitute_poly(name, replacement) for other in eqs if other is not e]
                 return _solve_recursive(
                     sub,
                     params,
@@ -302,7 +294,8 @@ def _solve_recursive(
                 )
 
     # fall back to resultants, bounded by the effort budget
-    seen = {frozenset(e.terms.items()) for e in eqs}
+    # one rational polynomial per key: variables, numerators and denominator
+    seen = set(eqs)
     candidates = sorted(
         ((name, e) for e, sup in zip(eqs, supports) for name in sup), key=lambda t: t[0]
     )
@@ -310,7 +303,7 @@ def _solve_recursive(
     for name, e in candidates:
         by_var.setdefault(name, []).append(e)
     for name in sorted(by_var):
-        polys = sorted(by_var[name], key=lambda p: (p.degree_in(name), len(p.terms)))
+        polys = sorted(by_var[name], key=lambda p: (p.degree_in(name), len(p.nums)))
         for p, q in itertools.combinations(polys[:4], 2):
             if budget[0] <= 0:
                 return ResidualResult([], True, "effort budget exhausted")
@@ -318,7 +311,7 @@ def _solve_recursive(
             res = _resultant(p, q, name)
             if res.is_zero():
                 continue
-            if frozenset(res.terms.items()) in seen:
+            if res in seen:
                 continue
             return _solve_recursive(eqs + [res], params, pending, assignment, budget)
     return ResidualResult([], True, "no elimination step applies")

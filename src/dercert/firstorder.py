@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Union
 
 from .mpoly import MultiPoly
@@ -40,9 +41,9 @@ def split_x(p: MultiPoly) -> dict[int, MultiPoly]:
     """
     params = p.variables[:-1]
     buckets: dict[int, dict] = {}
-    for exps, c in p.terms.items():
+    for exps, c in p.nums.items():
         buckets.setdefault(exps[-1], {})[exps[:-1]] = c
-    return {e: MultiPoly._from_canonical(params, terms) for e, terms in buckets.items()}
+    return {e: MultiPoly._build(params, nums, p.den) for e, nums in buckets.items()}
 
 
 @dataclass
@@ -74,8 +75,8 @@ def solve_first_order(
     k = Fraction(k)
     if k == 0:
         raise ValueError("k must be nonzero")
-    lead = a.terms[(d,)] * k
     a_terms = sorted((q, aq) for (q,), aq in a.terms.items())
+    lead = a_terms[-1][1] * k
     if g.is_zero():
         return FirstOrderSolution(g, [])
     g_x = split_x(g)
@@ -92,10 +93,14 @@ def solve_first_order(
         if upper is not None:
             acc = acc + upper.scale(j + d + 1)
         b[j] = acc.scale(Fraction(1) / lead)
-    # the candidate's terms go in degree by degree, top down
+    # terms degree by degree, top down, over the lcm of the b_j's denominators;
+    # lowest terms, since the b_j holding a prime's highest power in that lcm
+    # is scaled by a cofactor prime to it
+    den = lcm(*(bj.den for bj in b.values()))
     candidate = MultiPoly._from_canonical(
         g.variables,
-        {exps + (j,): c for j, bj in b.items() for exps, c in bj.terms.items()},
+        {exps + (j,): c * (den // bj.den) for j, bj in b.items() for exps, c in bj.nums.items()},
+        den,
     )
     # low-order coefficients of k*a*c - c' - g must vanish
     constraints: list[MultiPoly] = []

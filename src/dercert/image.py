@@ -12,6 +12,7 @@ a bounded solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from operator import add
 
 from .derivation import (
@@ -25,7 +26,7 @@ from .derivation import (
     recognize_family,
 )
 from .linalg import solve_sparse
-from .mpoly import CheckFailed, MultiPoly, RatLike, grlex_key
+from .mpoly import CheckFailed, MultiPoly, grlex_key
 
 TAG_P22 = "P2.2"
 TAG_C23 = "C2.3"
@@ -88,8 +89,9 @@ def image_membership(D: Derivation, target: MultiPoly, bound: int) -> Member | N
     Column j of the system is D of the j-th basis monomial, built by the
     product rule D(x^e) = sum_v e_v * x^(e - 1_v) * D(v) from the terms
     of the images D(v).  Rows are the monomials that occur in a column
-    or in the target, in decreasing graded-lex order; integral
-    coefficients are kept as int, and `solve_sparse` eliminates over the
+    or in the target, in decreasing graded-lex order.  Both sides are
+    scaled by the lcm of the images' and the target's denominators, so
+    every entry is an int and `solve_sparse` eliminates over the
     integers.
 
     The particular preimage is canonical: columns are ordered by
@@ -103,18 +105,19 @@ def image_membership(D: Derivation, target: MultiPoly, bound: int) -> Member | N
         raise ValueError("bound must be nonnegative")
     target = target.with_variables(D.variables)
     basis = _monomials(D.variables, bound)
+    den = lcm(target.den, *(image.den for image in D.images))
     # the terms of D(v) shifted by -1_v, so x^e contributes e_v * c * x^(e + shift)
     shifted = []
     for v, image in enumerate(D.images):
         terms = []
-        for mono, c in image.terms.items():
+        for mono, c in image.nums.items():
             shift = list(mono)
             shift[v] -= 1
-            terms.append((tuple(shift), _int_if_integral(c)))
+            terms.append((tuple(shift), c * (den // image.den)))
         shifted.append((v, terms))
-    rows_by_monomial: dict[tuple[int, ...], dict[int, RatLike]] = {}
+    rows_by_monomial: dict[tuple[int, ...], dict[int, int]] = {}
     for j, exps in enumerate(basis):
-        column: dict[tuple[int, ...], RatLike] = {}
+        column: dict[tuple[int, ...], int] = {}
         for v, terms in shifted:
             e_v = exps[v]
             if e_v:
@@ -123,12 +126,12 @@ def image_membership(D: Derivation, target: MultiPoly, bound: int) -> Member | N
                     column[mono] = column.get(mono, 0) + e_v * c
         for mono, coeff in column.items():
             if coeff:
-                rows_by_monomial.setdefault(mono, {})[j] = _int_if_integral(coeff)
-    for mono in target.terms:
+                rows_by_monomial.setdefault(mono, {})[j] = coeff
+    for mono in target.nums:
         rows_by_monomial.setdefault(mono, {})
     monomials = sorted(rows_by_monomial, key=grlex_key, reverse=True)
     rows = [rows_by_monomial[mono] for mono in monomials]
-    rhs = [_int_if_integral(target.terms.get(mono, 0)) for mono in monomials]
+    rhs = [target.nums.get(mono, 0) * (den // target.den) for mono in monomials]
     solution = solve_sparse(rows, rhs, len(basis))
     if solution is None:
         return NotFoundUpTo(bound=bound)
@@ -144,10 +147,6 @@ def image_membership(D: Derivation, target: MultiPoly, bound: int) -> Member | N
     if D.apply(preimage) != target:
         raise CheckFailed("the solved preimage does not map to the target")
     return Member(preimage=preimage, kernel_dim=kernel_dim, bound=bound)
-
-
-def _int_if_integral(c: RatLike) -> RatLike:
-    return c.numerator if c.denominator == 1 else c
 
 
 def _y_var(D: Derivation, index: int) -> MultiPoly:
@@ -240,9 +239,9 @@ def _match_pattern(
 
 def _monomial_shape(target: MultiPoly) -> tuple[int, ...] | None:
     """Exponent vector when the target is a single scaled monomial."""
-    if len(target.terms) != 1:
+    if len(target.nums) != 1:
         return None
-    (exps,) = target.terms
+    (exps,) = target.nums
     return exps
 
 

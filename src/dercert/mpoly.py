@@ -1,33 +1,37 @@
 """Sparse multivariate polynomials over the rationals.
 
-A MultiPoly carries a fixed, ordered tuple of variable names and a map
-from exponent vectors to nonzero rational coefficients.  Terms are kept
-canonical (no zero coefficients); printing and division use graded
-lexicographic order where later variables in the tuple rank higher,
-matching the convention x < y and x < y1 < ... < yn.
+Layout, that of FLINT's fmpq_poly (Hart 2010, ICMS): a fixed, ordered
+tuple of variable names, a dict `nums` from exponent vectors to integer
+numerators and one common denominator `den`; the coefficient of a
+monomial e is nums[e] / den.  Invariants: den > 0, gcd(den, all
+numerators) == 1, no zero numerator, and den == 1 for zero.  The form is
+unique, so equality and hashing compare it directly; `terms` is the
+rational view.  Graded lexicographic order ranks later variables of the
+tuple higher, matching x < y and x < y1 < ... < yn.
 
-Only the public constructor ``MultiPoly(variables, terms)`` validates:
-it checks every exponent vector, converts every coefficient to a
-Fraction and merges repeated monomials.  It is meant for outside input
-(the parser, tests).  Every internal result -- ring operations,
-derivatives, substitutions, reshaping and the steps of `divide_exact`
--- is built from canonical operands and stored as it is through
-``MultiPoly._from_canonical``.  Each operation merges into one dict and
-drops zero coefficients once, keeping the insertion order the
-validating constructor would give: the first operand's terms first,
-then the other operand's new terms.  Term dicts are never changed after
-construction, so a result may share its operand's dict.
+Only the constructor ``MultiPoly(variables, terms)`` validates: it
+checks exponent vectors, merges repeated monomials and clears the
+denominators.  It is meant for outside input (the parser, tests).
+Internal results run on the integer numerators, take the denominator
+into account once per operation and are stored through `_build`, which
+divides out gcd(den, numerators), or `_from_canonical` where no common
+factor can arise.
 
-A polynomial in one variable is a MultiPoly over a one-name tuple; the
-family coefficients a2(x), a1(x), a0(x) and gamma_i(x) live over
-``("x",)``, with their terms in ascending degree as `restrict` returns
-them.  The zero polynomial has total degree `NEG_INF`.
+Term order: each operation merges into one dict and drops zero
+numerators once, keeping the order the validating constructor would
+give -- the first operand's terms, then the other operand's new terms.
+Rescaling to a common denominator keeps every position.  Term dicts are
+never changed after construction, so a result may share its operand's.
+Polynomials in one variable live over a one-name tuple: the family
+coefficients a2(x), a1(x), a0(x) and gamma_i(x) over ``("x",)``, terms
+in ascending degree as `restrict` returns them.  Zero has degree NEG_INF.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, Union
 
@@ -58,10 +62,6 @@ class VariableMismatch(ValueError):
     """Operands live over different variable tuples."""
 
 
-def _frac(value: RatLike) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
 def grlex_key(exps: tuple[int, ...]) -> tuple:
     # total degree first, ties broken from the highest-ranked variable down
     return (sum(exps), tuple(reversed(exps)))
@@ -88,7 +88,7 @@ def _add_into(out: dict, terms: Iterable) -> dict:
 class MultiPoly:
     """Polynomial in several variables, exact rational coefficients."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "nums", "den")
 
     def __init__(
         self,
@@ -101,31 +101,42 @@ class MultiPoly:
         for exps, c in items:
             exps = tuple(exps)
             if len(exps) != len(self.variables):
-                raise VariableMismatch(
-                    f"exponent vector {exps} does not fit variables {self.variables}"
-                )
+                raise VariableMismatch(f"exponent vector {exps} does not fit variables {self.variables}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
-            c = _frac(c)
-            if exps in acc:
-                acc[exps] += c
-            else:
-                acc[exps] = c
-        self.terms: dict[tuple[int, ...], Fraction] = _nonzero(acc)
+            c = Fraction(c)
+            acc[exps] = acc[exps] + c if exps in acc else c
+        acc = _nonzero(acc)
+        # the lcm of reduced denominators shares no factor with every numerator
+        self.den = lcm(*(c.denominator for c in acc.values()))
+        self.nums = {e: c.numerator * (self.den // c.denominator) for e, c in acc.items()}
 
     @staticmethod
-    def _from_canonical(
-        variables: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]
-    ) -> "MultiPoly":
-        """Wrap already-canonical data without copying or checking it.
-
-        The caller guarantees a tuple of names, exponent vectors of that
-        length with no negative entry, and nonzero Fraction coefficients.
-        """
+    def _from_canonical(variables: tuple[str, ...], nums: dict, den: int = 1) -> "MultiPoly":
+        """Wrap already-canonical data without copying or checking it: a tuple of
+        names, exponent vectors of its length with no negative entry, and
+        numerators and den that meet the invariants."""
         p = object.__new__(MultiPoly)
         p.variables = variables
-        p.terms = terms
+        p.nums = nums
+        p.den = den
         return p
+
+    @staticmethod
+    def _build(variables: tuple[str, ...], nums: dict, den: int) -> "MultiPoly":
+        """`_from_canonical` after dividing out gcd(den, numerators); den > 0."""
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums = {e: c // g for e, c in nums.items()}
+                den //= g
+        return MultiPoly._from_canonical(variables, nums, den)
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """Monomial -> rational coefficient, in term order; a new dict per call."""
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.nums.items()}
 
     # -- constructors --------------------------------------------------
 
@@ -135,97 +146,94 @@ class MultiPoly:
 
     @staticmethod
     def constant(variables: tuple[str, ...], c: RatLike) -> "MultiPoly":
-        zero_exp = (0,) * len(variables)
-        return MultiPoly(variables, [(zero_exp, _frac(c))])
+        c = Fraction(c)
+        nums = {(0,) * len(variables): c.numerator} if c else {}
+        return MultiPoly._from_canonical(tuple(variables), nums, c.denominator)
 
     @staticmethod
     def var(variables: tuple[str, ...], name: str, power: int = 1) -> "MultiPoly":
+        if power < 0:
+            raise ValueError(f"negative exponent {power}")
         idx = variables.index(name)
         exps = tuple(power if i == idx else 0 for i in range(len(variables)))
-        return MultiPoly(variables, [(exps, 1)])
+        return MultiPoly._from_canonical(tuple(variables), {exps: 1})
 
     # -- predicates ------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return all(all(e == 0 for e in exps) for exps in self.nums)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        if not self.terms:
-            return Fraction(0)
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.nums.values()), 0), self.den)
 
     def total_degree(self):
-        if not self.terms:
+        if not self.nums:
             return NEG_INF
-        return max(sum(exps) for exps in self.terms)
+        return max(sum(exps) for exps in self.nums)
 
     def degree_in(self, name: str):
-        if not self.terms:
+        if not self.nums:
             return NEG_INF
         idx = self.variables.index(name)
-        return max(exps[idx] for exps in self.terms)
+        return max(exps[idx] for exps in self.nums)
 
     def support(self) -> set[str]:
         """Names of the variables that occur in some term."""
-        return {name for name, column in zip(self.variables, zip(*self.terms)) if any(column)}
+        return {name for name, column in zip(self.variables, zip(*self.nums)) if any(column)}
 
     def uses_only(self, names: Iterable[str]) -> bool:
         allowed = {self.variables.index(n) for n in names}
-        return all(
-            all(e == 0 for i, e in enumerate(exps) if i not in allowed)
-            for exps in self.terms
-        )
+        return not any(e for exps in self.nums for i, e in enumerate(exps) if i not in allowed)
 
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other: "MultiPoly") -> None:
         if self.variables != other.variables:
-            raise VariableMismatch(
-                f"{self.variables} vs {other.variables}"
-            )
+            raise VariableMismatch(f"{self.variables} vs {other.variables}")
+
+    def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+        """self + sign * other over the lcm of the two denominators."""
+        self._check(other)
+        den = lcm(self.den, other.den)
+        mine, theirs = den // self.den, sign * (den // other.den)
+        out = dict(self.nums) if mine == 1 else {e: c * mine for e, c in self.nums.items()}
+        _add_into(out, ((e, c * theirs) for e, c in other.nums.items()))
+        return MultiPoly._build(self.variables, out, den)
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        return MultiPoly._from_canonical(
-            self.variables, _add_into(dict(self.terms), other.terms.items())
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        self._check(other)
-        negated = [(e, -c) for e, c in other.terms.items()]
-        return MultiPoly._from_canonical(
-            self.variables, _add_into(dict(self.terms), negated)
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._from_canonical(
-            self.variables, {e: -c for e, c in self.terms.items()}
-        )
+        nums = {e: -c for e, c in self.nums.items()}
+        return MultiPoly._from_canonical(self.variables, nums, self.den)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        out: dict[tuple[int, ...], int] = {}
+        for e1, c1 in self.nums.items():
+            for e2, c2 in other.nums.items():
                 e = tuple(map(add, e1, e2))
                 if e in out:
                     out[e] += c1 * c2
                 else:
                     out[e] = c1 * c2
-        return MultiPoly._from_canonical(self.variables, _nonzero(out))
+        return MultiPoly._build(self.variables, _nonzero(out), self.den * other.den)
 
     def scale(self, c: RatLike) -> "MultiPoly":
-        c = _frac(c)
         if c == 0:
             return MultiPoly.zero(self.variables)
-        return MultiPoly._from_canonical(
-            self.variables, {e: k * c for e, k in self.terms.items()}
-        )
+        # an int has numerator itself and denominator 1
+        num, den = c.numerator, c.denominator
+        nums = self.nums if num == 1 else {e: k * num for e, k in self.nums.items()}
+        return MultiPoly._build(self.variables, nums, self.den * den)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
@@ -247,63 +255,61 @@ class MultiPoly:
     def partial(self, name: str) -> "MultiPoly":
         """Formal partial derivative with respect to one variable."""
         idx = self.variables.index(name)
-        terms = {}
-        for exps, c in self.terms.items():
+        nums = {}
+        for exps, c in self.nums.items():
             power = exps[idx]
             if power:
-                terms[exps[:idx] + (power - 1,) + exps[idx + 1 :]] = c * power
-        return MultiPoly._from_canonical(self.variables, terms)
+                nums[exps[:idx] + (power - 1,) + exps[idx + 1 :]] = c * power
+        return MultiPoly._build(self.variables, nums, self.den)
 
     # -- substitution and reshaping ---------------------------------------
 
     def substitute_value(self, name: str, value: RatLike) -> "MultiPoly":
         """Specialize one variable to a rational; variable stays in the tuple.
 
-        Each power of `value` is computed once.
+        With value = a/b and top the highest power of the variable, the
+        term c * name^k contributes c * a^k * b^(top - k) over den * b^top;
+        each factor is computed once.
         """
         idx = self.variables.index(name)
-        if not any(exps[idx] for exps in self.terms):
-            return MultiPoly._from_canonical(self.variables, self.terms)
-        value = _frac(value)
-        powers: dict[int, Fraction] = {}
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
+        top = max((exps[idx] for exps in self.nums), default=0)
+        if not top:
+            return self
+        a, b = value.numerator, value.denominator
+        factors: dict[int, int] = {}
+        out: dict[tuple[int, ...], int] = {}
+        for exps, c in self.nums.items():
             power = exps[idx]
+            if power not in factors:
+                factors[power] = a**power * b ** (top - power)
+            c = c * factors[power]
             if power:
-                if power not in powers:
-                    powers[power] = value**power
-                c = c * powers[power]
                 exps = exps[:idx] + (0,) + exps[idx + 1 :]
             if exps in out:
                 out[exps] += c
             else:
                 out[exps] = c
-        return MultiPoly._from_canonical(self.variables, _nonzero(out))
+        return MultiPoly._build(self.variables, _nonzero(out), self.den * b**top)
 
     def substitute_poly(self, name: str, replacement: "MultiPoly") -> "MultiPoly":
         """Replace a variable by a polynomial over the same variable tuple.
 
         Sums c * rest * replacement^k over the terms c * rest * name^k in
         order, each power computed once, dropping a monomial as soon as
-        its coefficient cancels.
+        its coefficient cancels.  The sum is taken over the lcm of the
+        powers' denominators.
         """
         self._check(replacement)
         idx = self.variables.index(name)
-        powers: dict[int, MultiPoly] = {}
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            power = exps[idx]
-            if not power:
-                _add_into(out, [(exps, c)])
-                continue
-            if power not in powers:
-                powers[power] = replacement**power
+        powers = {k: replacement**k for k in dict.fromkeys(exps[idx] for exps in self.nums)}
+        den = lcm(*(power.den for power in powers.values()))
+        out: dict[tuple[int, ...], int] = {}
+        for exps, c in self.nums.items():
+            power = powers[exps[idx]]
+            c = c * (den // power.den)
             rest = exps[:idx] + (0,) + exps[idx + 1 :]
-            _add_into(
-                out,
-                [(tuple(map(add, rest, e)), c * k) for e, k in powers[power].terms.items()],
-            )
-        return MultiPoly._from_canonical(self.variables, out)
+            _add_into(out, [(tuple(map(add, rest, e)), c * k) for e, k in power.nums.items()])
+        return MultiPoly._build(self.variables, out, self.den * den)
 
     def with_variables(self, variables: tuple[str, ...]) -> "MultiPoly":
         """Embed into a larger (or reordered) variable tuple by name."""
@@ -316,26 +322,24 @@ class MultiPoly:
                 mapping.append(None)
             else:
                 mapping.append(variables.index(name))
-        terms = {}
-        for exps, c in self.terms.items():
+        nums = {}
+        for exps, c in self.nums.items():
             new = [0] * len(variables)
             for i, e in enumerate(exps):
                 if e:
                     new[mapping[i]] = e
-            terms[tuple(new)] = c
-        return MultiPoly._from_canonical(variables, terms)
+            nums[tuple(new)] = c
+        return MultiPoly._from_canonical(variables, nums, self.den)
 
     def coeffs_in(self, name: str) -> dict[int, "MultiPoly"]:
         """Decompose as a polynomial in one variable; values keep the full tuple."""
         idx = self.variables.index(name)
         buckets: dict[int, dict] = {}
-        for exps, c in self.terms.items():
+        for exps, c in self.nums.items():
             rest = exps[:idx] + (0,) + exps[idx + 1 :]
             buckets.setdefault(exps[idx], {})[rest] = c
-        return {
-            p: MultiPoly._from_canonical(self.variables, terms)
-            for p, terms in sorted(buckets.items())
-        }
+        build = MultiPoly._build
+        return {p: build(self.variables, b, self.den) for p, b in sorted(buckets.items())}
 
     def restrict(self, name: str) -> "MultiPoly":
         """The same polynomial over ``(name,)``, terms in ascending degree.
@@ -347,39 +351,38 @@ class MultiPoly:
         idx = self.variables.index(name)
         return MultiPoly._from_canonical(
             (name,),
-            {(exps[idx],): c for exps, c in sorted(self.terms.items(), key=lambda t: t[0][idx])},
+            {(exps[idx],): c for exps, c in sorted(self.nums.items(), key=lambda t: t[0][idx])},
+            self.den,
         )
 
     def evaluate(self, point: Mapping[str, RatLike]) -> Fraction:
-        total = Fraction(0)
-        for exps, c in self.terms.items():
-            val = c
+        total = 0
+        for exps, c in self.nums.items():
             for i, e in enumerate(exps):
                 if e:
-                    val *= _frac(point[self.variables[i]]) ** e
-            total += val
-        return total
+                    c = c * point[self.variables[i]] ** e
+            total += c
+        return Fraction(total) / self.den
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Terms in decreasing graded-lex order (deterministic printing)."""
         return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
 
     def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
-        if not self.terms:
+        if not self.nums:
             raise ZeroPolynomial("zero polynomial has no leading term")
-        return self.sorted_terms()[0]
+        exps = max(self.nums, key=grlex_key)
+        return exps, Fraction(self.nums[exps], self.den)
 
     # -- dunder plumbing ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MultiPoly)
-            and self.variables == other.variables
-            and self.terms == other.terms
+        return isinstance(other, MultiPoly) and (self.variables, self.den, self.nums) == (
+            other.variables, other.den, other.nums
         )
 
     def __hash__(self) -> int:
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, self.den, frozenset(self.nums.items())))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -411,7 +414,8 @@ def divide_exact(h: MultiPoly, g: MultiPoly) -> MultiPoly | None:
         diff = tuple(a - b for a, b in zip(r_exps, g_exps))
         if any(d < 0 for d in diff):
             return None
-        t = MultiPoly._from_canonical(h.variables, {diff: r_coeff / g_coeff})
+        q = r_coeff / g_coeff
+        t = MultiPoly._from_canonical(h.variables, {diff: q.numerator}, q.denominator)
         quotient = quotient + t
         rem = rem - t * g
     return quotient

@@ -74,7 +74,7 @@ def power_condition3_solve(
     sign = Fraction(-1) ** beta
     j = a1.total_degree()
     if j >= 1:
-        l = a2.terms.get((j,), 0) / a1.terms[(j,)]
+        l = Fraction(a2.nums.get((j,), 0) * a1.den, a2.den * a1.nums[(j,)])
         if l != 0 and a2 == a1.scale(l) + MultiPoly.constant(X_ONLY, sign * l ** (beta + 1) * a0):
             return [l]
         return []

@@ -9,7 +9,7 @@ theorem.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .mpoly import MultiPoly, VariableMismatch, ZeroPolynomial
 
@@ -30,28 +30,27 @@ def _divisors(n: int) -> list[int]:
 def rational_roots(p: MultiPoly) -> list[Fraction]:
     """All rational roots of p, each listed once, in increasing order.
 
-    Uses the rational-root theorem on the integer form of p (denominators
-    cleared): every root in lowest terms is num/den with num dividing the
-    constant and den the leading coefficient.  Each candidate is checked
-    exactly in integers, as den^deg * p(num/den) = 0 by Horner's rule, so
-    the result is complete over Q.
+    Uses the rational-root theorem on the integer numerators of p, which
+    have its roots: every root in lowest terms is num/den with num
+    dividing the constant and den the leading coefficient.  Each
+    candidate is checked exactly in integers, as den^deg * p(num/den) = 0
+    by Horner's rule, so the result is complete over Q.
     """
     if p.is_zero():
         raise ZeroPolynomial("rational_roots of the zero polynomial")
     if len(p.support()) > 1:
         raise VariableMismatch("rational_roots needs a polynomial in one variable")
     # with one variable occurring, a term's total degree is its exponent
-    by_degree = {sum(exps): c for exps, c in p.terms.items()}
+    by_degree = {sum(exps): c for exps, c in p.nums.items()}
     low = min(by_degree)
     degree = max(by_degree) - low
     roots = [Fraction(0)] if low > 0 else []
     if degree == 0:
         return roots
     # divide out x^low: dense integer coefficients, low to high
-    denom_lcm = lcm(*(c.denominator for c in by_degree.values()))
     dense = [0] * (degree + 1)
     for e, c in by_degree.items():
-        dense[e - low] = c.numerator * (denom_lcm // c.denominator)
+        dense[e - low] = c
     lead, const = dense[degree], dense[0]
     for num in _divisors(const):
         for den in _divisors(lead):

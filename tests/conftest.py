@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 import hypothesis.strategies as st
 
@@ -37,6 +38,14 @@ def nonzero_multipolys(variables=("x", "y"), max_degree: int = 4, max_terms: int
     return multipolys(variables, max_degree, max_terms).filter(
         lambda p: not p.is_zero()
     )
+
+
+def assert_layout(p: MultiPoly) -> None:
+    """Integer numerators over one positive denominator, in lowest terms; den 1 for zero."""
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int and c != 0 for c in p.nums.values())
+    assert gcd(p.den, *p.nums.values()) == 1
+    assert p.nums or p.den == 1
 
 
 def uni(src_coeffs) -> MultiPoly:

@@ -34,6 +34,11 @@ def test_unipoly_rejects_negative_exponent():
         MultiPoly(("x",), [((-1,), 1)])
 
 
+def test_variable_rejects_negative_power():
+    with pytest.raises(ValueError):
+        MultiPoly.var(XY, "y", -1)
+
+
 def test_unipoly_constant_value_guard():
     with pytest.raises(ValueError):
         uni([0, 1]).constant_value()

@@ -1,0 +1,35 @@
+"""CLI reports pinned byte for byte, timing aside.
+
+golden_reports.json holds, per request, the argv, the exit code and the
+JSON report without its `timing_ms` field.  They were recorded while
+MultiPoly still stored one Fraction per coefficient, and no change to
+the polynomial core may alter them: the cells cover the Darboux search
+(a simple and a non-simple alpha = 1 cell, and an alpha = 3 cell),
+`analyze` and `mz` on a power-form coefficient, and `image` on a member
+and on a certified non-member, most of them with non-integral
+coefficients.
+"""
+
+import json
+import re
+from pathlib import Path
+
+import pytest
+
+from dercert.cli import run_command
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN, ids=[f"{c['argv'][1]}-{i}" for i, c in enumerate(GOLDEN)]
+)
+def test_report_is_byte_identical(capsys, case):
+    code = run_command(list(case["argv"]))
+    captured = capsys.readouterr()
+    out = captured.out + captured.err
+    assert code == case["exit_code"]
+    # the only field that may differ is the wall time
+    out, count = re.subn(r'"timing_ms": [-0-9.e+]+', '"timing_ms": 0', out)
+    assert count == 1
+    assert out == json.dumps({**case["report"], "timing_ms": 0}, indent=2, sort_keys=True) + "\n"

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import multipolys, nonzero_multipolys, rationals, uni
+from conftest import assert_layout, multipolys, nonzero_multipolys, rationals, uni
 from dercert import DivisorZero, MultiPoly, VariableMismatch, divide_exact, parse_poly
 
 XY = ("x", "y")
@@ -113,6 +113,7 @@ def assert_canonical(p: MultiPoly, variables=XY) -> None:
         assert type(exps) is tuple and len(exps) == len(variables)
         assert all(type(e) is int and e >= 0 for e in exps)
         assert type(c) is Fraction and c != 0
+    assert_layout(p)
 
 
 def assert_built_as(p: MultiPoly, terms, variables=XY) -> None:

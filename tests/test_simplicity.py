@@ -40,6 +40,11 @@ class TestCondition3:
     def test_constant_quadratic_branch(self):
         assert condition3_solve(uni([]), uni([2]), F(1)) == [F(2)]
 
+    def test_ratio_of_integral_coefficients_stays_rational(self):
+        # a2 = 3*x - 9 = l*a1 - l^2*a0 for a1 = 2*x, a0 = 4: the x-coefficients force l = 3/2
+        (l,) = power_condition3_solve(uni([-9, 3]), uni([0, 2]), F(4), 1)
+        assert type(l) is Fraction and l == F(3, 2)
+
     def test_a0_zero_rejected(self):
         with pytest.raises(ValueError):
             condition3_solve(uni([]), uni([0, 1]), F(0))

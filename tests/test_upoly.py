@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import X_ONLY, nonzero_rationals, rationals, uni, unipolys
+from conftest import X_ONLY, assert_layout, nonzero_rationals, rationals, uni, unipolys
 from dercert import (
     NEG_INF,
     DivisorZero,
@@ -141,6 +141,7 @@ class TestCanonicalForm:
             assert result.variables == X_ONLY
             assert all(len(e) == 1 and e[0] >= 0 for e in result.terms)
             assert all(isinstance(c, Fraction) and c != 0 for c in result.terms.values())
+            assert_layout(result)
             exps = [e for (e,) in result.restrict("x").terms]
             assert exps == sorted(exps)
 
