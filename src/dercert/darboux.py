@@ -215,6 +215,17 @@ def _merge(branches) -> ResidualResult:
     return ResidualResult(solutions, undecided, note)
 
 
+def _root_branch(eqs, name, root, params, pending, assignment, budget) -> ResidualResult:
+    """Substitute name = root; a nonzero constant closes the branch, as the recursion would."""
+    sub = []
+    for e in eqs:
+        e = e.substitute_value(name, root)
+        if len(e.nums) == 1 and e.is_constant():
+            return ResidualResult([], False)
+        sub.append(e)
+    return _solve_recursive(sub, params, pending, {**assignment, name: root}, budget)
+
+
 def _solve_recursive(
     eqs: list[MultiPoly],
     params: tuple[str, ...],
@@ -241,16 +252,10 @@ def _solve_recursive(
     for e, sup in zip(eqs, supports):
         if len(sup) == 1:
             (name,) = sup
-            roots = rational_roots(e)
             return _merge(
-                _solve_recursive(
-                    [other.substitute_value(name, r) for other in eqs if other is not e],
-                    params,
-                    pending,
-                    {**assignment, name: r},
-                    budget,
-                )
-                for r in roots
+                _root_branch([other for other in eqs if other is not e], name, r,
+                             params, pending, assignment, budget)
+                for r in rational_roots(e)
             )
 
     # an equation every term of which contains v splits as v = 0 or quotient = 0

@@ -12,8 +12,8 @@ a bounded solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import lcm
-from operator import add
 
 from .derivation import (
     Derivation,
@@ -26,7 +26,7 @@ from .derivation import (
     recognize_family,
 )
 from .linalg import solve_sparse
-from .mpoly import CheckFailed, MultiPoly, grlex_key
+from .mpoly import CheckFailed, MultiPoly
 
 TAG_P22 = "P2.2"
 TAG_C23 = "C2.3"
@@ -61,19 +61,25 @@ class CertifiedNonMember:
 ImageResult = Member | NotFoundUpTo | CertifiedNonMember
 
 
-def _monomials(variables: tuple[str, ...], bound: int) -> list[tuple[int, ...]]:
-    """Exponent vectors of total degree <= bound, decreasing graded-lex."""
-    if not variables:
-        return [()]
-    return [
-        exps
-        for total in range(bound, -1, -1)
-        for exps in _exponents_of_degree(total, len(variables))
-    ]
+@lru_cache(maxsize=16)
+def _basis(nvars: int, bound: int, width: int) -> tuple[tuple, tuple]:
+    """Exponent vectors of total degree <= bound, decreasing graded-lex, and their packed keys."""
+    basis = tuple(e for total in range(bound, -1, -1) for e in _exponents_of_degree(total, nvars))
+    return basis, tuple(_pack(exps, width) for exps in basis)
+
+
+def _pack(exps: tuple[int, ...], width: int) -> int:
+    """Total degree in the top field of `width` bits, then the exponents from the last down."""
+    key = sum(exps)
+    for e in reversed(exps):
+        key = (key << width) | e
+    return key
 
 
 def _exponents_of_degree(total: int, nvars: int) -> list[tuple[int, ...]]:
     """Exponent vectors summing to total, last exponent descending, then the one before."""
+    if not nvars:
+        return [] if total else [()]
     if nvars == 1:
         return [(total,)]
     return [
@@ -89,10 +95,17 @@ def image_membership(D: Derivation, target: MultiPoly, bound: int) -> Member | N
     Column j of the system is D of the j-th basis monomial, built by the
     product rule D(x^e) = sum_v e_v * x^(e - 1_v) * D(v) from the terms
     of the images D(v).  Rows are the monomials that occur in a column
-    or in the target, in decreasing graded-lex order.  Both sides are
-    scaled by the lcm of the images' and the target's denominators, so
-    every entry is an int and `solve_sparse` eliminates over the
-    integers.
+    or in the target, in no particular order.  Both sides are scaled by
+    the lcm of the images' and the target's denominators, so every entry
+    is an int and `solve_sparse` eliminates over the integers.
+
+    A monomial is keyed by one packed int: its total degree in the top
+    field, then its exponents from the last variable down, so decreasing
+    keys are decreasing graded-lex.  Every field is as wide as the largest
+    total degree of a column (bound + deg D - 1), the basis or the target
+    needs, and x^(e - 1_v) is formed only when e_v >= 1, so no field
+    overflows or underflows and shifting x^e by a term of D(v) is one int
+    addition.
 
     The particular preimage is canonical: columns are ordered by
     decreasing graded-lex and free coordinates are set to zero.
@@ -104,44 +117,40 @@ def image_membership(D: Derivation, target: MultiPoly, bound: int) -> Member | N
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     target = target.with_variables(D.variables)
-    basis = _monomials(D.variables, bound)
+    nvars = len(D.variables)
+    degrees = [bound + sum(m) - 1 for image in D.images for m in image.nums]
+    width = max([bound, *degrees, *map(sum, target.nums)]).bit_length()
+    basis, keys = _basis(nvars, bound, width)
     den = lcm(target.den, *(image.den for image in D.images))
-    # the terms of D(v) shifted by -1_v, so x^e contributes e_v * c * x^(e + shift)
+    # the terms x^m of D(v) as packed shifts by m - 1_v, so x^e contributes
+    # e_v * c * x^(e + m - 1_v)
     shifted = []
     for v, image in enumerate(D.images):
-        terms = []
-        for mono, c in image.nums.items():
-            shift = list(mono)
-            shift[v] -= 1
-            terms.append((tuple(shift), c * (den // image.den)))
-        shifted.append((v, terms))
-    rows_by_monomial: dict[tuple[int, ...], dict[int, int]] = {}
+        unit = (1 << width * nvars) + (1 << width * v)  # the key of x_v
+        scale = den // image.den
+        shifted.append((v, [(_pack(m, width) - unit, c * scale) for m, c in image.nums.items()]))
+    rows_by_key: dict[int, dict[int, int]] = {}
     for j, exps in enumerate(basis):
-        column: dict[tuple[int, ...], int] = {}
+        key = keys[j]
+        column: dict[int, int] = {}
         for v, terms in shifted:
             e_v = exps[v]
             if e_v:
                 for shift, c in terms:
-                    mono = tuple(map(add, exps, shift))
+                    mono = key + shift
                     column[mono] = column.get(mono, 0) + e_v * c
         for mono, coeff in column.items():
             if coeff:
-                rows_by_monomial.setdefault(mono, {})[j] = coeff
-    for mono in target.nums:
-        rows_by_monomial.setdefault(mono, {})
-    monomials = sorted(rows_by_monomial, key=grlex_key, reverse=True)
-    rows = [rows_by_monomial[mono] for mono in monomials]
-    rhs = [target.nums.get(mono, 0) * (den // target.den) for mono in monomials]
-    solution = solve_sparse(rows, rhs, len(basis))
+                rows_by_key.setdefault(mono, {})[j] = coeff
+    rhs_by_key = {_pack(m, width): c * (den // target.den) for m, c in target.nums.items()}
+    for key in rhs_by_key:
+        rows_by_key.setdefault(key, {})
+    rhs = [rhs_by_key.get(key, 0) for key in rows_by_key]
+    solution = solve_sparse(list(rows_by_key.values()), rhs, len(basis))
     if solution is None:
         return NotFoundUpTo(bound=bound)
     preimage = MultiPoly(
-        D.variables,
-        [
-            (basis[j], c)
-            for j, c in enumerate(solution.particular)
-            if c != 0
-        ],
+        D.variables, [(basis[j], c) for j, c in enumerate(solution.particular) if c]
     )
     kernel_dim = len(basis) - solution.rank
     if D.apply(preimage) != target:

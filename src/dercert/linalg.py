@@ -1,19 +1,24 @@
 """Exact linear system solving over the rationals.
 
-Sparse rows (dict column -> int or Fraction) are scaled to integer rows,
-one lcm of denominators per row, and reduced to row echelon form by
-forward elimination with fraction-free integer row updates (as in
-Bareiss 1968, Math. Comp. 22), each followed by division by the row
-content rather than by the previous pivot.  A column -> rows index
-keeps pivot search and elimination on the rows that are nonzero in the
-current column.  Back-substitution in Fraction then gives the solution.
+`solve_sparse` takes sparse rows (dict column -> int or Fraction) and a
+right-hand side of int or Fraction, and never mutates them.  A system
+whose entries are nonzero ints and whose rhs is int is copied as it is;
+any other is scaled row by row to integers by the lcm of the row's
+denominators.  Forward elimination runs on the integer rows with
+fraction-free updates (as in Bareiss 1968, Math. Comp. 22), each
+followed by division by the row content rather than by the previous
+pivot.  Every row waits under its leftmost column; the pivot of a column
+is a sparsest row waiting there, and the scan stops at the first row
+with a single entry, whose elimination only deletes the column from the
+other rows (scaled when the pivot does not divide their entry).
+Back-substitution in Fraction then gives the solution.
 
-Columns are taken in order and each becomes a pivot column exactly when
-it is independent of the columns before it, so the pivot columns do not
-depend on which row is chosen as pivot.  The particular solution sets
-every free variable to zero, and the kernel basis has one vector per
-free column, with a 1 in that column and 0 in the other free columns;
-both are therefore fixed by the column order alone.
+Row operations keep the row space, so a column becomes a pivot column
+exactly when it is independent of the columns before it, and the
+particular solution (every free variable zero) and the kernel basis (one
+vector per free column, 1 there and 0 in the other free columns) are the
+unique vectors with those properties: neither the order of the rows nor
+the choice of pivot rows can change them.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 
 @dataclass
@@ -33,17 +39,17 @@ class LinSolution:
 def _integer_rows(
     rows: list[dict[int, Fraction | int]], rhs: list[Fraction | int]
 ) -> tuple[list[dict[int, int]], list[int]]:
-    """Scale every row and its rhs by the lcm of their denominators.
+    """Integer copies of the rows and rhs, without zero entries.
 
-    A row whose entries and rhs are all int is copied without its zeros.
+    A system of nonzero int entries and int rhs passes one check done in
+    C and is copied; any other is scaled by the lcm of each row's
+    denominators.
     """
-    int_rows = []
-    int_rhs = []
+    values = list(chain.from_iterable(map(dict.values, rows)))
+    if {*map(type, values), *map(type, rhs)} <= {int} and all(values):
+        return list(map(dict.copy, rows)), list(rhs)
+    int_rows, int_rhs = [], []
     for row, b in zip(rows, rhs):
-        if type(b) is int and all(type(v) is int for v in row.values()):
-            int_rows.append({c: v for c, v in row.items() if v})
-            int_rhs.append(b)
-            continue
         scale = math.lcm(b.denominator, *(v.denominator for v in row.values()))
         int_rows.append(
             {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
@@ -62,51 +68,55 @@ def _echelon(
     """
     if any(not row and b for row, b in zip(rows, rhs)):
         return None
-    by_col: list[set[int]] = [set() for _ in range(ncols)]
+    # every row waits under its leftmost column, the only one it can pivot on
+    by_lead: list[list[int]] = [[] for _ in range(ncols)]
     for i, row in enumerate(rows):
-        for c in row:
-            by_col[c].add(i)
+        if row:
+            by_lead[min(row)].append(i)
     pivots = []
-    for col in range(ncols):
-        candidates = by_col[col]
+    for col, candidates in enumerate(by_lead):
         if not candidates:
             continue
-        # the sparsest pivot row adds the least fill-in; the index makes it unique
-        p = min(candidates, key=lambda i: (len(rows[i]), i))
+        # a sparsest pivot row adds the least fill-in; a single entry adds none
+        size = ncols + 1
+        for i in candidates:
+            if len(rows[i]) < size:
+                p, size = i, len(rows[i])
+                if size == 1:
+                    break
         prow = rows[p]
-        for c in prow:
-            by_col[c].discard(p)
         pv, pb = prow[col], rhs[p]
         for i in candidates:
+            if i == p:
+                continue
             row = rows[i]
-            a = row[col]
+            a = row.pop(col)
             g = math.gcd(pv, a)
             keep, take = pv // g, a // g
             if keep != 1:
                 for c in row:
                     row[c] *= keep
-            for c, v in prow.items():
-                new = row.get(c, 0) - take * v
-                if new:
-                    if c not in row:
-                        by_col[c].add(i)
-                    row[c] = new
-                else:
-                    del row[c]
-                    if c != col:
-                        by_col[c].discard(i)
             b = keep * rhs[i] - take * pb
+            if size > 1:
+                for c, v in prow.items():
+                    if c != col:
+                        new = row.get(c, 0) - take * v
+                        if new:
+                            row[c] = new
+                        else:
+                            del row[c]
             if not row:
                 if b:
                     return None
                 continue
-            content = math.gcd(b, *row.values())
-            if content != 1:
-                for c in row:
-                    row[c] //= content
-                b //= content
+            if keep != 1 or size > 1:
+                content = math.gcd(b, *row.values())
+                if content != 1:
+                    for c in row:
+                        row[c] //= content
+                    b //= content
             rhs[i] = b
-        candidates.clear()
+            by_lead[min(row)].append(i)
         pivots.append((col, prow, pb))
     return pivots
 
@@ -123,7 +133,7 @@ def solve_sparse(
     # and t_ncols = 1 for the constant part
     value: dict[int, dict[int, Fraction]] = {}
     for col, row, b in reversed(pivots):
-        acc: dict[int, Fraction] = {ncols: Fraction(b)} if b else {}
+        acc: dict[int, Fraction | int] = {ncols: b} if b else {}
         for c, a in row.items():
             if c == col:
                 continue

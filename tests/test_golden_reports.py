@@ -1,13 +1,22 @@
 """CLI reports pinned byte for byte, timing aside.
 
 golden_reports.json holds, per request, the argv, the exit code and the
-JSON report without its `timing_ms` field.  They were recorded while
-MultiPoly still stored one Fraction per coefficient, and no change to
-the polynomial core may alter them: the cells cover the Darboux search
-(a simple and a non-simple alpha = 1 cell, and an alpha = 3 cell),
-`analyze` and `mz` on a power-form coefficient, and `image` on a member
-and on a certified non-member, most of them with non-integral
-coefficients.
+JSON report without its `timing_ms` field.  The first seven were
+recorded while MultiPoly still stored one Fraction per coefficient, and
+no change to the polynomial core may alter them: the cells cover the
+Darboux search (a simple and a non-simple alpha = 1 cell, and an
+alpha = 3 cell), `analyze` and `mz` on a power-form coefficient, and
+`image` on a member and on a certified non-member, most of them with
+non-integral coefficients.
+
+The last five are `image` requests at the size of the benchmark's
+image-bounded workload, recorded while the image system was still
+assembled on exponent tuples and eliminated with a column -> rows
+index: a plane-quadratic member and the target x at bound 27, a
+plane-linear member at bound 33, a translation-diagonal member over
+x, y1, y2 at bound 10 and a three-variable diagonal member at bound 11.
+They pin the canonical preimages and kernel dimensions of the systems
+that the packed assembly and the singleton-pivot elimination solve.
 """
 
 import json

@@ -1,10 +1,12 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import multipolys, uni
+from conftest import multipolys, rationals, uni
 import dercert.image
 from dercert import (
     CertifiedNonMember,
@@ -27,6 +29,7 @@ from dercert import (
     parse_poly,
     poly_to_str,
 )
+from dercert.linalg import solve_sparse
 from dercert.mpoly import grlex_key
 
 F = Fraction
@@ -106,7 +109,12 @@ class TestMembership:
                 if sum(e) <= bound
             ]
             expected = sorted(every, key=grlex_key, reverse=True)
-            assert dercert.image._monomials(variables, bound) == expected
+            width = bound.bit_length()
+            basis, keys = dercert.image._basis(len(variables), bound, width)
+            assert list(basis) == expected
+            # decreasing packed keys are decreasing graded-lex
+            assert list(keys) == [dercert.image._pack(e, width) for e in expected]
+            assert list(keys) == sorted(set(keys), reverse=True)
 
 
 # Canonical preimages and kernel dimensions pinned before the integer
@@ -196,6 +204,93 @@ class TestCanonicalPreimage:
         with pytest.raises(CheckFailed):
             image_membership(D, MultiPoly.constant(D.variables, 1), 6)
         assert not issubclass(CheckFailed, ValueError)
+
+
+IMAGE_NAMES = ("x", "y", "z", "w")
+non_integral = st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(
+    lambda q: q.denominator > 1
+)
+
+
+def polys_in(variables, max_degree, max_terms, coefficients=non_integral):
+    # a monomial is a multiset of at most max_degree variable indices
+    n = len(variables)
+    monomials = st.lists(st.integers(0, n - 1), max_size=max_degree).map(
+        lambda idx: tuple(idx.count(i) for i in range(n))
+    )
+    return st.lists(st.tuples(monomials, coefficients), max_size=max_terms).map(
+        lambda terms: MultiPoly(variables, terms)
+    )
+
+
+@st.composite
+def packed_cases(draw):
+    """(D, target, bound): members, other targets, and targets past every column."""
+    variables = IMAGE_NAMES[: draw(st.integers(1, 4))]
+    D = Derivation(variables, tuple(draw(polys_in(variables, 3, 3)) for _ in variables))
+    deg_d = max((sum(m) for image in D.images for m in image.nums), default=0)
+    bound = draw(st.integers(0, {1: 9, 2: 6, 3: 4, 4: 3}[len(variables)]))
+    member = D.apply(draw(polys_in(variables, bound, 4)))
+    kind = draw(st.sampled_from(["member", "other", "beyond", "top-field"]))
+    if kind == "member":
+        return D, member, bound
+    if kind == "other":
+        return D, draw(polys_in(variables, bound + deg_d, 4, rationals)), bound
+    v = draw(st.sampled_from(variables))
+    if kind == "beyond":  # an exponent past bound + deg D, which no column reaches
+        return D, member + MultiPoly.var(variables, v, bound + deg_d + draw(st.integers(1, 3))), bound
+    # an exponent of 2^k - 1, k the field width: the largest value a field holds
+    k = max(bound, bound + deg_d - 1, 1).bit_length()
+    return D, member + MultiPoly.var(variables, v, 2**k - 1), bound
+
+
+def reference_membership(D, target, bound):
+    """(preimage, kernel_dim) or None, from the columns D(x^e) that D.apply builds."""
+    basis = sorted(
+        (e for e in itertools.product(range(bound + 1), repeat=len(D.variables)) if sum(e) <= bound),
+        key=grlex_key,
+        reverse=True,
+    )
+    columns = [D.apply(MultiPoly(D.variables, [(e, 1)])).terms for e in basis]
+    monomials = {m for column in columns for m in column} | set(target.terms)
+    rows = [{j: col[m] for j, col in enumerate(columns) if m in col} for m in monomials]
+    rhs = [target.terms.get(m, F(0)) for m in monomials]
+    solution = solve_sparse(rows, rhs, len(basis))
+    if solution is None:
+        return None
+    preimage = MultiPoly(D.variables, [(e, c) for e, c in zip(basis, solution.particular) if c])
+    return preimage, len(basis) - solution.rank
+
+
+class TestPackedAssembly:
+    @settings(max_examples=120, deadline=None)
+    @given(packed_cases())
+    def test_matches_columns_built_by_apply(self, case):
+        D, target, bound = case
+        with mock.patch.object(dercert.image, "_basis", wraps=dercert.image._basis) as basis:
+            result = image_membership(D, target, bound)
+        # every field holds the largest total degree of a monomial the
+        # assembly forms: x^(e - 1_v) times a term of D(v), a basis
+        # monomial or a target monomial
+        ((_, _, width), _) = basis.call_args
+        formed = [bound + sum(m) - 1 for image in D.images for m in image.nums]
+        assert 2**width > max([bound, *formed, *map(sum, target.nums)])
+        expected = reference_membership(D, target, bound)
+        if expected is None:
+            assert result == NotFoundUpTo(bound=bound)
+        else:
+            assert isinstance(result, Member)
+            assert (result.preimage, result.kernel_dim) == expected
+
+    def test_full_fields(self):
+        # bound 7 and deg D 0 give 3-bit fields; x^7 fills its exponent and degree fields
+        D = parse_derivation("deriv{x: 1/2, y: 0}")
+        target = parse_poly("7/2*x^6", D.variables)
+        result = image_membership(D, target, 7)
+        assert result == Member(preimage=parse_poly("x^7", D.variables), kernel_dim=8, bound=7)
+        assert (result.preimage, result.kernel_dim) == reference_membership(D, target, 7)
+        assert image_membership(D, parse_poly("x^7", D.variables), 7) == NotFoundUpTo(bound=7)
+
 
 class TestCertified:
     def test_plane_linear_x(self):
