@@ -19,6 +19,8 @@ import json
 import sys
 import time
 from collections import Counter
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 from .darboux import (
     SearchBounds,
@@ -194,8 +196,39 @@ def render_text(report: dict) -> str:
     return "\n".join(lines)
 
 
+def _json(value, pad: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte.
+
+    That call runs the json module's pure-Python encoder, since the C one
+    only serves indent=None; this walk builds the same text directly.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if isfinite(value) else json.dumps(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[\n" + ",\n".join(inner + _json(v, inner) for v in value) + f"\n{pad}]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, args, stream, allow_file: bool = True) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) if args.json else render_text(report)
+    text = _json(report) if args.json else render_text(report)
     if args.out and allow_file:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

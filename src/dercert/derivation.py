@@ -263,7 +263,20 @@ def _recognize_diag(D: Derivation) -> Family:
 
 
 def recognize_family(D: Derivation) -> Family:
-    """Most specific structured family matching D, else Generic."""
+    """Most specific structured family matching D, else Generic.
+
+    The family is kept on D, in its instance __dict__ as
+    functools.cached_property keeps a value, so one request recognizes
+    its derivation once however many deciders ask; families are frozen,
+    so sharing one is safe.
+    """
+    family = D.__dict__.get("_family")
+    if family is None:
+        family = D.__dict__["_family"] = _recognize(D)
+    return family
+
+
+def _recognize(D: Derivation) -> Family:
     if D.variables and D.variables[0] == "x":
         fam = _recognize_diag_x(D)
         if not isinstance(fam, Generic):

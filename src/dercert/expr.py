@@ -9,24 +9,39 @@ Grammar (recursive descent, no implicit multiplication):
     rational := int ('/' posint)?
     var      := 'x' | 'y' | 'y' digit
 
-Errors carry a 1-based column.  Printing is the inverse: parsing a
-printed polynomial yields an equal polynomial.  Derivations are written
-as deriv{ x: <poly>, y: <poly> } or deriv{ x: <poly>, y1: ..., yn: ... };
+One pass: a compiled regex splits the whole input into tokens once, and
+the parser builds MultiPoly values as it reads them, applying the
+grammar's operations left to right, so the term order of a result
+depends only on the text.  Printing is the inverse: parsing a printed
+polynomial yields an equal polynomial.  Derivations are written as
+deriv{ x: <poly>, y: <poly> } or deriv{ x: <poly>, y1: ..., yn: ... };
 every declared variable needs an entry (0 is allowed).
+
+Errors carry the 1-based column, in the string passed, of the token they
+name.  A derivation's frame and declared names are checked first; then
+the entries are read left to right, and the first offending token is
+reported.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
+import re
+from math import gcd
 
 from .derivation import Derivation
-from .mpoly import MultiPoly
+from .mpoly import MultiPoly, grlex_key
 
 MAX_EXPONENT = 10**6
 
 VAR_NAMES = ("x", "y") + tuple(f"y{i}" for i in range(1, 10))
 _VAR_ORDER = {name: i for i, name in enumerate(VAR_NAMES)}
+
+# integers, y-digit names, the keyword, then one character at a time;
+# whitespace separates tokens and is skipped
+_TOKEN = re.compile(r"\d+|y\d|deriv|\S")
+_OPERATORS = frozenset("+-*^()/")
+_MARKS = frozenset("{}:,")  # derivation syntax
+_END = ""  # appended to every token list
 
 
 class ParseError(ValueError):
@@ -35,221 +50,138 @@ class ParseError(ValueError):
         self.column = column
 
 
-# -- AST --------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # '+', '-', '*'
-    left: "Ast"
-    right: "Ast"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Ast"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: "Ast"
-
-
-Ast = Lit | Var | BinOp | Pow | Neg
-
-
-# -- lexer ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'int', 'var', 'op'
-    text: str
-    column: int
-
-
-def _tokenize(src: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    while i < len(src):
-        ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
-        col = i + 1
-        if ch.isdigit():
-            j = i
-            while j < len(src) and src[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", src[i:j], col))
-            i = j
-            continue
-        if ch == "y" and i + 1 < len(src) and src[i + 1].isdigit():
-            name = src[i : i + 2]
-            if name not in _VAR_ORDER:
-                raise ParseError(f"unknown variable {name!r}", col)
-            tokens.append(_Token("var", name, col))
-            i += 2
-            continue
-        if ch in ("x", "y"):
-            tokens.append(_Token("var", ch, col))
-            i += 1
-            continue
-        if ch in "+-*^()/":
-            tokens.append(_Token("op", ch, col))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", col)
-    return tokens
-
-
-# -- parser -----------------------------------------------------------
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], length: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.end_column = length + 1
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.end_column)
-        self.pos += 1
-        return tok
-
-    def expect_op(self, text: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"expected {text!r}", tok.column)
-        return tok
-
-    def parse_expr(self) -> Ast:
-        node = self.parse_term()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "op" and tok.text in "+-":
-                self.next()
-                node = BinOp(tok.text, node, self.parse_term())
-            else:
-                return node
-
-    def parse_term(self) -> Ast:
-        node = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "op" and tok.text == "*":
-                self.next()
-                node = BinOp("*", node, self.parse_factor())
-            else:
-                return node
-
-    def parse_factor(self) -> Ast:
-        node = self.parse_base()
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == "^":
-            self.next()
-            exp_tok = self.next()
-            if exp_tok.kind != "int":
-                raise ParseError("exponent must be a nonnegative integer", exp_tok.column)
-            exponent = int(exp_tok.text)
-            if exponent > MAX_EXPONENT:
-                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", exp_tok.column)
-            return Pow(node, exponent)
-        return node
-
-    def parse_base(self) -> Ast:
-        tok = self.next()
-        if tok.kind == "int":
-            value = Fraction(int(tok.text))
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "op" and nxt.text == "/":
-                self.next()
-                den_tok = self.next()
-                if den_tok.kind != "int" or int(den_tok.text) == 0:
-                    raise ParseError("denominator must be a positive integer", den_tok.column)
-                value = Fraction(int(tok.text), int(den_tok.text))
-            return Lit(value)
-        if tok.kind == "var":
-            return Var(tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        if tok.kind == "op" and tok.text == "-":
-            return Neg(self.parse_base())
-        raise ParseError(f"unexpected token {tok.text!r}", tok.column)
-
-
-def parse_ast(src: str) -> Ast:
-    parser = _Parser(_tokenize(src), len(src))
-    node = parser.parse_expr()
-    leftover = parser.peek()
-    if leftover is not None:
-        raise ParseError(f"unexpected token {leftover.text!r}", leftover.column)
-    return node
-
-
-def ast_variables(node: Ast) -> set[str]:
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, BinOp):
-        return ast_variables(node.left) | ast_variables(node.right)
-    if isinstance(node, Pow):
-        return ast_variables(node.base)
-    if isinstance(node, Neg):
-        return ast_variables(node.operand)
-    return set()
-
-
-def lower_ast(node: Ast, variables: tuple[str, ...]) -> MultiPoly:
-    if isinstance(node, Lit):
-        return MultiPoly.constant(variables, node.value)
-    if isinstance(node, Var):
-        if node.name not in variables:
-            raise ParseError(f"unknown variable {node.name!r} in this context", 1)
-        return MultiPoly.var(variables, node.name)
-    if isinstance(node, BinOp):
-        left = lower_ast(node.left, variables)
-        right = lower_ast(node.right, variables)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        return left * right
-    if isinstance(node, Pow):
-        return lower_ast(node.base, variables) ** node.exponent
-    if isinstance(node, Neg):
-        return -lower_ast(node.operand, variables)
-    raise TypeError(f"not an AST node: {node!r}")
-
-
 def sort_variables(names) -> tuple[str, ...]:
     return tuple(sorted(names, key=lambda n: _VAR_ORDER[n]))
 
 
+class _Reader:
+    """Recursive descent over a token list, building polynomials over
+    `variables` as it goes.  In a derivation "," and "}" end an entry's
+    polynomial the way the end of the input ends a lone one."""
+
+    __slots__ = ("src", "tokens", "pos", "variables", "atoms", "in_derivation")
+
+    def __init__(self, src: str, tokens: list[str], variables: tuple[str, ...], in_derivation: bool):
+        self.src = src
+        self.tokens = tokens
+        self.pos = 0
+        self.variables = variables
+        self.atoms = {name: MultiPoly.var(variables, name) for name in variables}
+        self.in_derivation = in_derivation
+
+    def fail(self, index: int, message: str):
+        """Raise at token `index`; a token that cannot be read at all, or the
+        end of the input, takes precedence over the message."""
+        text = self.tokens[index]
+        if text == _END or (self.in_derivation and text in ",}"):
+            message = "unexpected end of input"
+        elif text[0] == "y" and text not in _VAR_ORDER:
+            message = f"unknown variable {text!r}"
+        elif not (
+            text in _VAR_ORDER
+            or text.isdecimal()
+            or text in _OPERATORS
+            or (self.in_derivation and text in _MARKS)
+        ):
+            message = f"unexpected character {text[0]!r}"
+        raise ParseError(message, _column(self.src, index))
+
+    def expr(self) -> MultiPoly:
+        node = self.term()
+        tokens = self.tokens
+        while True:
+            op = tokens[self.pos]
+            if op == "+":
+                self.pos += 1
+                node = node + self.term()
+            elif op == "-":
+                self.pos += 1
+                node = node - self.term()
+            else:
+                return node
+
+    def term(self) -> MultiPoly:
+        node = self.factor()
+        while self.tokens[self.pos] == "*":
+            self.pos += 1
+            node = node * self.factor()
+        return node
+
+    def factor(self) -> MultiPoly:
+        node = self.base()
+        if self.tokens[self.pos] != "^":
+            return node
+        index = self.pos + 1
+        text = self.tokens[index]
+        if not text.isdecimal():
+            self.fail(index, "exponent must be a nonnegative integer")
+        exponent = int(text)
+        if exponent > MAX_EXPONENT:
+            self.fail(index, f"exponent exceeds {MAX_EXPONENT}")
+        self.pos = index + 1
+        return node**exponent
+
+    def base(self) -> MultiPoly:
+        index = self.pos
+        text = self.tokens[index]
+        atom = self.atoms.get(text)
+        if atom is not None:
+            self.pos = index + 1
+            return atom
+        if text.isdecimal():
+            num, den = int(text), 1
+            if self.tokens[index + 1] == "/":
+                index += 2
+                text = self.tokens[index]
+                if not text.isdecimal() or int(text) == 0:
+                    self.fail(index, "denominator must be a positive integer")
+                den = int(text)
+                g = gcd(num, den)
+                num, den = num // g, den // g
+            self.pos = index + 1
+            # MultiPoly.constant of num/den without building the Fraction
+            nums = {(0,) * len(self.variables): num} if num else {}
+            return MultiPoly._from_canonical(self.variables, nums, den)
+        if text == "(":
+            self.pos = index + 1
+            inner = self.expr()
+            if self.tokens[self.pos] != ")":
+                self.fail(self.pos, "expected ')'")
+            self.pos += 1
+            return inner
+        if text == "-":
+            self.pos = index + 1
+            return -self.base()
+        if text in _VAR_ORDER:
+            if self.in_derivation:
+                self.fail(index, f"variable {text!r} is not declared by this derivation")
+            self.fail(index, f"unknown variable {text!r} in this context")
+        self.fail(index, f"unexpected token {text!r}")
+
+
+def _tokens(src: str) -> list[str]:
+    tokens = _TOKEN.findall(src)
+    tokens.append(_END)
+    return tokens
+
+
+def _column(src: str, index: int) -> int:
+    """1-based column in src of token `index`; only errors need it."""
+    starts = [m.start() for m in _TOKEN.finditer(src)]
+    return starts[index] + 1 if index < len(starts) else len(src) + 1
+
+
 def parse_poly(src: str, variables: tuple[str, ...] | None = None) -> MultiPoly:
     """Parse an expression; ambient variables default to those it uses."""
-    node = parse_ast(src)
+    tokens = _tokens(src)
     if variables is None:
-        used = ast_variables(node)
+        used = {text for text in tokens if text in _VAR_ORDER}
         variables = sort_variables(used) if used else ("x",)
-    return lower_ast(node, variables)
+    reader = _Reader(src, tokens, tuple(variables), False)
+    poly = reader.expr()
+    if tokens[reader.pos] != _END:
+        reader.fail(reader.pos, f"unexpected token {tokens[reader.pos]!r}")
+    return poly
 
 
 # -- printing ----------------------------------------------------------
@@ -265,34 +197,33 @@ def _format_monomial(variables: tuple[str, ...], exps: tuple[int, ...]) -> str:
     return "*".join(factors)
 
 
-def _format_unsigned(coeff: Fraction, mono: str, force_coeff: bool) -> str:
-    coeff = abs(coeff)
-    if not mono:
-        return str(coeff)
-    if coeff == 1 and not force_coeff:
-        return mono
-    return f"{coeff}*{mono}"
-
-
 def poly_to_str(p: MultiPoly) -> str:
     """Canonical rendering, decreasing graded-lex; reparses to an equal value.
 
     A leading negative term always prints its coefficient explicitly
     ("-1*x^2"), because "-x^2" would reparse as (-x)^2 under the grammar.
+    Each coefficient is nums[e] / den in lowest terms, printed as a
+    Fraction would print it.
     """
-    if p.is_zero():
+    if not p.nums:
         return "0"
+    den = p.den
     parts = []
-    for idx, (exps, coeff) in enumerate(p.sorted_terms()):
+    for exps in sorted(p.nums, key=grlex_key, reverse=True):
+        num = p.nums[exps]
+        g = gcd(num, den)
+        coeff = str(abs(num) // g) if den == g else f"{abs(num) // g}/{den // g}"
         mono = _format_monomial(p.variables, exps)
-        if idx == 0:
-            if coeff < 0:
-                parts.append("-" + _format_unsigned(coeff, mono, force_coeff=True))
-            else:
-                parts.append(_format_unsigned(coeff, mono, force_coeff=False))
+        if not mono:
+            text = coeff
+        elif coeff == "1" and (parts or num > 0):
+            text = mono
         else:
-            sign = " + " if coeff > 0 else " - "
-            parts.append(sign + _format_unsigned(coeff, mono, force_coeff=False))
+            text = f"{coeff}*{mono}"
+        if parts:
+            parts.append((" + " if num > 0 else " - ") + text)
+        else:
+            parts.append("-" + text if num < 0 else text)
     return "".join(parts)
 
 
@@ -300,55 +231,46 @@ def poly_to_str(p: MultiPoly) -> str:
 
 
 def parse_derivation(src: str) -> Derivation:
-    """Parse deriv{ v1: <poly>, ..., vn: <poly> } over the declared variables."""
-    text = src.strip()
-    if not text.startswith("deriv"):
-        raise ParseError("derivation must start with 'deriv'", 1)
-    rest = text[len("deriv"):].lstrip()
-    offset = len(src) - len(src.lstrip())
-    if not rest.startswith("{") or not rest.endswith("}"):
-        raise ParseError("derivation body must be enclosed in braces", offset + 6)
-    body = rest[1:-1]
-    entries: list[tuple[str, str]] = []
-    depth = 0
-    current = ""
-    for ch in body:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            entries.append(_split_entry(current, src))
-            current = ""
-        else:
-            current += ch
-    if current.strip():
-        entries.append(_split_entry(current, src))
-    if not entries:
-        raise ParseError("derivation needs at least one variable entry", 1)
-    seen: dict[str, str] = {}
-    for name, expr_src in entries:
+    """Parse deriv{ v1: <poly>, ..., vn: <poly> } over the declared variables.
+
+    The declared names, the tokens before each ":", fix the variable tuple
+    before any entry is read; the entries are then read left to right.
+    """
+    tokens = _tokens(src)
+    if tokens[0] != "deriv":
+        raise ParseError("derivation must start with 'deriv'", _column(src, 0))
+    if tokens[1] != "{":
+        raise ParseError("derivation body must be enclosed in braces", _column(src, 1))
+    declared: set[str] = set()
+    for index, text in enumerate(tokens):
+        if text == ":" and tokens[index - 1] in _VAR_ORDER:
+            name = tokens[index - 1]
+            if name in declared:
+                raise ParseError(f"duplicate variable {name!r}", _column(src, index - 1))
+            declared.add(name)
+    variables = sort_variables(declared)
+    reader = _Reader(src, tokens, variables, True)
+    images: dict[str, MultiPoly] = {}
+    index = 2
+    while tokens[index] != "}":
+        name = tokens[index]
+        if name == _END:
+            raise ParseError("derivation body must be enclosed in braces", _column(src, index))
+        if tokens[index + 1] != ":":
+            raise ParseError("each entry must look like 'var: polynomial'", _column(src, index))
         if name not in _VAR_ORDER:
-            raise ParseError(f"unknown variable {name!r}", src.index(name) + 1)
-        if name in seen:
-            raise ParseError(f"duplicate variable {name!r}", src.rindex(name) + 1)
-        seen[name] = expr_src
-    variables = sort_variables(seen)
-    images = []
-    for name in variables:
-        node = parse_ast(seen[name])
-        for used in ast_variables(node):
-            if used not in variables:
-                raise ParseError(
-                    f"variable {used!r} is not declared by this derivation",
-                    src.index(used) + 1,
-                )
-        images.append(lower_ast(node, variables))
-    return Derivation(variables, tuple(images))
-
-
-def _split_entry(chunk: str, src: str) -> tuple[str, str]:
-    if ":" not in chunk:
-        raise ParseError("each entry must look like 'var: polynomial'", src.index(chunk.strip()[:1]) + 1 if chunk.strip() else 1)
-    name, expr_src = chunk.split(":", 1)
-    return name.strip(), expr_src.strip()
+            raise ParseError(f"unknown variable {name!r}", _column(src, index))
+        reader.pos = index + 2
+        images[name] = reader.expr()
+        index = reader.pos
+        if tokens[index] == ",":
+            index += 1
+        elif tokens[index] == _END:
+            raise ParseError("derivation body must be enclosed in braces", _column(src, index))
+        elif tokens[index] != "}":
+            reader.fail(index, f"unexpected token {tokens[index]!r}")
+    if not images:
+        raise ParseError("derivation needs at least one variable entry", _column(src, index))
+    if tokens[index + 1] != _END:
+        raise ParseError("derivation body must be enclosed in braces", _column(src, index + 1))
+    return Derivation(variables, tuple(images[name] for name in variables))

@@ -364,10 +364,6 @@ class MultiPoly:
             total += c
         return Fraction(total) / self.den
 
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Terms in decreasing graded-lex order (deterministic printing)."""
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
-
     def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
         if not self.nums:
             raise ZeroPolynomial("zero polynomial has no leading term")
@@ -388,11 +384,9 @@ class MultiPoly:
         if self.is_zero():
             return f"MultiPoly({self.variables}, 0)"
         parts = []
-        for exps, c in self.sorted_terms():
-            mono = "*".join(
-                f"{v}^{e}" for v, e in zip(self.variables, exps) if e
-            )
-            parts.append(f"{c}" + (f"*{mono}" if mono else ""))
+        for exps in sorted(self.nums, key=grlex_key, reverse=True):
+            mono = "*".join(f"{v}^{e}" for v, e in zip(self.variables, exps) if e)
+            parts.append(f"{Fraction(self.nums[exps], self.den)}" + (f"*{mono}" if mono else ""))
         return f"MultiPoly({self.variables}, " + " + ".join(parts) + ")"
 
 

@@ -1,10 +1,14 @@
 import argparse
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dercert.cli
+import dercert.derivation
 import dercert.image
 import dercert.simplicity
 from dercert.cli import EXIT_INTERNAL, run_command
@@ -402,3 +406,59 @@ class TestReusedParser:
         capsys.readouterr()
         assert built[0] > 0
         assert built[1:] == [0, 0]
+
+
+class TestRecognizeOnce:
+    """cli, decide_mz and certified_nonmembership share one recognition."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "deriv{x: y, y: x*y + 1}"],
+            ["analyze", "deriv{y1: 2*y1^2, y2: y2}"],
+            ["mz", "deriv{x: 1, y1: x*y1^2, y2: y2}"],
+            ["mz", "deriv{y1: y1^2, y2: 3*y2}"],
+            ["image", "deriv{x: y, y: x*y + 1}", "--target", "x", "--bound", "3"],
+            ["image", "deriv{x: y, y: x*y^2 + 1}", "--target", "y", "--bound", "2"],
+        ],
+    )
+    def test_one_recognition_per_request(self, monkeypatch, capsys, argv):
+        calls: Counter = Counter()
+        for name in ("_recognize", "_recognize_plane", "_recognize_diag_x", "_recognize_diag"):
+            real = getattr(dercert.derivation, name)
+
+            def counted(D, real=real, name=name):
+                calls[name] += 1
+                return real(D)
+
+            monkeypatch.setattr(dercert.derivation, name, counted)
+        assert run_command(["--json"] + argv) in (0, 4)
+        capsys.readouterr()
+        assert calls["_recognize"] == 1
+        assert max(calls.values()) == 1
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestEmitter:
+    """--json reports are json.dumps(report, indent=2, sort_keys=True), byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_matches_json_dumps(self, value):
+        assert dercert.cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_escapes_and_non_ascii(self):
+        value = {"b": ["\u00e9\n\"\\", "\ud83d\ude00", "\x00"], "a": {}, "c": [], "d": -0.0}
+        assert dercert.cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    def test_golden_reports_reemit(self):
+        golden = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
+        for case in golden:
+            report = {**case["report"], "timing_ms": 12.375}
+            assert dercert.cli._json(report) == json.dumps(report, indent=2, sort_keys=True)

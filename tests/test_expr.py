@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -116,3 +120,68 @@ class TestParseDerivation:
     def test_declaration_order_is_canonical(self):
         D = parse_derivation("deriv{y: x, x: y}")
         assert D.variables == ("x", "y")
+
+
+class TestErrorColumns:
+    """Every ParseError names a token by its column in the string passed."""
+
+    @pytest.mark.parametrize(
+        "src, column, message",
+        [
+            ("deriv{x: y, y: 1 + }", 20, "unexpected end of input"),
+            ("deriv{x: y, y: 1 $ 2}", 18, "unexpected character '$'"),
+            ("deriv{x: y, y: x^1000001}", 18, "exponent exceeds 1000000"),
+            ("deriv{x: 1, x 2}", 13, "each entry must look like 'var: polynomial'"),
+            ("deriv{x: y, x: x}", 13, "duplicate variable 'x'"),
+            ("deriv{x: 1, y1: 2*y}", 19, "variable 'y' is not declared by this derivation"),
+            ("  deriv{x: 1, y: 1/0}", 20, "denominator must be a positive integer"),
+        ],
+    )
+    def test_derivation(self, src, column, message):
+        with pytest.raises(ParseError) as err:
+            parse_derivation(src)
+        assert err.value.column == column
+        assert str(err.value) == f"{message} (column {column})"
+
+    def test_polynomial_over_given_variables(self):
+        with pytest.raises(ParseError) as err:
+            parse_poly("x + y", ("x",))
+        assert err.value.column == 5
+        assert "unknown variable 'y' in this context" in str(err.value)
+
+    def test_leftmost_undeclared_variable(self):
+        with pytest.raises(ParseError) as err:
+            parse_derivation("deriv{x: 1, y1: y2 + y3}")
+        assert err.value.column == 17 and "'y2'" in str(err.value)
+
+    def test_undeclared_variable_does_not_depend_on_hash_seed(self):
+        code = (
+            "from dercert import ParseError, parse_derivation\n"
+            "try:\n"
+            "    parse_derivation('deriv{x: 1, y1: y2 + y3}')\n"
+            "except ParseError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = set()
+        for seed in ("1", "3"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            outputs.add(run.stdout)
+        assert outputs == {"variable 'y2' is not declared by this derivation (column 17)\n"}
+
+
+class TestPrintCoefficients:
+    @pytest.mark.parametrize(
+        "src, text",
+        [
+            ("x^2*y - x + 3/2", "x^2*y - x + 3/2"),
+            ("-x*y^2 + 1/3*x - 2/4", "-1*x*y^2 + 1/3*x - 1/2"),
+            ("-5/3", "-5/3"),
+            ("6/3*y + 1", "2*y + 1"),
+            ("1 - 1/6*y1*y2^3", "-1/6*y1*y2^3 + 1"),
+            ("0*x", "0"),
+        ],
+    )
+    def test_text(self, src, text):
+        assert poly_to_str(parse_poly(src)) == text
