@@ -23,12 +23,10 @@ from .darboux import (
 )
 from .derivation import (
     Derivation,
-    FamilyA,
-    FamilyB,
     FamilyDiag,
     FamilyDiagX,
-    FamilyPow,
     Generic,
+    PlaneFamily,
     UnsupportedFamily,
     locally_finite_closed_form,
     recognize_family,
@@ -68,7 +66,6 @@ from .simplicity import (
     conjecture_necessary,
     conjecture_scan,
     decide_simple_family_a,
-    power_condition3_solve,
     verify_stable_ideal,
 )
 from .upoly import rational_roots
@@ -86,12 +83,10 @@ __all__ = [
     "solve_residual_system",
     "verify_darboux",
     "Derivation",
-    "FamilyA",
-    "FamilyB",
     "FamilyDiag",
     "FamilyDiagX",
-    "FamilyPow",
     "Generic",
+    "PlaneFamily",
     "UnsupportedFamily",
     "locally_finite_closed_form",
     "recognize_family",
@@ -126,7 +121,6 @@ __all__ = [
     "conjecture_necessary",
     "conjecture_scan",
     "decide_simple_family_a",
-    "power_condition3_solve",
     "verify_stable_ideal",
     "rational_roots",
 ]

@@ -25,18 +25,14 @@ from math import isfinite
 from .darboux import (
     SearchBounds,
     SearchOutcome,
-    darboux_search_family_a,
     darboux_search_power_family,
 )
 from .derivation import (
     Derivation,
-    FamilyA,
-    FamilyB,
     FamilyDiag,
     FamilyDiagX,
-    FamilyPow,
+    PlaneFamily,
     X_ONLY,
-    Generic,
     UnsupportedFamily,
     locally_finite_closed_form,
     recognize_family,
@@ -46,7 +42,9 @@ from .image import (
     CertifiedNonMember,
     Member,
     NotFoundUpTo,
+    certified_nonmembership,
     decide_mz,
+    image_membership,
 )
 from .mpoly import CheckFailed, MultiPoly, VariableMismatch, ZeroPolynomial
 from .simplicity import (
@@ -83,16 +81,16 @@ RULE_TEXT = {
 
 
 def describe_family(family) -> dict:
-    if isinstance(family, FamilyB):
-        return {"name": "plane-linear", "a1": poly_to_str(family.a1), "a0": str(family.a0)}
-    if isinstance(family, FamilyA):
-        return {
-            "name": "plane-quadratic",
-            "a2": poly_to_str(family.a2),
-            "a1": poly_to_str(family.a1),
-            "a0": poly_to_str(family.a0),
-        }
-    if isinstance(family, FamilyPow):
+    if isinstance(family, PlaneFamily):
+        if family.linear:
+            return {"name": "plane-linear", "a1": poly_to_str(family.a1), "a0": poly_to_str(family.a0)}
+        if family.quadratic:
+            return {
+                "name": "plane-quadratic",
+                "a2": poly_to_str(family.a2),
+                "a1": poly_to_str(family.a1),
+                "a0": poly_to_str(family.a0),
+            }
         return {
             "name": "plane-power",
             "alpha": family.alpha,
@@ -245,26 +243,23 @@ def _cmd_analyze(args, report: dict) -> int:
     report["family"] = describe_family(family)
     results: dict = {}
     report["results"] = results
-    code = EXIT_OK
-    if isinstance(family, Generic):
-        results["note"] = "no structured family recognized; no decision available"
-        return EXIT_UNSUPPORTED
-    if isinstance(family, FamilyB):
-        verdict = decide_simple_family_a(family.as_family_a())
-        results["simplicity"] = _simplicity_dict(verdict)
-        results["mz"] = _mz_dict(D)
-        results["locally_finite"] = locally_finite_closed_form(family)
-    elif isinstance(family, FamilyA):
-        verdict = decide_simple_family_a(family)
-        results["simplicity"] = _simplicity_dict(verdict)
-        results["mz"] = {"status": "unsupported", "reason": "no rule covers this shape"}
-    elif isinstance(family, FamilyPow):
-        check = conjecture_necessary(family)
-        results["necessary_conditions"] = _necessary_dict(check)
+    if isinstance(family, PlaneFamily):
+        if family.quadratic:
+            results["simplicity"] = _simplicity_dict(decide_simple_family_a(family))
+            if family.linear:
+                results["mz"] = _mz_dict(D)
+                results["locally_finite"] = locally_finite_closed_form(family)
+            else:
+                results["mz"] = {"status": "unsupported", "reason": "no rule covers this shape"}
+        else:
+            results["necessary_conditions"] = _necessary_dict(conjecture_necessary(family))
     elif isinstance(family, (FamilyDiagX, FamilyDiag)):
         results["mz"] = _mz_dict(D)
         results["locally_finite"] = locally_finite_closed_form(family)
-    return code
+    else:
+        results["note"] = "no structured family recognized; no decision available"
+        return EXIT_UNSUPPORTED
+    return EXIT_OK
 
 
 def _simplicity_dict(verdict: SimplicityVerdict) -> dict:
@@ -302,13 +297,8 @@ def _mz_dict(D: Derivation) -> dict:
 
 def _cmd_mz(args, report: dict) -> int:
     D = parse_derivation(args.derivation)
-    family = recognize_family(D)
-    report["family"] = describe_family(family)
-    try:
-        report["results"] = {"mz": _mz_dict(D)}
-    except UnsupportedFamily as exc:
-        report["results"] = {"error": str(exc)}
-        return EXIT_UNSUPPORTED
+    report["family"] = describe_family(recognize_family(D))
+    report["results"] = {"mz": _mz_dict(D)}
     return EXIT_OK
 
 
@@ -316,8 +306,6 @@ def _cmd_image(args, report: dict) -> int:
     D = parse_derivation(args.derivation)
     target = parse_poly(args.target, D.variables)
     report["family"] = describe_family(recognize_family(D))
-    from .image import certified_nonmembership, image_membership
-
     result = image_membership(D, target, args.bound)
     results = {"target": args.target, "membership": describe_image_result(result)}
     report["results"] = results
@@ -344,24 +332,8 @@ def _cmd_darboux(args, report: dict) -> int:
     report["family"] = describe_family(family)
     bounds = _search_bounds(args)
     report["bounds"] = dataclasses.asdict(bounds)
-    if isinstance(family, FamilyB):
-        family = family.as_family_a()
-    searchable = (
-        isinstance(family, (FamilyA, FamilyPow))
-        and family.a2.total_degree() >= 1
-        and family.a0.is_constant()
-        and not family.a0.is_zero()
-        and (not isinstance(family, FamilyPow) or family.alpha == family.beta)
-    )
-    if not searchable:
-        report["results"] = {
-            "error": "search needs deg a2 >= 1 and a0 a nonzero constant"
-        }
-        return EXIT_UNSUPPORTED
-    if isinstance(family, FamilyPow):
-        outcome = darboux_search_power_family(family, bounds)
-    else:
-        outcome = darboux_search_family_a(family, bounds)
+    # the search raises UnsupportedFamily outside its hypotheses
+    outcome = darboux_search_power_family(family, bounds)
     report["results"] = {"search": describe_search(outcome)}
     return EXIT_OK if outcome.status == "found" else EXIT_NOT_FOUND
 

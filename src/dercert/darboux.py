@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .derivation import X_ONLY, Derivation, FamilyA, FamilyPow
+from .derivation import X_ONLY, Derivation, Family, PlaneFamily, UnsupportedFamily
 from .firstorder import NoSolutionShape, solve_first_order, split_x
 from .mpoly import CheckFailed, MultiPoly, ZeroPolynomial, divide_exact
 from .upoly import rational_roots
@@ -54,6 +54,17 @@ def verify_darboux(D: Derivation, F: MultiPoly) -> DarbouxPair | NotDarboux:
     return DarbouxPair(F=F, cofactor=cofactor)
 
 
+def searchable(fam: Family) -> bool:
+    """The search hypotheses: a plane family with alpha = beta, deg a2 >= 1, a0 in Q*."""
+    return (
+        isinstance(fam, PlaneFamily)
+        and fam.alpha == fam.beta
+        and fam.a2.total_degree() >= 1
+        and fam.a0.is_constant()
+        and not fam.a0.is_zero()
+    )
+
+
 # -- structure audit ------------------------------------------------------
 
 
@@ -78,15 +89,18 @@ def _decompose_in_y(p: MultiPoly) -> dict[int, MultiPoly]:
 
 
 def audit_structure(
-    fam: FamilyA, pair: DarbouxPair
+    fam: PlaneFamily, pair: DarbouxPair
 ) -> CofactorStructure | ViolationReport:
     """Check the forced cofactor shape and the coefficient recurrences.
 
-    Inside the hypotheses (deg a2 >= 1, a0 a nonzero constant) the audit
-    asserts deg_y L <= 1, d1 = n*a2, a constant leading coefficient, and
-    the full recurrence chain linking the c_i.  Outside them only the
-    decomposition is produced, flagged as such.
+    The family must be quadratic.  Inside the search hypotheses (deg
+    a2 >= 1, a0 a nonzero constant) the audit asserts deg_y L <= 1,
+    d1 = n*a2, a constant leading coefficient, and the full recurrence
+    chain linking the c_i.  Outside them only the decomposition is
+    produced, flagged as such.
     """
+    if not fam.quadratic:
+        raise UnsupportedFamily("the structure audit needs alpha = beta = 1")
     D = fam.to_derivation()
     F = pair.F.with_variables(PLANE)
     cof = pair.cofactor.with_variables(PLANE)
@@ -103,12 +117,7 @@ def audit_structure(
         return ViolationReport("cofactor-y-degree", "deg_y of cofactor exceeds 1")
     d1 = cof_y.get(1, zero)
     d0 = cof_y.get(0, zero)
-    in_hypotheses = (
-        fam.a2.total_degree() >= 1
-        and fam.a0.is_constant()
-        and not fam.a0.is_zero()
-    )
-    if not in_hypotheses:
+    if not searchable(fam):
         return CofactorStructure(
             n=n,
             d1=d1,
@@ -360,6 +369,12 @@ class SearchBounds:
     cx_deg_max: int
     residual_effort: int = 100
 
+    def __post_init__(self):
+        if self.n_max < 1:
+            raise ValueError("n_max must be at least 1")
+        if min(self.d0_deg_max, self.cx_deg_max, self.residual_effort) < 0:
+            raise ValueError("degree bounds and residual effort must be nonnegative")
+
     def degree_bounds(self) -> dict[str, int]:
         """The three degree bounds, as scan reports and evidence rows record them."""
         return {
@@ -377,7 +392,7 @@ class SearchOutcome:
 
 
 def _search_fixed_n(
-    fam: FamilyPow, n: int, bounds: SearchBounds
+    fam: PlaneFamily, n: int, bounds: SearchBounds
 ) -> tuple[list[DarbouxPair], str | None]:
     """One y-degree slice of the search.
 
@@ -444,13 +459,9 @@ def _search_fixed_n(
     return pairs, result.note if result.undecided else None
 
 
-def _search_power(fam: FamilyPow, bounds: SearchBounds) -> SearchOutcome:
-    if fam.alpha != fam.beta:
-        raise ValueError("triangular search requires matching powers")
-    if fam.a2.total_degree() < 1:
-        raise ValueError("search requires deg a2 >= 1")
-    if not fam.a0.is_constant() or fam.a0.is_zero():
-        raise ValueError("search requires a0 to be a nonzero constant")
+def _search_power(fam: PlaneFamily, bounds: SearchBounds) -> SearchOutcome:
+    if not searchable(fam):
+        raise UnsupportedFamily("search needs deg a2 >= 1 and a0 a nonzero constant")
     pairs: list[DarbouxPair] = []
     gave_up: list[str] = []
     for n in range(1, bounds.n_max + 1):
@@ -469,17 +480,17 @@ def _search_power(fam: FamilyPow, bounds: SearchBounds) -> SearchOutcome:
     return SearchOutcome("none-up-to-bounds", [])
 
 
-def darboux_search_family_a(fam: FamilyA, bounds: SearchBounds) -> SearchOutcome:
+def darboux_search_family_a(fam: PlaneFamily, bounds: SearchBounds) -> SearchOutcome:
     """Bounded search over cofactors n*a2*y + d0 with deg d0 <= d0_deg_max.
 
     No Darboux polynomial within the bounds is reported as
     none-up-to-bounds; this is never a proof for unbounded degrees, the
-    simplicity criterion is.
+    simplicity criterion is.  A family outside the search hypotheses
+    raises UnsupportedFamily.
     """
-    power = FamilyPow(alpha=1, beta=1, a2=fam.a2, a1=fam.a1, a0=fam.a0)
-    return _search_power(power, bounds)
+    return _search_power(fam, bounds)
 
 
-def darboux_search_power_family(fam: FamilyPow, bounds: SearchBounds) -> SearchOutcome:
+def darboux_search_power_family(fam: PlaneFamily, bounds: SearchBounds) -> SearchOutcome:
     """Same triangular descent for the alpha = beta power family."""
     return _search_power(fam, bounds)

@@ -4,16 +4,14 @@ A derivation is stored by its images on the ring variables and applied
 through the product rule, D(f) = sum_v D(v) * df/dv.  Recognition maps a
 raw derivation to the most specific structured family:
 
-  FamilyB     y*dx + (a1(x)*y + a0)*dy          (a0 constant)
-  FamilyA     y*dx + (a2(x)*y^2 + a1(x)*y + a0(x))*dy
-  FamilyPow   y^alpha*dx + (a2*y^(beta+1) + a1*y^beta + a0)*dy, alpha <= beta
+  PlaneFamily y^alpha*dx + (a2*y^(beta+1) + a1*y^beta + a0)*dy, alpha <= beta
   FamilyDiagX dx + sum gamma_i(x) * y_i^(k_i) * d_i     (k_i >= 1)
   FamilyDiag  sum gamma_i * y_i^(k_i) * d_i             (n >= 2, gamma_i != 0)
 
-FamilyB is a sub-shape of FamilyA, which is FamilyPow with
-alpha = beta = 1; recognition always returns the tightest match.  The
-coefficients a2, a1, a0 and gamma_i are MultiPoly values over X_ONLY,
-their terms in ascending degree.
+A plane family is quadratic when alpha = beta = 1, the shape of the
+simplicity theorem, and linear when it is quadratic with a2 = 0 and a
+constant a0.  The coefficients a2, a1, a0 and gamma_i are MultiPoly
+values over X_ONLY, their terms in ascending degree.
 """
 
 from __future__ import annotations
@@ -59,36 +57,7 @@ class Derivation:
 
 
 @dataclass(frozen=True)
-class FamilyA:
-    a2: MultiPoly
-    a1: MultiPoly
-    a0: MultiPoly
-
-    def to_derivation(self) -> Derivation:
-        v = ("x", "y")
-        y = MultiPoly.var(v, "y")
-        img_y = (
-            self.a2.with_variables(v) * y**2
-            + self.a1.with_variables(v) * y
-            + self.a0.with_variables(v)
-        )
-        return Derivation(v, (y, img_y))
-
-
-@dataclass(frozen=True)
-class FamilyB:
-    a1: MultiPoly
-    a0: Fraction
-
-    def to_derivation(self) -> Derivation:
-        return self.as_family_a().to_derivation()
-
-    def as_family_a(self) -> FamilyA:
-        return FamilyA(MultiPoly.zero(X_ONLY), self.a1, MultiPoly.constant(X_ONLY, self.a0))
-
-
-@dataclass(frozen=True)
-class FamilyPow:
+class PlaneFamily:
     """y^alpha on x, and a two-step power shape on y; alpha <= beta."""
 
     alpha: int
@@ -100,6 +69,16 @@ class FamilyPow:
     def __post_init__(self):
         if not (1 <= self.alpha <= self.beta):
             raise ValueError("alpha and beta must satisfy 1 <= alpha <= beta")
+
+    @property
+    def quadratic(self) -> bool:
+        """alpha = beta = 1: y*dx + (a2*y^2 + a1*y + a0)*dy."""
+        return self.alpha == self.beta == 1
+
+    @property
+    def linear(self) -> bool:
+        """Quadratic with a2 = 0 and a constant a0: y*dx + (a1*y + a0)*dy."""
+        return self.quadratic and self.a2.is_zero() and self.a0.is_constant()
 
     def to_derivation(self) -> Derivation:
         v = ("x", "y")
@@ -161,7 +140,7 @@ class Generic:
     """No structured family matched."""
 
 
-Family = FamilyA | FamilyB | FamilyPow | FamilyDiagX | FamilyDiag | Generic
+Family = PlaneFamily | FamilyDiagX | FamilyDiag | Generic
 
 
 # -- recognition --------------------------------------------------------
@@ -198,20 +177,14 @@ def _recognize_plane(D: Derivation) -> Family:
             return Generic()
     a0 = by_y.get(0, MultiPoly.zero(D.variables)).restrict(x)
     support = sorted(e for e in by_y if e >= 1)
-    if alpha == 1 and all(e <= 2 for e in support):
-        a2 = by_y.get(2, MultiPoly.zero(D.variables)).restrict(x)
-        a1 = by_y.get(1, MultiPoly.zero(D.variables)).restrict(x)
-        if a2.is_zero() and a0.is_constant():
-            return FamilyB(a1=a1, a0=a0.constant_value())
-        return FamilyA(a2=a2, a1=a1, a0=a0)
     zero = MultiPoly.zero(X_ONLY)
 
-    def read(e2: int | None, e1: int | None, beta: int) -> FamilyPow | None:
+    def read(e2: int | None, e1: int | None, beta: int) -> PlaneFamily | None:
         if beta < alpha:
             return None
         a2 = by_y[e2].restrict(x) if e2 is not None else zero
         a1 = by_y[e1].restrict(x) if e1 is not None else zero
-        return FamilyPow(alpha=alpha, beta=beta, a2=a2, a1=a1, a0=a0)
+        return PlaneFamily(alpha=alpha, beta=beta, a2=a2, a1=a1, a0=a0)
 
     if not support:
         fam = read(None, None, alpha)
@@ -299,7 +272,7 @@ def locally_finite_closed_form(family: Family) -> bool:
         )
     if isinstance(family, FamilyDiag):
         return all(k <= 1 for k in family.ks)
-    if isinstance(family, FamilyB):
+    if isinstance(family, PlaneFamily) and family.linear:
         return family.a1.total_degree() <= 0
     raise UnsupportedFamily(
         f"no closed-form local-finiteness test for {type(family).__name__}"

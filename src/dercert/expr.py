@@ -86,6 +86,13 @@ class _Reader:
             message = f"unexpected character {text[0]!r}"
         raise ParseError(message, _column(self.src, index))
 
+    def integer(self, index: int) -> int:
+        """The decimal token at `index`; one too long for int() fails at its column."""
+        try:
+            return int(self.tokens[index])
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            self.fail(index, f"integer literal of {len(self.tokens[index])} digits is too long")
+
     def expr(self) -> MultiPoly:
         node = self.term()
         tokens = self.tokens
@@ -115,7 +122,7 @@ class _Reader:
         text = self.tokens[index]
         if not text.isdecimal():
             self.fail(index, "exponent must be a nonnegative integer")
-        exponent = int(text)
+        exponent = self.integer(index)
         if exponent > MAX_EXPONENT:
             self.fail(index, f"exponent exceeds {MAX_EXPONENT}")
         self.pos = index + 1
@@ -129,13 +136,12 @@ class _Reader:
             self.pos = index + 1
             return atom
         if text.isdecimal():
-            num, den = int(text), 1
+            num, den = self.integer(index), 1
             if self.tokens[index + 1] == "/":
                 index += 2
-                text = self.tokens[index]
-                if not text.isdecimal() or int(text) == 0:
+                den = self.integer(index) if self.tokens[index].isdecimal() else 0
+                if den == 0:
                     self.fail(index, "denominator must be a positive integer")
-                den = int(text)
                 g = gcd(num, den)
                 num, den = num // g, den // g
             self.pos = index + 1

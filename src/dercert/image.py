@@ -18,9 +18,9 @@ from math import lcm
 from .derivation import (
     Derivation,
     Family,
-    FamilyB,
     FamilyDiag,
     FamilyDiagX,
+    PlaneFamily,
     UnsupportedFamily,
     locally_finite_closed_form,
     recognize_family,
@@ -165,10 +165,7 @@ def _y_var(D: Derivation, index: int) -> MultiPoly:
 
 
 def certified_nonmembership(
-    D: Derivation,
-    target: MultiPoly,
-    sanity_bound: int = DEFAULT_SANITY_BOUND,
-    m_min: int = DEFAULT_M_MIN,
+    D: Derivation, target: MultiPoly, sanity_bound: int = DEFAULT_SANITY_BOUND
 ) -> CertifiedNonMember | None:
     """Match (family, hypotheses, target) against a proven non-membership.
 
@@ -180,7 +177,7 @@ def certified_nonmembership(
         deg gamma_i >= 1 (zero-image coordinates act as constants and do
         not interfere);
       * sum gamma_i y_i^k_i d_i (n >= 2, gamma_i != 0): target
-        y_i * y_j^m for k_i > 1, all k >= 1, j != i, m >= m_min; and
+        y_i * y_j^m for k_i > 1, all k >= 1, j != i, m >= DEFAULT_M_MIN; and
         target y_i for k_i > 1 when some k_j = 0.
 
     Every certificate is cross-checked by a bounded solve before being
@@ -189,7 +186,7 @@ def certified_nonmembership(
     """
     family = recognize_family(D)
     target = target.with_variables(D.variables)
-    cert = _match_pattern(D, family, target, m_min)
+    cert = _match_pattern(D, family, target)
     if cert is None:
         return None
     check = image_membership(D, target, sanity_bound)
@@ -200,17 +197,19 @@ def certified_nonmembership(
     return cert
 
 
-def _match_pattern(
-    D: Derivation, family: Family, target: MultiPoly, m_min: int
-) -> CertifiedNonMember | None:
-    if isinstance(family, FamilyB):
-        if (
-            family.a0 != 0
-            and family.a1.total_degree() >= 1
-            and target == MultiPoly.var(D.variables, "x")
-        ):
-            return CertifiedNonMember(TAG_P22, "x-outside-image", target)
-        return None
+def _simple_linear(family: Family) -> bool:
+    """Whether family is the simple linear plane family: a0 != 0 and deg a1 >= 1."""
+    return (
+        isinstance(family, PlaneFamily)
+        and family.linear
+        and not family.a0.is_zero()
+        and family.a1.total_degree() >= 1
+    )
+
+
+def _match_pattern(D: Derivation, family: Family, target: MultiPoly) -> CertifiedNonMember | None:
+    if _simple_linear(family) and target == MultiPoly.var(D.variables, "x"):
+        return CertifiedNonMember(TAG_P22, "x-outside-image", target)
     if isinstance(family, FamilyDiagX):
         nonzero = [i for i, g in enumerate(family.gammas) if not g.is_zero()]
         for i in nonzero:
@@ -234,7 +233,7 @@ def _match_pattern(
             i, j = support
             if exps[i] != 1:
                 i, j = j, i
-            if exps[i] == 1 and ks[i] > 1 and exps[j] >= m_min:
+            if exps[i] == 1 and ks[i] > 1 and exps[j] >= DEFAULT_M_MIN:
                 return CertifiedNonMember(
                     TAG_T53, "mixed-power-product", target, m_used=exps[j]
                 )
@@ -261,7 +260,7 @@ class MzVerdict:
     evidence: object | None = None
 
 
-def decide_mz(D: Derivation, sanity_bound: int = DEFAULT_SANITY_BOUND) -> MzVerdict:
+def decide_mz(D: Derivation) -> MzVerdict:
     """Mathieu-Zhao status of Im D for the supported families.
 
     Plane family with constant a0: the image is MZ exactly when the
@@ -271,14 +270,11 @@ def decide_mz(D: Derivation, sanity_bound: int = DEFAULT_SANITY_BOUND) -> MzVerd
     family with a2 != 0) is refused rather than guessed.
     """
     family = recognize_family(D)
-    if isinstance(family, FamilyB):
-        simple = family.a0 != 0 and family.a1.total_degree() >= 1
-        if simple:
-            evidence = certified_nonmembership(
-                D, MultiPoly.var(D.variables, "x"), sanity_bound
-            )
-            return MzVerdict(mz=False, theorem=TAG_C23, evidence=evidence)
-        if family.a0 != 0:
+    if _simple_linear(family):
+        evidence = certified_nonmembership(D, MultiPoly.var(D.variables, "x"))
+        return MzVerdict(mz=False, theorem=TAG_C23, evidence=evidence)
+    if isinstance(family, PlaneFamily) and family.linear:
+        if not family.a0.is_zero():
             return MzVerdict(
                 mz=True, theorem=TAG_C23, evidence=("locally-finite", True)
             )
@@ -290,7 +286,7 @@ def decide_mz(D: Derivation, sanity_bound: int = DEFAULT_SANITY_BOUND) -> MzVerd
         if loc_fin:
             return MzVerdict(mz=True, theorem=tag, evidence=("locally-finite", True))
         target = _first_obstruction_diag_x(D, family)
-        evidence = certified_nonmembership(D, target, sanity_bound)
+        evidence = certified_nonmembership(D, target)
         return MzVerdict(mz=False, theorem=tag, evidence=evidence)
     if isinstance(family, FamilyDiag):
         if all(k <= 1 for k in family.ks):
@@ -298,7 +294,7 @@ def decide_mz(D: Derivation, sanity_bound: int = DEFAULT_SANITY_BOUND) -> MzVerd
                 mz=True, theorem=TAG_T53, evidence=("locally-finite", True)
             )
         target = _first_obstruction_diag(D, family)
-        evidence = certified_nonmembership(D, target, sanity_bound)
+        evidence = certified_nonmembership(D, target)
         return MzVerdict(mz=False, theorem=TAG_T53, evidence=evidence)
     raise UnsupportedFamily(
         "no Mathieu-Zhao decision is available for this derivation shape"

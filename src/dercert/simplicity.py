@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .derivation import X_ONLY, Derivation, FamilyA, FamilyPow
+from .derivation import X_ONLY, Derivation, PlaneFamily, UnsupportedFamily
 from .mpoly import CheckFailed, MultiPoly, divide_exact
 from .upoly import rational_roots
 
@@ -55,20 +55,14 @@ def _y(power: int = 1) -> MultiPoly:
     return MultiPoly.var(PLANE, "y", power)
 
 
-def condition3_solve(a2: MultiPoly, a1: MultiPoly, a0: Fraction) -> list[Fraction]:
-    """All l in Q* with a2 = l*a1 - l^2*a0, exhaustively over Q.
+def condition3_solve(a2: MultiPoly, a1: MultiPoly, a0: Fraction, beta: int) -> list[Fraction]:
+    """All l in Q* with a2 = l*a1 + (-1)^beta * l^(beta+1) * a0, exhaustively over Q.
 
-    For x-degrees j >= 1 the identity forces a2_j = l*a1_j, so any
+    beta = 1 gives the simplicity condition a2 = l*a1 - l^2*a0.  For
+    x-degrees j >= 1 the identity forces a2_j = l*a1_j, so any
     nonconstant a1 pins l to a single candidate; a constant a1 forces a2
-    constant and leaves a quadratic in l.
+    constant and leaves a polynomial of degree beta + 1 in l.
     """
-    return power_condition3_solve(a2, a1, a0, 1)
-
-
-def power_condition3_solve(
-    a2: MultiPoly, a1: MultiPoly, a0: Fraction, beta: int
-) -> list[Fraction]:
-    """All l in Q* with a2 = l*a1 + (-1)^beta * l^(beta+1) * a0."""
     if a0 == 0:
         raise ValueError("a0 must be a nonzero rational")
     sign = Fraction(-1) ** beta
@@ -137,13 +131,16 @@ def _pick_tag(a2: MultiPoly, a1: MultiPoly) -> str:
     return TAG_T42
 
 
-def decide_simple_family_a(fam: FamilyA) -> SimplicityVerdict:
+def decide_simple_family_a(fam: PlaneFamily) -> SimplicityVerdict:
     """Full simplicity decision for y*dx + (a2*y^2 + a1*y + a0)*dy.
 
     Simple iff a0 is a nonzero constant, a1 or a2 is nonconstant, and no
     l in Q* satisfies a2 = l*a1 - l^2*a0.  Each failing condition yields
-    the matching stable-ideal witness.
+    the matching stable-ideal witness.  A family that is not quadratic
+    raises UnsupportedFamily.
     """
+    if not fam.quadratic:
+        raise UnsupportedFamily("the simplicity decision needs alpha = beta = 1")
     a2, a1, a0 = fam.a2, fam.a1, fam.a0
     tag = _pick_tag(a2, a1)
     if a0.is_zero():
@@ -165,7 +162,7 @@ def decide_simple_family_a(fam: FamilyA) -> SimplicityVerdict:
             return SimplicityVerdict(False, _stable([witness]), tag)
         witness = _y(2).scale(Fraction(1, 2)) - MultiPoly.var(PLANE, "x").scale(a0_val)
         return SimplicityVerdict(False, _stable([witness]), tag)
-    solutions = condition3_solve(a2, a1, a0_val)
+    solutions = condition3_solve(a2, a1, a0_val, 1)
     if solutions:
         l = solutions[0]
         witness = _y() + MultiPoly.constant(PLANE, 1 / l)
@@ -188,7 +185,7 @@ class NecessaryCheck:
     l_value: Fraction | None = None
 
 
-def conjecture_necessary(fam: FamilyPow) -> NecessaryCheck:
+def conjecture_necessary(fam: PlaneFamily) -> NecessaryCheck:
     """Necessary conditions for simplicity of the power family.
 
     Checks, in order: a0 a nonzero constant; a1 or a2 nonconstant; no l
@@ -213,7 +210,7 @@ def conjecture_necessary(fam: FamilyPow) -> NecessaryCheck:
             + a0.with_variables(PLANE)
         )
         return NecessaryCheck(False, 2, _stable([witness]))
-    solutions = power_condition3_solve(a2, a1, a0_val, fam.beta)
+    solutions = condition3_solve(a2, a1, a0_val, fam.beta)
     if solutions:
         l = solutions[0]
         witness = _y() + MultiPoly.constant(PLANE, 1 / l)
@@ -237,19 +234,19 @@ def conjecture_scan(alpha: int, coeff_grid, bounds) -> list[ScanRow]:
     """Evidence table for the power family at a fixed alpha >= 2.
 
     For each (a2, a1, a0) cell: run the necessary-condition check; when
-    it passes and deg a2 >= 1, run the bounded triangular Darboux search
-    and report its outcome.  The scan never claims simplicity, only the
-    absence of obstructions up to the given bounds.  Witnesses from
-    failing cells are replayed through verify_stable_ideal before the
-    row is emitted.
+    it passes and the cell is searchable, run the bounded triangular
+    Darboux search and report its outcome.  The scan never claims
+    simplicity, only the absence of obstructions up to the given bounds.
+    Witnesses from failing cells are replayed through verify_stable_ideal
+    before the row is emitted.
     """
-    from .darboux import darboux_search_power_family
+    from .darboux import darboux_search_power_family, searchable
 
     if alpha < 2:
         raise ValueError("alpha = 1 is decided exactly; scan expects alpha >= 2")
     rows: list[ScanRow] = []
     for a2, a1, a0 in coeff_grid:
-        fam = FamilyPow(alpha=alpha, beta=alpha, a2=a2, a1=a1, a0=a0)
+        fam = PlaneFamily(alpha=alpha, beta=alpha, a2=a2, a1=a1, a0=a0)
         check = conjecture_necessary(fam)
         if not check.passed:
             if check.witness is None:
@@ -260,7 +257,7 @@ def conjecture_scan(alpha: int, coeff_grid, bounds) -> list[ScanRow]:
                 ScanRow(alpha, a2, a1, a0, "fail", check.l_value, "skipped")
             )
             continue
-        if a2.total_degree() < 1:
+        if not searchable(fam):
             rows.append(ScanRow(alpha, a2, a1, a0, "pass", None, "unsupported"))
             continue
         outcome = darboux_search_power_family(fam, bounds)

@@ -13,14 +13,12 @@ from dercert import (
     CertifiedNonMember,
     CofactorStructure,
     DarbouxPair,
-    FamilyA,
-    FamilyB,
     FamilyDiag,
     FamilyDiagX,
-    FamilyPow,
     Member,
     MultiPoly,
     NotFoundUpTo,
+    PlaneFamily,
     SearchBounds,
     audit_structure,
     conjecture_necessary,
@@ -66,7 +64,7 @@ def test_criterion_1_quadratic_family_grid():
     bounds = SearchBounds(n_max=3, d0_deg_max=3, cx_deg_max=4)
     for a2 in simple_a2:
         for a0 in (F(1), F(2), F(-3)):
-            fam = FamilyA(a2=a2, a1=uni([]), a0=uni([a0]))
+            fam = PlaneFamily(1, 1, a2=a2, a1=uni([]), a0=uni([a0]))
             verdict = decide_simple_family_a(fam)
             if not verdict.simple:
                 failures.append(f"a2={a2!r} a0={a0} expected simple")
@@ -80,8 +78,8 @@ def test_criterion_1_quadratic_family_grid():
                 )
     for a2_const in (F(0), F(1), F(5)):
         for a0 in (F(1), F(2), F(-3)):
-            fam = FamilyA(
-                a2=uni([a2_const]), a1=uni([]), a0=uni([a0])
+            fam = PlaneFamily(
+                1, 1, a2=uni([a2_const]), a1=uni([]), a0=uni([a0])
             )
             verdict = decide_simple_family_a(fam)
             if verdict.simple:
@@ -108,11 +106,11 @@ def test_criterion_2_planted_l_instances():
     failures = []
     for idx, (l, a1, a0) in enumerate(_random_instances(seed=1202, count=100)):
         a2 = a1.scale(l) - uni([l * l * a0])
-        solutions = condition3_solve(a2, a1, a0)
+        solutions = condition3_solve(a2, a1, a0, 1)
         if l not in solutions:
             failures.append(f"instance {idx}: l={l} not recovered")
             continue
-        fam = FamilyA(a2=a2, a1=a1, a0=uni([a0]))
+        fam = PlaneFamily(1, 1, a2=a2, a1=a1, a0=uni([a0]))
         verdict = decide_simple_family_a(fam)
         if verdict.simple:
             failures.append(f"instance {idx}: expected non-simple")
@@ -125,8 +123,8 @@ def test_criterion_2_planted_l_instances():
         D = fam.to_derivation()
         if divide_exact(D.apply(witness), witness) is None:
             failures.append(f"instance {idx}: witness fails exact division")
-    fam = FamilyA(
-        a2=poly("x - 1", ("x",)).restrict("x"), a1=uni([0, 1]), a0=uni([1])
+    fam = PlaneFamily(
+        1, 1, a2=poly("x - 1", ("x",)).restrict("x"), a1=uni([0, 1]), a0=uni([1])
     )
     pair = verify_darboux(fam.to_derivation(), poly("y + 1"))
     if not isinstance(pair, DarbouxPair) or pair.cofactor != poly("(x - 1)*y + 1"):
@@ -138,8 +136,8 @@ def _pairs_for_audit():
     """Darboux pairs over families inside the structure hypotheses (a1 != 0)."""
     collected = []
     fixed = [
-        FamilyA(a2=poly("x - 1", ("x",)).restrict("x"), a1=uni([0, 1]), a0=uni([1])),
-        FamilyA(a2=poly("2*x - 4", ("x",)).restrict("x"), a1=uni([0, 1]), a0=uni([1])),
+        PlaneFamily(1, 1, a2=poly("x - 1", ("x",)).restrict("x"), a1=uni([0, 1]), a0=uni([1])),
+        PlaneFamily(1, 1, a2=poly("2*x - 4", ("x",)).restrict("x"), a1=uni([0, 1]), a0=uni([1])),
     ]
     for fam in fixed:
         outcome = darboux_search_family_a(fam, SearchBounds(2, 2, 3))
@@ -149,7 +147,7 @@ def _pairs_for_audit():
         a2 = a1.scale(l) - uni([l * l * a0])
         if a2.total_degree() < 1:
             continue
-        fam = FamilyA(a2=a2, a1=a1, a0=uni([a0]))
+        fam = PlaneFamily(1, 1, a2=a2, a1=a1, a0=uni([a0]))
         witness = poly("y") + MultiPoly.constant(XY, 1 / l)
         pair = verify_darboux(fam.to_derivation(), witness)
         if isinstance(pair, DarbouxPair):
@@ -185,7 +183,7 @@ def test_criterion_3_cofactor_structure_audit():
 
 def test_criterion_4_linear_family_images():
     failures = []
-    fam = FamilyB(a1=uni([0, 1]), a0=F(1))
+    fam = PlaneFamily(1, 1, a2=uni([]), a1=uni([0, 1]), a0=uni([1]))
     D = fam.to_derivation()
     member = image_membership(D, MultiPoly.constant(XY, 1), 3)
     if not isinstance(member, Member) or member.preimage != poly("y - 1/2*x^2"):
@@ -195,13 +193,13 @@ def test_criterion_4_linear_family_images():
     if decide_mz(D).mz is not False:
         failures.append("simple linear family must not have an MZ image")
 
-    fam_const = FamilyB(a1=uni([1]), a0=F(1))
+    fam_const = PlaneFamily(1, 1, a2=uni([]), a1=uni([1]), a0=uni([1]))
     if decide_mz(fam_const.to_derivation()).mz is not True:
         failures.append("constant-coefficient family must have an MZ image")
     if locally_finite_closed_form(fam_const) is not True:
         failures.append("constant-coefficient family must be locally finite")
 
-    fam_zero = FamilyB(a1=uni([0, 1]), a0=F(0))
+    fam_zero = PlaneFamily(1, 1, a2=uni([]), a1=uni([0, 1]), a0=uni([0]))
     D0 = fam_zero.to_derivation()
     member_xy = image_membership(D0, poly("x*y"), 2)
     if not isinstance(member_xy, Member) or member_xy.preimage != poly("1/2*x^2"):
@@ -289,9 +287,9 @@ def test_criterion_6_diagonal_grid():
 def test_criterion_7_power_family_checks():
     failures = []
     failing = [
-        FamilyPow(alpha=2, beta=2, a2=uni([0, 1]), a1=uni([]), a0=uni([0, 1])),
-        FamilyPow(alpha=2, beta=2, a2=uni([]), a1=uni([]), a0=uni([1])),
-        FamilyPow(
+        PlaneFamily(alpha=2, beta=2, a2=uni([0, 1]), a1=uni([]), a0=uni([0, 1])),
+        PlaneFamily(alpha=2, beta=2, a2=uni([]), a1=uni([]), a0=uni([1])),
+        PlaneFamily(
             alpha=2,
             beta=2,
             a2=poly("x + 1", ("x",)).restrict("x"),

@@ -229,6 +229,23 @@ class TestParseErrors:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["darboux", "deriv{x: y, y: x*y^2 + 1}", "--n-max", "0"],
+            ["darboux", "deriv{x: y, y: x*y^2 + 1}", "--d0-deg", "-1"],
+            ["darboux", "deriv{x: y, y: x*y^2 + 1}", "--cx-deg", "-1"],
+            ["darboux", "deriv{x: y, y: x*y^2 + 1}", "--effort", "-1"],
+            ["conjecture-scan", "--alpha", "2", "--grid", str(POWER_GRID), "--n-max", "0"],
+            ["conjecture-scan", "--alpha", "2", "--grid", str(POWER_GRID), "--d0-deg", "-1"],
+        ],
+    )
+    def test_out_of_range_search_bounds(self, capsys, argv):
+        code, report = run_json(capsys, argv)
+        assert code == 2
+        assert report["exit_code"] == 2
+        assert "must be" in report["results"]["error"]
+
     def test_missing_grid_file(self, capsys):
         code, report = run_json(
             capsys, ["conjecture-scan", "--alpha", "2", "--grid", "/nonexistent.jsonl"]

@@ -10,10 +10,9 @@ from dercert import (
     CheckFailed,
     CofactorStructure,
     DarbouxPair,
-    FamilyA,
-    FamilyPow,
     MultiPoly,
     NotDarboux,
+    PlaneFamily,
     SearchBounds,
     ViolationReport,
     ZeroPolynomial,
@@ -36,7 +35,7 @@ def poly(src):
 
 
 def fam(a2, a1, a0):
-    return FamilyA(a2=a2, a1=a1, a0=a0)
+    return PlaneFamily(1, 1, a2=a2, a1=a1, a0=a0)
 
 
 QUADRATIC = fam(uni([1]), uni([]), uni([1]))
@@ -304,7 +303,7 @@ def test_inexact_bareiss_division_is_caught(monkeypatch):
 GOLDEN_SEARCH_CELLS = [
     (
         # alpha = 3, a2 = x - 1, a1 = a0 = 1
-        FamilyPow(3, 3, uni([-1, 1]), uni([1]), uni([1])),
+        PlaneFamily(3, 3, uni([-1, 1]), uni([1]), uni([1])),
         SearchBounds(2, 1, 2),
         [
             [
@@ -347,7 +346,7 @@ GOLDEN_SEARCH_CELLS = [
     ),
     (
         # alpha = 1, built non-simple: a2 = l*a1 - l^2*a0 with l = 2
-        FamilyPow(1, 1, uni([-4, 2]), uni([0, 1]), uni([1])),
+        PlaneFamily(1, 1, uni([-4, 2]), uni([0, 1]), uni([1])),
         SearchBounds(2, 1, 2),
         [
             [

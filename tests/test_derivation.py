@@ -6,13 +6,11 @@ from hypothesis import given, settings
 
 from conftest import locally_finite_probe, multipolys, rationals, uni, unipolys
 from dercert import (
-    FamilyA,
-    FamilyB,
     FamilyDiag,
     FamilyDiagX,
-    FamilyPow,
     Generic,
     MultiPoly,
+    PlaneFamily,
     UnsupportedFamily,
     VariableMismatch,
     locally_finite_closed_form,
@@ -31,7 +29,7 @@ def poly(src, variables=XY):
 
 class TestApply:
     def setup_method(self):
-        self.fam = FamilyA(a2=uni([0, 1]), a1=uni([]), a0=uni([1]))
+        self.fam = PlaneFamily(1, 1, a2=uni([0, 1]), a1=uni([]), a0=uni([1]))
         self.D = self.fam.to_derivation()
 
     def test_image_of_y(self):
@@ -51,13 +49,13 @@ class TestApply:
     @settings(max_examples=200, deadline=None)
     @given(multipolys(max_degree=4), multipolys(max_degree=4))
     def test_leibniz(self, f, g):
-        D = FamilyA(a2=uni([0, 1]), a1=uni([]), a0=uni([1])).to_derivation()
+        D = PlaneFamily(1, 1, a2=uni([0, 1]), a1=uni([]), a0=uni([1])).to_derivation()
         assert D.apply(f * g) == D.apply(f) * g + f * D.apply(g)
 
     @settings(max_examples=200, deadline=None)
     @given(multipolys(), multipolys(), rationals, rationals)
     def test_linearity(self, f, g, alpha, beta):
-        D = FamilyA(a2=uni([0, 1]), a1=uni([]), a0=uni([1])).to_derivation()
+        D = PlaneFamily(1, 1, a2=uni([0, 1]), a1=uni([]), a0=uni([1])).to_derivation()
         lhs = D.apply(f.scale(alpha) + g.scale(beta))
         assert lhs == D.apply(f).scale(alpha) + D.apply(g).scale(beta)
 
@@ -76,15 +74,15 @@ class TestIterated:
 class TestRecognize:
     def test_family_a(self):
         fam = recognize_family(parse_derivation("deriv{x: y, y: x*y^2 + 1}"))
-        assert fam == FamilyA(a2=uni([0, 1]), a1=uni([]), a0=uni([1]))
+        assert fam == PlaneFamily(1, 1, a2=uni([0, 1]), a1=uni([]), a0=uni([1]))
 
     def test_family_b_is_preferred(self):
         fam = recognize_family(parse_derivation("deriv{x: y, y: x*y + 1}"))
-        assert fam == FamilyB(a1=uni([0, 1]), a0=F(1))
+        assert fam == PlaneFamily(1, 1, a2=uni([]), a1=uni([0, 1]), a0=uni([1]))
 
     def test_family_a_when_a0_not_constant(self):
         fam = recognize_family(parse_derivation("deriv{x: y, y: x*y + x}"))
-        assert fam == FamilyA(a2=uni([]), a1=uni([0, 1]), a0=uni([0, 1]))
+        assert fam == PlaneFamily(1, 1, a2=uni([]), a1=uni([0, 1]), a0=uni([0, 1]))
 
     def test_diag_x(self):
         fam = recognize_family(parse_derivation("deriv{x: 1, y1: x*y1}"))
@@ -92,7 +90,7 @@ class TestRecognize:
 
     def test_power_family_with_constant_y_image(self):
         fam = recognize_family(parse_derivation("deriv{x: y^2, y: x}"))
-        assert fam == FamilyPow(
+        assert fam == PlaneFamily(
             alpha=2, beta=2, a2=uni([]), a1=uni([]), a0=uni([0, 1])
         )
 
@@ -107,10 +105,10 @@ class TestRecognize:
     @settings(max_examples=100, deadline=None)
     @given(unipolys(max_degree=3), unipolys(max_degree=3), unipolys(max_degree=3))
     def test_family_a_round_trip(self, a2, a1, a0):
-        fam = FamilyA(a2=a2, a1=a1, a0=a0)
+        fam = PlaneFamily(1, 1, a2=a2, a1=a1, a0=a0)
         recognized = recognize_family(fam.to_derivation())
         if a2.is_zero() and a0.is_constant():
-            assert recognized == FamilyB(a1=a1, a0=a0.constant_value())
+            assert recognized == PlaneFamily(1, 1, a2=a2, a1=a1, a0=a0)
         else:
             assert recognized == fam
 
@@ -122,7 +120,7 @@ class TestRecognize:
         unipolys(max_degree=2),
     )
     def test_power_family_semantic_round_trip(self, alpha, a2, a1, a0):
-        fam = FamilyPow(alpha=alpha, beta=alpha, a2=a2, a1=a1, a0=a0)
+        fam = PlaneFamily(alpha=alpha, beta=alpha, a2=a2, a1=a1, a0=a0)
         D = fam.to_derivation()
         recognized = recognize_family(D)
         assert not isinstance(recognized, Generic)
@@ -157,13 +155,13 @@ class TestLocallyFinite:
         assert locally_finite_closed_form(fam) is False
 
     def test_family_b(self):
-        assert locally_finite_closed_form(FamilyB(a1=uni([1]), a0=F(1))) is True
-        assert locally_finite_closed_form(FamilyB(a1=uni([0, 1]), a0=F(1))) is False
+        assert locally_finite_closed_form(PlaneFamily(1, 1, uni([]), uni([1]), uni([1]))) is True
+        assert locally_finite_closed_form(PlaneFamily(1, 1, uni([]), uni([0, 1]), uni([1]))) is False
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedFamily):
             locally_finite_closed_form(
-                FamilyA(a2=uni([0, 1]), a1=uni([]), a0=uni([1]))
+                PlaneFamily(1, 1, a2=uni([0, 1]), a1=uni([]), a0=uni([1]))
             )
 
 

@@ -6,21 +6,24 @@ import pytest
 
 from conftest import uni
 from dercert import (
+    DarbouxPair,
     Derivation,
     FamilyDiag,
     FamilyDiagX,
-    FamilyPow,
     MultiPoly,
     ParseError,
+    PlaneFamily,
+    UnsupportedFamily,
     UnsupportedIdealShape,
     VariableMismatch,
     ZeroPolynomial,
+    audit_structure,
+    decide_simple_family_a,
     parse_derivation,
     parse_poly,
     solve_first_order,
     verify_stable_ideal,
 )
-from dercert.derivation import FamilyA
 
 F = Fraction
 XY = ("x", "y")
@@ -79,7 +82,7 @@ def test_derivation_requires_matching_images():
 
 def test_family_validation():
     with pytest.raises(ValueError):
-        FamilyPow(alpha=2, beta=1, a2=uni([]), a1=uni([]), a0=uni([1]))
+        PlaneFamily(alpha=2, beta=1, a2=uni([]), a1=uni([]), a0=uni([1]))
     with pytest.raises(ValueError):
         FamilyDiagX(gammas=(uni([1]),), ks=(0,))
     with pytest.raises(ValueError):
@@ -88,13 +91,21 @@ def test_family_validation():
         FamilyDiag(gammas=(F(0), F(1)), ks=(1, 1))
 
 
+def test_quadratic_only_deciders_refuse_power_families():
+    fam = PlaneFamily(2, 2, a2=uni([0, 1]), a1=uni([]), a0=uni([1]))
+    with pytest.raises(UnsupportedFamily):
+        decide_simple_family_a(fam)
+    with pytest.raises(UnsupportedFamily):
+        audit_structure(fam, DarbouxPair(F=MultiPoly.var(XY, "y"), cofactor=MultiPoly.zero(XY)))
+
+
 def test_first_order_guards():
     with pytest.raises(ValueError):
         solve_first_order(uni([0, 1]), uni([1]), k=0)
 
 
 def test_verify_stable_ideal_zero_generator():
-    D = FamilyA(a2=uni([0, 1]), a1=uni([]), a0=uni([1])).to_derivation()
+    D = PlaneFamily(1, 1, a2=uni([0, 1]), a1=uni([]), a0=uni([1])).to_derivation()
     with pytest.raises(UnsupportedIdealShape):
         verify_stable_ideal(D, [MultiPoly.zero(XY)])
 

@@ -135,6 +135,19 @@ class TestErrorColumns:
             ("deriv{x: y, x: x}", 13, "duplicate variable 'x'"),
             ("deriv{x: 1, y1: 2*y}", 19, "variable 'y' is not declared by this derivation"),
             ("  deriv{x: 1, y: 1/0}", 20, "denominator must be a positive integer"),
+            # over Python's limit on the digits int() converts
+            pytest.param(
+                "deriv{x: y, y: " + "1" * 5000 + "}", 16,
+                "integer literal of 5000 digits is too long", id="long-numerator",
+            ),
+            pytest.param(
+                "deriv{x: y, y: 1/" + "3" * 5000 + "}", 18,
+                "integer literal of 5000 digits is too long", id="long-denominator",
+            ),
+            pytest.param(
+                "deriv{x: y, y: x^" + "2" * 5000 + "}", 18,
+                "integer literal of 5000 digits is too long", id="long-exponent",
+            ),
         ],
     )
     def test_derivation(self, src, column, message):

@@ -17,6 +17,14 @@ plane-linear member at bound 33, a translation-diagonal member over
 x, y1, y2 at bound 10 and a three-variable diagonal member at bound 11.
 They pin the canonical preimages and kernel dimensions of the systems
 that the packed assembly and the singleton-pivot elimination solve.
+
+The last nine were recorded while the plane shapes were still three
+classes (linear, quadratic and power), so they pin the reports of the
+paths that now branch on one family's properties: `darboux` refused on
+a generic, a diagonal, an alpha != beta, a constant-a2 and a
+nonconstant-a0 derivation; `mz` refused on a quadratic derivation;
+`analyze` on plane-linear cells with a0 = -3/2 and a0 = 0; and
+`analyze` on a plane-power cell with constant a1 and a2.
 """
 
 import json

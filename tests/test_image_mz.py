@@ -12,13 +12,12 @@ from dercert import (
     CertifiedNonMember,
     CheckFailed,
     Derivation,
-    FamilyA,
-    FamilyB,
     FamilyDiag,
     FamilyDiagX,
     Member,
     MultiPoly,
     NotFoundUpTo,
+    PlaneFamily,
     UnsupportedFamily,
     certified_nonmembership,
     decide_mz,
@@ -36,7 +35,7 @@ F = Fraction
 
 
 def mk_b(a1, a0):
-    return FamilyB(a1=a1, a0=F(a0))
+    return PlaneFamily(1, 1, a2=uni([]), a1=a1, a0=uni([a0]))
 
 
 class TestMembership:
@@ -351,12 +350,12 @@ class TestDecideMz:
         assert verdict.mz is False and verdict.theorem == "C2.3"
 
     def test_quadratic_plane_family_refused(self):
-        D = FamilyA(a2=uni([0, 1]), a1=uni([]), a0=uni([1])).to_derivation()
+        D = PlaneFamily(1, 1, a2=uni([0, 1]), a1=uni([]), a0=uni([1])).to_derivation()
         with pytest.raises(UnsupportedFamily):
             decide_mz(D)
 
     def test_nonconstant_a0_refused(self):
-        D = FamilyA(a2=uni([]), a1=uni([0, 1]), a0=uni([0, 1])).to_derivation()
+        D = PlaneFamily(1, 1, a2=uni([]), a1=uni([0, 1]), a0=uni([0, 1])).to_derivation()
         with pytest.raises(UnsupportedFamily):
             decide_mz(D)
 
@@ -365,9 +364,9 @@ class TestDecideMz:
         shapes = [uni([]), uni([1]), uni([0, 1]), uni([0, 0, 1]), uni([0, 0, 3])]
         for a1 in shapes:
             for a0 in (F(0), F(1), F(2)):
-                fam = FamilyB(a1=a1, a0=a0)
+                fam = PlaneFamily(1, 1, a2=uni([]), a1=a1, a0=uni([a0]))
                 verdict = decide_mz(fam.to_derivation())
-                simple = decide_simple_family_a(fam.as_family_a()).simple
+                simple = decide_simple_family_a(fam).simple
                 assert verdict.mz == (not simple)
 
     def test_diag_x_grid_matches_local_finiteness(self):
