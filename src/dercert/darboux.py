@@ -12,6 +12,9 @@ coefficients as unknowns turns D(F) = L*F into a triangular sequence of
 first-order solves for c_{n-1}, ..., c_0; the surplus coefficient
 equations form a polynomial system in the unknowns whose rational
 solutions are exactly the Darboux candidates within the degree bounds.
+A constraint c*u^k = 0 in a single unknown u forces u = 0 in every
+rational solution, so the descent substitutes that zero as soon as such
+a constraint appears, before the next step multiplies u in.
 Every candidate is re-verified by exact division before it is reported.
 """
 
@@ -342,7 +345,8 @@ def solve_residual_system(
     resultant steps are verified against the original system, so every
     reported solution is exact.  When the solution set has free
     parameters, the representative with those parameters set to zero is
-    returned.
+    returned.  Parameters absent from the system count as free, so the
+    caller may have pinned unknowns out of it beforehand.
     """
     system = list(system)
     params: tuple[str, ...] = system[0].variables if system else ()
@@ -391,6 +395,35 @@ class SearchOutcome:
     detail: str = ""
 
 
+def _pin_forced_zeros(
+    c: dict[int, MultiPoly], e_low: dict[int, MultiPoly], constraints: list[MultiPoly]
+) -> bool:
+    """Substitute u = 0 for every unknown u that a constraint c*u^k forces to zero.
+
+    Runs to a fixpoint, in place: the c_i, e_low and the constraints get
+    the zeros, and constraints that vanish are dropped.  Returns False
+    when a constraint is a nonzero constant, so the slice has no solution.
+    """
+    while True:
+        forced: dict[str, None] = {}
+        for con in constraints:
+            if len(con.nums) == 1:
+                (exps,) = con.nums
+                used = [i for i, e in enumerate(exps) if e]
+                if not used:
+                    return False
+                if len(used) == 1:
+                    forced[con.variables[used[0]]] = None
+        if not forced:
+            return True
+        for name in forced:
+            for polys in (c, e_low):
+                for key, p in polys.items():
+                    polys[key] = p.substitute_value(name, 0)
+            constraints[:] = [p.substitute_value(name, 0) for p in constraints]
+        constraints[:] = [p for p in constraints if not p.is_zero()]
+
+
 def _search_fixed_n(
     fam: PlaneFamily, n: int, bounds: SearchBounds
 ) -> tuple[list[DarbouxPair], str | None]:
@@ -437,12 +470,20 @@ def _search_fixed_n(
         constraints.extend(sol.constraints)
         c_x = split_x(sol.c)
         constraints.extend(c_x[j] for j in sorted(c_x) if j > bounds.cx_deg_max)
+        if not _pin_forced_zeros(c, e_low, constraints):
+            return [], None
     for m in range(alpha):
         residue = c.get(m + 1, zero).scale(Fraction(m + 1) * a0_val)
         for s in range(min(alpha - 1, m) + 1):
             residue = residue - e_low[s] * c.get(m - s, zero)
         constraints.extend(split_x(residue).values())
-    result = solve_residual_system(constraints, bounds.residual_effort)
+    if not _pin_forced_zeros(c, e_low, constraints):
+        return [], None
+    if constraints:
+        result = solve_residual_system(constraints, bounds.residual_effort)
+    else:
+        # pinning settled every constraint: the point is all unknowns at zero
+        result = ResidualResult([dict.fromkeys(params, Fraction(0))], False)
     D = fam.to_derivation()
     pairs = []
     for point in result.solutions:

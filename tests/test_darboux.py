@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 
 from conftest import nonzero_rationals, uni, unipolys
 import dercert.darboux
@@ -297,9 +297,12 @@ def test_inexact_bareiss_division_is_caught(monkeypatch):
 
 
 # Every residual system `_search_fixed_n` hands to `solve_residual_system`
-# for two cells, recorded term by term in insertion order: the order of
+# for three cells, recorded term by term in insertion order: the order of
 # the constraints and of the terms inside each one steers which
-# elimination step the residual solver takes first.
+# elimination step the residual solver takes first.  The first two cells
+# have no constraint that pins an unknown to zero.  In the third, u0_2
+# is pinned at every y-degree; its systems were recorded with pinning
+# and its outcome without it.
 GOLDEN_SEARCH_CELLS = [
     (
         # alpha = 3, a2 = x - 1, a1 = a0 = 1
@@ -373,11 +376,43 @@ GOLDEN_SEARCH_CELLS = [
             "",
         ),
     ),
+    (
+        # the same cell with d0 of degree 2 and constant c_i: u0_2 is forced
+        # to 0 by the first descent step, before the next one runs
+        PlaneFamily(1, 1, uni([-4, 2]), uni([0, 1]), uni([1])),
+        SearchBounds(2, 2, 0),
+        [
+            [
+                [((1, 0, 0), "1"), ((0, 0, 0), "-2"), ((0, 1, 0), "2")],
+                [((0, 0, 0), "1"), ((1, 0, 0), "-1/2"), ((1, 1, 0), "1/2")],
+                [((0, 1, 0), "-1/2"), ((0, 2, 0), "1/2")],
+            ],
+            [
+                [((1, 0, 0), "1"), ((0, 0, 0), "-4"), ((0, 1, 0), "2")],
+                [((0, 0, 0), "-4"), ((1, 0, 0), "1"), ((1, 1, 0), "-1/2"), ((0, 1, 0), "3"), ((0, 2, 0), "-1")],
+                [
+                    ((0, 0, 0), "1"),
+                    ((0, 1, 0), "-1/2"),
+                    ((1, 0, 0), "-1/4"),
+                    ((1, 1, 0), "3/8"),
+                    ((1, 2, 0), "-1/8"),
+                ],
+                [((0, 1, 0), "-1/4"), ((0, 2, 0), "3/8"), ((0, 3, 0), "-1/8")],
+            ],
+        ],
+        (
+            "found",
+            [("y + 1/2", "2*x*y - 4*y + 2"), ("y^2 + y + 1/4", "4*x*y - 8*y + 4")],
+            "",
+        ),
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "family, bounds, systems, outcome", GOLDEN_SEARCH_CELLS, ids=["alpha3", "alpha1-nonsimple"]
+    "family, bounds, systems, outcome",
+    GOLDEN_SEARCH_CELLS,
+    ids=["alpha3", "alpha1-nonsimple", "alpha1-pinned"],
 )
 def test_residual_systems_are_pinned(monkeypatch, family, bounds, systems, outcome):
     seen = []
@@ -394,3 +429,108 @@ def test_residual_systems_are_pinned(monkeypatch, family, bounds, systems, outco
     assert out.status == status
     assert [(poly_to_str(p.F), poly_to_str(p.cofactor)) for p in out.pairs] == pairs
     assert out.detail == detail
+
+
+def _printed(outcome):
+    pairs = [(poly_to_str(p.F), poly_to_str(p.cofactor)) for p in outcome.pairs]
+    return outcome.status, outcome.detail, pairs
+
+
+def _watched_search(family, bounds, pinning):
+    """The printed outcome, whether a slice was left undecided, and whether
+    the residual solver zeroed a free parameter.
+
+    A free parameter's representative point depends on the elimination
+    order.  Without pinning it means the slice has infinitely many
+    solutions; with pinning the pinned unknowns count as free too.
+    """
+    undecided, free = [], []
+    solve, recurse = dercert.darboux.solve_residual_system, dercert.darboux._solve_recursive
+
+    def solve_watched(system, effort):
+        result = solve(system, effort)
+        undecided.append(result.undecided)
+        return result
+
+    def recurse_watched(eqs, params, pending, assignment, budget):
+        if all(e.is_zero() for e in eqs):
+            fixed = set(assignment) | {name for name, _, _ in pending}
+            free.append(not fixed.issuperset(params))
+        return recurse(eqs, params, pending, assignment, budget)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dercert.darboux, "solve_residual_system", solve_watched)
+        mp.setattr(dercert.darboux, "_solve_recursive", recurse_watched)
+        if not pinning:
+            mp.setattr(dercert.darboux, "_pin_forced_zeros", lambda c, e_low, constraints: True)
+        outcome = darboux_search_power_family(family, bounds)
+    return outcome, any(undecided), any(free)
+
+
+small_coeffs = st.integers(min_value=-2, max_value=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.lists(small_coeffs, min_size=2, max_size=3),
+    st.lists(small_coeffs, max_size=3),
+    small_coeffs.filter(lambda v: v != 0),
+    st.sampled_from([None, 1, -1, 2, F(1, 2)]),
+    # (3, 2, 4) is where alpha = 3 cells run out of effort 0
+    st.one_of(
+        st.tuples(
+            st.integers(min_value=1, max_value=3),
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=0, max_value=4),
+        ),
+        st.just((3, 2, 4)),
+    ),
+    st.sampled_from([0, 1, 100]),
+)
+# undecided-residual at y-degree 3, with an unknown pinned at every y-degree
+@example(3, [2, -1], [1, -1], 2, None, (3, 2, 4), 0)
+# decided with finitely many solutions: y + 1 is found
+@example(1, [2, -1], [-2, 0, 2], -2, 1, (1, 0, 4), 1)
+def test_pinning_forced_zeros_keeps_the_outcome(alpha, a2, a1, a0, l, degrees, effort):
+    # pinning removes only unknowns that every rational solution sets to
+    # zero, so the solution set of each slice stays the same.  The order of
+    # the constraints may change, and with it the solver's branch order
+    # under the effort budget and the free parameters it zeroes, so the
+    # report is the same only where every slice is decided with finitely
+    # many solutions; elsewhere both reports must be sound.  With l given,
+    # a2 = l*a1 + (-1)^alpha*l^(alpha+1)*a0 makes y + 1/l a Darboux factor
+    if l is not None:
+        a2 = uni(a1).scale(l) + uni([(-1) ** alpha * l ** (alpha + 1) * a0])
+    else:
+        a2 = uni(a2)
+    assume(a2.total_degree() >= 1)
+    family = PlaneFamily(alpha, alpha, a2, uni(a1), uni([a0]))
+    bounds = SearchBounds(*degrees, residual_effort=effort)
+    pinned, pinned_undecided, _ = _watched_search(family, bounds, pinning=True)
+    plain, plain_undecided, plain_free = _watched_search(family, bounds, pinning=False)
+    if not (pinned_undecided or plain_undecided or plain_free):
+        assert _printed(pinned) == _printed(plain)
+        return
+    D = family.to_derivation()
+    for outcome in (pinned, plain):
+        for pair in outcome.pairs:
+            assert verify_darboux(D, pair.F) == pair
+    if not (pinned_undecided or plain_undecided):
+        assert pinned.status == plain.status
+    statuses = {pinned.status, plain.status}
+    assert statuses != {"found", "none-up-to-bounds"}
+
+
+def test_pinning_that_settles_every_constraint_tries_the_zero_point(monkeypatch):
+    # a0 = 0 lies outside the search hypotheses, but the slice still runs:
+    # c_0 = 0 leaves the one constraint u0_0 = 0 and a zero closing residue,
+    # so pinning empties the system and F = y must be tried at u0_0 = 0
+    def no_solver(system, effort):
+        raise AssertionError("the residual solver must not see an empty system")
+
+    monkeypatch.setattr(dercert.darboux, "solve_residual_system", no_solver)
+    family = PlaneFamily(1, 1, uni([0, 1]), uni([]), uni([]))
+    pairs, reason = dercert.darboux._search_fixed_n(family, 1, SearchBounds(1, 0, 0))
+    assert reason is None
+    assert [(poly_to_str(p.F), poly_to_str(p.cofactor)) for p in pairs] == [("y", "x*y")]

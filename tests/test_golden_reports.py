@@ -25,6 +25,13 @@ a generic, a diagonal, an alpha != beta, a constant-a2 and a
 nonconstant-a0 derivation; `mz` refused on a quadratic derivation;
 `analyze` on plane-linear cells with a0 = -3/2 and a0 = 0; and
 `analyze` on a plane-power cell with constant a1 and a2.
+
+The last four are `darboux` requests at the size of the benchmark's
+darboux-search workload, recorded before the descent substituted forced
+zeros, on cells where it now does: a simple alpha = 1 cell at bounds
+4, 3, 4, a built non-simple alpha = 1 cell at 3, 3, 4, an alpha = 2
+cell at 3, 2, 3, and an alpha = 3 cell at 3, 2, 4 that is
+undecided-residual at effort 0.
 """
 
 import json
