@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -364,6 +367,27 @@ class TestReportPlumbing:
         text_once = render_text(report)
         text_twice = render_text(json.loads(json.dumps(report)))
         assert text_once == text_twice
+
+    @pytest.mark.parametrize(
+        "argv, exit_code",
+        [
+            (["analyze", "deriv{x: y, y: x*y + 1}"], 0),
+            (["image", "deriv{x: y, y: x*y + 1}", "--target", "x", "--bound", "3"], 4),
+        ],
+    )
+    def test_module_entry_point(self, capsys, argv, exit_code):
+        # `python -m dercert.cli` runs the same request as run_command
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-m", "dercert.cli", "--json", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert run.returncode == exit_code
+        report = json.loads(run.stdout or run.stderr)
+        _, expected = run_json(capsys, argv)
+        assert report["exit_code"] == exit_code
+        assert {**report, "timing_ms": 0} == {**expected, "timing_ms": 0}
 
 
 ANALYZE = ["analyze", "deriv{x: y, y: x*y^2 + 1}"]

@@ -32,6 +32,15 @@ zeros, on cells where it now does: a simple alpha = 1 cell at bounds
 4, 3, 4, a built non-simple alpha = 1 cell at 3, 3, 4, an alpha = 2
 cell at 3, 2, 3, and an alpha = 3 cell at 3, 2, 4 that is
 undecided-residual at effort 0.
+
+The last three are `image` requests at the size of the benchmark's
+image-bounded workload for its non-member strata, recorded while the
+image system was still eliminated under each row's leftmost column: a
+diagonal derivation with target y1*y2^5 at bound 11 (T5.3), a
+translation-diagonal one with target y1 at bound 10 (T5.1) and a
+plane-linear one with target x at bound 33 (P2.2).  Each bounded solve
+is inconsistent, so they pin where the left-to-right walk stops as
+well as the certificate it backs.
 """
 
 import json

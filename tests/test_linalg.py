@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from conftest import nonzero_rationals, rationals
-from dercert.linalg import solve_sparse
+from dercert.linalg import LinSolution, _integer_rows, _walk, solve_sparse
 
 F = Fraction
 
@@ -170,3 +170,64 @@ def test_integer_rows_drop_zeros_and_stay_unmutated():
     assert sol.particular == [3, 2, 0]
     assert sol.kernel == [[-1, 0, 1]]
     assert sol.rank == 2
+
+
+# One small system per branch of the walk in _walk; each checks the
+# branch it takes, then the solution against the dense reference.
+def walk_and_solve(rows, rhs, ncols):
+    """(the walk's output, solve_sparse, the dense Gauss-Jordan reference)."""
+    walked = _walk(*_integer_rows(rows, rhs), ncols)
+    dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+    reference = dense_reference(dense, rhs, ncols)
+    return walked, solve_sparse(rows, rhs, ncols), reference and LinSolution(*reference)
+
+
+def test_waiting_pivot_row_is_settled_after_its_later_columns_are_peeled():
+    # no row ends at column 0, so the one row holding it waits; columns
+    # 1 and 2 are then peeled by the rows that end there
+    rows = [{0: 1, 1: 1, 2: 1}, {1: 2}, {2: 3}]
+    walked, sol, dense = walk_and_solve(rows, [6, 4, 3], 3)
+    known, waiting, free = walked
+    assert [col for col, _, _ in waiting] == [0]
+    assert known == {1: 2, 2: 1} and free == []
+    assert sol == dense == LinSolution([F(3), F(2), F(1)], [], 3)
+
+
+def test_two_multi_entry_rows_meeting_at_a_column_take_fill_in():
+    # column 0 is peeled; both other rows hold column 1 and end at 2, so
+    # one waits on column 1 and the other, with column 1 removed, ends at
+    # 2 and is peeled there
+    rows = [{0: 1}, {0: 1, 1: 1, 2: 1}, {0: 2, 1: 1, 2: 3}]
+    walked, sol, dense = walk_and_solve(rows, [1, 4, 8], 3)
+    known, waiting, free = walked
+    assert [col for col, _, _ in waiting] == [1]
+    assert known == {0: 1, 2: F(3, 2)} and free == []
+    assert sol == dense == LinSolution([F(1), F(3, 2), F(3, 2)], [], 3)
+
+
+def test_second_row_ending_on_a_column_catches_the_inconsistency():
+    # x0 = 1, the first row ending at column 1 gives x1 = 1, and the
+    # second one leaves 9 - 2 - 6 = 1
+    rows = [{0: 2}, {0: 1, 1: 3}, {0: 2, 1: 6}]
+    walked, sol, dense = walk_and_solve(rows, [2, 4, 9], 2)
+    assert walked is sol is dense is None
+    assert solve_sparse(rows, [2, 4, 8], 2) == LinSolution([F(1), F(1)], [], 2)
+
+
+def test_free_column_held_only_by_a_waiting_row_has_its_kernel_vector():
+    # the only row waits on column 0; column 1 is then held by no unused
+    # row, so it is free, and the waiting row gives x0 = 3 - 2*t1
+    rows = [{0: 1, 1: 2}]
+    walked, sol, dense = walk_and_solve(rows, [3], 2)
+    known, waiting, free = walked
+    assert [col for col, _, _ in waiting] == [0]
+    assert known == {} and free == [1]
+    assert sol == dense == LinSolution([F(3), F(0)], [[F(-2), F(1)]], 1)
+
+
+def test_fraction_entries_are_scaled_to_integers_first():
+    rows = [{0: F(1, 2), 1: F(1, 3)}, {1: F(2, 3)}, {0: F(3, 4), 2: F(5, 6)}]
+    rhs = [F(1, 6), F(4, 3), F(1, 2)]
+    _, sol, dense = walk_and_solve(rows, rhs, 3)
+    assert sol == dense == LinSolution([F(-1), F(2), F(3, 2)], [], 3)
+    assert rows[0] == {0: F(1, 2), 1: F(1, 3)} and rhs[0] == F(1, 6)

@@ -111,3 +111,64 @@ def test_all_int_system_is_copied_not_mutated():
     sol = solve_sparse(rows, rhs, 3)
     assert (rows, rhs) == before
     assert sol == LinSolution([F(-5, 2), F(2), F(2)], [], 3)
+
+
+@st.composite
+def image_shaped_systems(draw):
+    """(dense rows, rhs, ncols) shaped like an image system, up to 40 columns.
+
+    Most columns get a row that ends there, with a few entries further
+    left: the rows of such a system are structurally triangular.  Some
+    columns get none, so they are free or held by a row that ends
+    further right, and some get two rows that both end further right and
+    so meet there.  Copies of rows with a shifted rhs make the system
+    inconsistent.  Most of the rhs is zero.
+    """
+    ncols = draw(st.integers(min_value=1, max_value=40))
+    nonzero = st.one_of(
+        st.integers(min_value=-4, max_value=4).filter(bool),
+        st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool),
+    )
+    rows = []
+
+    def row_over(cols):
+        row = [0] * ncols
+        for c in cols:
+            row[c] = draw(nonzero)
+        return row
+
+    for col in range(ncols):
+        left = draw(st.lists(st.integers(0, col), max_size=2)) if col else []
+        right = list(range(col + 1, ncols))
+        kind = draw(st.sampled_from(["ends"] * 6 + ["free", "held", "meet"]))
+        if kind == "ends" or not right and kind != "free":
+            rows.append(row_over({col, *left}))
+        elif kind in ("held", "meet"):
+            for _ in range(1 if kind == "held" else 2):
+                later = draw(st.lists(st.sampled_from(right), min_size=1, max_size=2))
+                rows.append(row_over({col, *left, *later}))
+    if not rows:
+        rows.append([0] * ncols)
+    x = [draw(st.sampled_from([0] * 8 + [1, -2, F(1, 3)])) for _ in range(ncols)]
+    rhs = [sum(a * v for a, v in zip(row, x)) for row in rows]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        i = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        rows.append(list(rows[i]))
+        rhs.append(rhs[i] + draw(st.sampled_from([0, 0, 1])))
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], [rhs[i] for i in order], ncols
+
+
+@settings(max_examples=60, deadline=None)
+@given(image_shaped_systems())
+def test_image_shaped_systems_match_sympy(system):
+    rows, rhs, ncols = system
+    args = (sparse(rows), list(rhs), ncols)
+    before = copy.deepcopy(args)
+    sol = solve_sparse(*args)
+    assert args == before
+    expected = sympy_reference(rows, rhs, ncols)
+    if expected is None:
+        assert sol is None
+        return
+    assert sol == LinSolution(*expected)
