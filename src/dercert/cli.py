@@ -340,19 +340,21 @@ def _cmd_darboux(args, report: dict) -> int:
 
 def _read_grid(path: str):
     cells = []
+    keys = ("a2", "a1", "a0")
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            cells.append(
-                (
-                    _parse_uni(record["a2"]),
-                    _parse_uni(record["a1"]),
-                    _parse_uni(record["a0"]),
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
+            if not (isinstance(record, dict) and all(isinstance(record.get(k), str) for k in keys)):
+                raise ValueError(
+                    f"{path}:{number}: a grid line must be an object with string a2, a1 and a0"
                 )
-            )
+            cells.append(tuple(_parse_uni(record[k]) for k in keys))
     return cells
 
 

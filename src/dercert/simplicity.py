@@ -1,5 +1,11 @@
 """Simplicity decisions with machine-checkable certificates.
 
+One evaluator, `_plane_conditions`, tests the three plane conditions for
+every alpha and beta.  They decide simplicity at alpha = beta = 1
+(`decide_simple_family_a`, whose condition-2 witness is monic in y) and
+are necessary for the power family (`conjecture_necessary`).  Condition
+3 pins l and never searches for roots.
+
 Every verdict carries a result tag naming the decision rule that fired
 and, for non-simple verdicts, a stable-ideal witness that can be
 replayed through `verify_stable_ideal`.  The tags:
@@ -21,13 +27,11 @@ from typing import Iterable, Iterator, Sequence
 
 from .derivation import X_ONLY, Derivation, PlaneFamily, UnsupportedFamily
 from .mpoly import CheckFailed, MultiPoly, divide_exact
-from .upoly import rational_roots
 
 TAG_T21 = "T2.1"
 TAG_T41 = "T4.1"
 TAG_T42 = "T4.2"
 TAG_REF15 = "REF15"
-TAG_P63 = "P6.3-necessary"
 
 PLANE = ("x", "y")
 
@@ -51,6 +55,14 @@ class SimplicityVerdict:
     theorem: str
 
 
+@dataclass(frozen=True)
+class NecessaryCheck:
+    passed: bool
+    failed_condition: int | None = None
+    witness: Certificate | None = None
+    l_value: Fraction | None = None
+
+
 def _y(power: int = 1) -> MultiPoly:
     return MultiPoly.var(PLANE, "y", power)
 
@@ -58,27 +70,22 @@ def _y(power: int = 1) -> MultiPoly:
 def condition3_solve(a2: MultiPoly, a1: MultiPoly, a0: Fraction, beta: int) -> list[Fraction]:
     """All l in Q* with a2 = l*a1 + (-1)^beta * l^(beta+1) * a0, exhaustively over Q.
 
-    beta = 1 gives the simplicity condition a2 = l*a1 - l^2*a0.  For
-    x-degrees j >= 1 the identity forces a2_j = l*a1_j, so any
-    nonconstant a1 pins l to a single candidate; a constant a1 forces a2
-    constant and leaves a polynomial of degree beta + 1 in l.
+    beta = 1 gives the simplicity condition a2 = l*a1 - l^2*a0.  Only
+    asked after conditions 1 and 2 hold: a0 nonzero and a1 or a2
+    nonconstant, else ValueError.  For x-degrees j >= 1 the identity
+    forces a2_j = l*a1_j, so a nonconstant a1 pins l to one candidate and
+    a constant a1 admits none.
     """
-    if a0 == 0:
-        raise ValueError("a0 must be a nonzero rational")
-    sign = Fraction(-1) ** beta
+    if a0 == 0 or (a1.is_constant() and a2.is_constant()):
+        raise ValueError("condition 3 needs a0 != 0 and a1 or a2 nonconstant")
     j = a1.total_degree()
-    if j >= 1:
-        l = Fraction(a2.nums.get((j,), 0) * a1.den, a2.den * a1.nums[(j,)])
-        if l != 0 and a2 == a1.scale(l) + MultiPoly.constant(X_ONLY, sign * l ** (beta + 1) * a0):
-            return [l]
+    if j < 1:
         return []
-    if a2.total_degree() >= 1:
-        return []
-    poly = MultiPoly(
-        X_ONLY,
-        [((beta + 1,), sign * a0), ((1,), a1.constant_value()), ((0,), -a2.constant_value())],
-    )
-    return [r for r in rational_roots(poly) if r != 0]
+    sign = Fraction(-1) ** beta
+    l = Fraction(a2.nums.get((j,), 0) * a1.den, a2.den * a1.nums[(j,)])
+    if l != 0 and a2 == a1.scale(l) + MultiPoly.constant(X_ONLY, sign * l ** (beta + 1) * a0):
+        return [l]
+    return []
 
 
 def _divides_mod(value: MultiPoly, modulus: MultiPoly) -> bool:
@@ -131,62 +138,8 @@ def _pick_tag(a2: MultiPoly, a1: MultiPoly) -> str:
     return TAG_T42
 
 
-def decide_simple_family_a(fam: PlaneFamily) -> SimplicityVerdict:
-    """Full simplicity decision for y*dx + (a2*y^2 + a1*y + a0)*dy.
-
-    Simple iff a0 is a nonzero constant, a1 or a2 is nonconstant, and no
-    l in Q* satisfies a2 = l*a1 - l^2*a0.  Each failing condition yields
-    the matching stable-ideal witness.  A family that is not quadratic
-    raises UnsupportedFamily.
-    """
-    if not fam.quadratic:
-        raise UnsupportedFamily("the simplicity decision needs alpha = beta = 1")
-    a2, a1, a0 = fam.a2, fam.a1, fam.a0
-    tag = _pick_tag(a2, a1)
-    if a0.is_zero():
-        return SimplicityVerdict(False, _stable([_y()]), tag)
-    if not a0.is_constant():
-        return SimplicityVerdict(False, _stable([_y(), a0.with_variables(PLANE)]), tag)
-    a0_val = a0.constant_value()
-    if a1.is_constant() and a2.is_constant():
-        if not a2.is_zero():
-            a2_val = a2.constant_value()
-            witness = (
-                _y(2)
-                + _y().scale(a1.constant_value() / a2_val)
-                + MultiPoly.constant(PLANE, a0_val / a2_val)
-            )
-            return SimplicityVerdict(False, _stable([witness]), tag)
-        if not a1.is_zero():
-            witness = _y() + MultiPoly.constant(PLANE, a0_val / a1.constant_value())
-            return SimplicityVerdict(False, _stable([witness]), tag)
-        witness = _y(2).scale(Fraction(1, 2)) - MultiPoly.var(PLANE, "x").scale(a0_val)
-        return SimplicityVerdict(False, _stable([witness]), tag)
-    solutions = condition3_solve(a2, a1, a0_val, 1)
-    if solutions:
-        l = solutions[0]
-        witness = _y() + MultiPoly.constant(PLANE, 1 / l)
-        return SimplicityVerdict(False, _stable([witness], l_value=l), TAG_T42)
-    return SimplicityVerdict(
-        True,
-        Certificate(kind="conditions", conditions=(True, True, True)),
-        tag,
-    )
-
-
-# -- power-family necessary conditions ------------------------------------
-
-
-@dataclass(frozen=True)
-class NecessaryCheck:
-    passed: bool
-    failed_condition: int | None = None
-    witness: Certificate | None = None
-    l_value: Fraction | None = None
-
-
-def conjecture_necessary(fam: PlaneFamily) -> NecessaryCheck:
-    """Necessary conditions for simplicity of the power family.
+def _plane_conditions(fam: PlaneFamily) -> NecessaryCheck:
+    """The three plane conditions, for every alpha and beta.
 
     Checks, in order: a0 a nonzero constant; a1 or a2 nonconstant; no l
     in Q* with a2 = l*a1 + (-1)^beta*l^(beta+1)*a0.  A failure returns
@@ -216,6 +169,37 @@ def conjecture_necessary(fam: PlaneFamily) -> NecessaryCheck:
         witness = _y() + MultiPoly.constant(PLANE, 1 / l)
         return NecessaryCheck(False, 3, _stable([witness], l_value=l), l_value=l)
     return NecessaryCheck(True)
+
+
+# each public decider calls the evaluator itself and neither calls the
+# other, so an inclusive timer around both counts every request once
+def conjecture_necessary(fam: PlaneFamily) -> NecessaryCheck:
+    """Necessary conditions for simplicity of the power family (P6.3)."""
+    return _plane_conditions(fam)
+
+
+def decide_simple_family_a(fam: PlaneFamily) -> SimplicityVerdict:
+    """Full simplicity decision for y*dx + (a2*y^2 + a1*y + a0)*dy.
+
+    Simple iff the three plane conditions hold.  Each failing condition
+    yields its stable-ideal witness, at condition 2 made monic in y.  A
+    family that is not quadratic raises UnsupportedFamily.
+    """
+    if not fam.quadratic:
+        raise UnsupportedFamily("the simplicity decision needs alpha = beta = 1")
+    a2, a1 = fam.a2, fam.a1
+    tag = _pick_tag(a2, a1)
+    check = _plane_conditions(fam)
+    if check.passed:
+        return SimplicityVerdict(
+            True, Certificate(kind="conditions", conditions=(True, True, True)), tag
+        )
+    witness = check.witness
+    if check.failed_condition == 2 and not (a2.is_zero() and a1.is_zero()):
+        (generator,) = witness.generators
+        lead = a1 if a2.is_zero() else a2
+        witness = _stable([generator.scale(1 / lead.constant_value())])
+    return SimplicityVerdict(False, witness, tag)
 
 
 @dataclass(frozen=True)

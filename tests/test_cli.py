@@ -264,6 +264,17 @@ class TestParseErrors:
         assert "command: conjecture-scan" in captured.err
         assert str(missing) in captured.err
 
+    @pytest.mark.parametrize(
+        "bad_line",
+        ['{"a2": "x", "a1": "0"}', '["x", "0", "1"]', '{"a2": 3, "a1": "0", "a0": "1"}', "{"],
+    )
+    def test_malformed_grid_line(self, tmp_path, capsys, bad_line):
+        grid = tmp_path / "grid.jsonl"
+        grid.write_text('{"a2": "x", "a1": "0", "a0": "1"}\n\n' + bad_line + "\n")
+        code, report = run_json(capsys, ["conjecture-scan", "--alpha", "2", "--grid", str(grid)])
+        assert code == report["exit_code"] == 2
+        assert report["results"]["error"].startswith(f"{grid}:3: ")
+
 
 class TestScan:
     def test_scan_writes_jsonl(self, tmp_path, capsys):

@@ -41,6 +41,17 @@ translation-diagonal one with target y1 at bound 10 (T5.1) and a
 plane-linear one with target x at bound 33 (P2.2).  Each bounded solve
 is inconsistent, so they pin where the left-to-right walk stops as
 well as the certificate it backs.
+
+The last twelve are `analyze` requests recorded while the simplicity
+decision and the power-family necessary conditions were still two
+copies of the three plane conditions, and condition 3 still searched
+rational roots when a1 and a2 were both constant.  At alpha = beta = 1
+they reach condition 1 with a pair witness, condition 2 with each
+generator shape (monic quadratic, monic linear, the half square), T4.2
+with l = 3/2 and a simple T4.1 cell; for the power family, condition 1,
+the condition-2 half power, condition 3 with l = -2 at beta = 2 and
+l = 2 at beta = 3 (the sign (-1)^beta), a passing cell, and condition 3
+with alpha < beta.
 """
 
 import json

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from conftest import nonzero_rationals, uni, unipolys
 from dercert import (
@@ -25,6 +25,10 @@ def poly(src):
     return parse_poly(src, XY)
 
 
+def nonconstant_unipolys(max_degree):
+    return unipolys(max_degree=max_degree).filter(lambda p: not p.is_constant())
+
+
 class TestCondition3:
     def test_forced_by_degree_one(self):
         assert condition3_solve(uni([-1, 1]), uni([0, 1]), F(1), 1) == [F(1)]
@@ -36,7 +40,9 @@ class TestCondition3:
         assert condition3_solve(uni([1]), uni([0, 1]), F(1), 1) == []
 
     def test_constant_quadratic_branch(self):
-        assert condition3_solve(uni([]), uni([2]), F(1), 1) == [F(2)]
+        # two constants fail condition 2 first, so condition 3 refuses them
+        with pytest.raises(ValueError):
+            condition3_solve(uni([]), uni([2]), F(1), 1)
 
     def test_ratio_of_integral_coefficients_stays_rational(self):
         # a2 = 3*x - 9 = l*a1 - l^2*a0 for a1 = 2*x, a0 = 4: the x-coefficients force l = 3/2
@@ -48,7 +54,7 @@ class TestCondition3:
             condition3_solve(uni([]), uni([0, 1]), F(0), 1)
 
     @settings(max_examples=200, deadline=None)
-    @given(nonzero_rationals, unipolys(max_degree=3), nonzero_rationals)
+    @given(nonzero_rationals, nonconstant_unipolys(max_degree=3), nonzero_rationals)
     def test_planted_l_recovered(self, l, a1, a0):
         a2 = a1.scale(l) - uni([l * l * a0])
         assert l in condition3_solve(a2, a1, a0, 1)
@@ -56,6 +62,7 @@ class TestCondition3:
     @settings(max_examples=200, deadline=None)
     @given(unipolys(max_degree=3), unipolys(max_degree=3), nonzero_rationals)
     def test_returned_l_satisfies_identity(self, a2, a1, a0):
+        assume(not (a2.is_constant() and a1.is_constant()))
         for l in condition3_solve(a2, a1, a0, 1):
             assert l != 0
             assert a2 == a1.scale(l) - uni([l * l * a0])
@@ -181,7 +188,7 @@ class TestPowerFamilyNecessary:
     @given(
         st.integers(min_value=2, max_value=4),
         nonzero_rationals,
-        unipolys(max_degree=2),
+        nonconstant_unipolys(max_degree=2),
         nonzero_rationals,
     )
     def test_planted_power_l_recovered(self, beta, l, a1, a0):
