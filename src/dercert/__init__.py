@@ -34,7 +34,6 @@ from .derivation import (
 from .expr import ParseError, parse_derivation, parse_poly, poly_to_str
 from .firstorder import (
     FirstOrderSolution,
-    NoSolutionShape,
     UnsupportedShape,
     solve_first_order,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "parse_poly",
     "poly_to_str",
     "FirstOrderSolution",
-    "NoSolutionShape",
     "UnsupportedShape",
     "solve_first_order",
     "CertifiedNonMember",

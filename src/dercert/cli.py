@@ -135,27 +135,21 @@ def describe_image_result(result) -> dict:
         }
     if isinstance(result, NotFoundUpTo):
         return {"status": "not-found-up-to", "bound": result.bound}
-    if isinstance(result, CertifiedNonMember):
-        out = {
-            "status": "certified-non-member",
-            "theorem": result.theorem,
-            "claim": result.claim,
-            "target": poly_to_str(result.target),
-        }
-        if result.m_used is not None:
-            out["m_used"] = result.m_used
-        return out
-    return {"status": "none"}
+    out = {
+        "status": "certified-non-member",
+        "theorem": result.theorem,
+        "claim": result.claim,
+        "target": poly_to_str(result.target),
+    }
+    if result.m_used is not None:
+        out["m_used"] = result.m_used
+    return out
 
 
-def describe_evidence(evidence) -> object:
-    if evidence is None:
-        return None
+def describe_evidence(evidence) -> dict:
     if isinstance(evidence, CertifiedNonMember):
         return describe_image_result(evidence)
-    if isinstance(evidence, tuple):
-        return {"kind": evidence[0], "value": str(evidence[1])}
-    return str(evidence)
+    return {"kind": evidence[0], "value": str(evidence[1])}
 
 
 def describe_search(outcome: SearchOutcome) -> dict:
@@ -354,7 +348,13 @@ def _read_grid(path: str):
                 raise ValueError(
                     f"{path}:{number}: a grid line must be an object with string a2, a1 and a0"
                 )
-            cells.append(tuple(_parse_uni(record[k]) for k in keys))
+            cell = []
+            for k in keys:
+                try:
+                    cell.append(_parse_uni(record[k]))
+                except ParseError as exc:
+                    raise ValueError(f"{path}:{number}: {k}: {exc}") from None
+            cells.append(tuple(cell))
     return cells
 
 
@@ -475,9 +475,6 @@ def run_command(argv: list[str]) -> int:
         report["input"] = args.derivation
     try:
         code = _DISPATCH[args.command](args, report)
-    except ParseError as exc:
-        report["results"] = {"error": str(exc)}
-        code = EXIT_PARSE
     except UnsupportedFamily as exc:
         report["results"] = {"error": str(exc)}
         code = EXIT_UNSUPPORTED
@@ -486,7 +483,8 @@ def run_command(argv: list[str]) -> int:
         report["results"] = {"error": f"internal fault: {exc}"}
         code = EXIT_INTERNAL
     except (ValueError, OSError) as exc:
-        # invalid argument values (negative bounds, unreadable grid files)
+        # parse errors and invalid argument values (negative bounds,
+        # unreadable grid files)
         report["results"] = {"error": str(exc)}
         code = EXIT_PARSE
     except CheckFailed as exc:

@@ -14,8 +14,10 @@ equations form a polynomial system in the unknowns whose rational
 solutions are exactly the Darboux candidates within the degree bounds.
 A constraint c*u^k = 0 in a single unknown u forces u = 0 in every
 rational solution, so the descent substitutes that zero as soon as such
-a constraint appears, before the next step multiplies u in.
-Every candidate is re-verified by exact division before it is reported.
+a constraint appears, before the next step multiplies u in; a nonzero
+constant constraint refutes the slice there.  Every candidate is
+re-verified by exact division, and one that fails raises CheckFailed:
+the descent only yields Darboux polynomials, so a failure is a fault.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .derivation import X_ONLY, Derivation, Family, PlaneFamily, UnsupportedFamily
-from .firstorder import NoSolutionShape, solve_first_order, split_x
+from .firstorder import solve_first_order, split_x
 from .mpoly import CheckFailed, MultiPoly, ZeroPolynomial, divide_exact
 from .upoly import rational_roots
 
@@ -313,12 +315,10 @@ def _solve_recursive(
     # fall back to resultants, bounded by the effort budget
     # one rational polynomial per key: variables, numerators and denominator
     seen = set(eqs)
-    candidates = sorted(
-        ((name, e) for e, sup in zip(eqs, supports) for name in sup), key=lambda t: t[0]
-    )
     by_var: dict[str, list[MultiPoly]] = {}
-    for name, e in candidates:
-        by_var.setdefault(name, []).append(e)
+    for e, sup in zip(eqs, supports):
+        for name in sup:
+            by_var.setdefault(name, []).append(e)
     for name in sorted(by_var):
         polys = sorted(by_var[name], key=lambda p: (p.degree_in(name), len(p.nums)))
         for p, q in itertools.combinations(polys[:4], 2):
@@ -341,26 +341,22 @@ def solve_residual_system(
 
     Strategy: branch on rational roots of univariate members, eliminate
     variables that occur linearly with constant coefficient, and fall
-    back to effort-capped resultants.  Candidate points coming out of
-    resultant steps are verified against the original system, so every
-    reported solution is exact.  When the solution set has free
-    parameters, the representative with those parameters set to zero is
-    returned.  Parameters absent from the system count as free, so the
-    caller may have pinned unknowns out of it beforehand.
+    back to effort-capped resultants.  Every point is checked against
+    the original system, and one that misses it raises CheckFailed.
+    When the solution set has free parameters, the representative with
+    those parameters set to zero is returned.  Parameters absent from
+    the system count as free, so the caller may have pinned unknowns out
+    of it beforehand.
     """
     system = list(system)
     params: tuple[str, ...] = system[0].variables if system else ()
     result = _solve_recursive(system, params, [], {}, [effort])
-    verified = []
-    seen = set()
+    unique: dict[tuple, dict[str, Fraction]] = {}
     for sol in result.solutions:
-        if all(e.evaluate(sol) == 0 for e in system):
-            key = tuple(sorted((k, v) for k, v in sol.items()))
-            if key not in seen:
-                seen.add(key)
-                verified.append(sol)
-    verified.sort(key=lambda s: sorted(s.items()))
-    return ResidualResult(verified, result.undecided, result.note)
+        if any(e.evaluate(sol) != 0 for e in system):
+            raise CheckFailed("a residual solution misses the system")
+        unique.setdefault(tuple(sorted(sol.items())), sol)
+    return ResidualResult([unique[key] for key in sorted(unique)], result.undecided, result.note)
 
 
 # -- bounded triangular search --------------------------------------------
@@ -402,7 +398,8 @@ def _pin_forced_zeros(
 
     Runs to a fixpoint, in place: the c_i, e_low and the constraints get
     the zeros, and constraints that vanish are dropped.  Returns False
-    when a constraint is a nonzero constant, so the slice has no solution.
+    when a constraint is a nonzero constant, so the slice has no solution;
+    this is the one place the descent refutes a slice.
     """
     while True:
         forced: dict[str, None] = {}
@@ -464,8 +461,6 @@ def _search_fixed_n(
         for s in range(alpha):
             rhs = rhs - e_low[s] * c.get(i + alpha - s, zero)
         sol = solve_first_order(a2, rhs, k=Fraction(n - i))
-        if isinstance(sol, NoSolutionShape):
-            return [], None
         c[i] = sol.c
         constraints.extend(sol.constraints)
         c_x = split_x(sol.c)
@@ -495,8 +490,9 @@ def _search_fixed_n(
                 [((e, i), coeff.evaluate(point)) for e, coeff in sorted(split_x(ci).items())],
             )
         verified = verify_darboux(D, F)
-        if isinstance(verified, DarbouxPair):
-            pairs.append(verified)
+        if not isinstance(verified, DarbouxPair):
+            raise CheckFailed(f"a solved candidate is not Darboux: {verified.reason}")
+        pairs.append(verified)
     return pairs, result.note if result.undecided else None
 
 

@@ -14,7 +14,8 @@ and is injective (c' - a*c = g is the case k = 1 with right-hand side
 degree-compatible candidate c; the leftover low-order coefficient
 equations come back as polynomial constraints on the parameters.
 Specializing the parameters so every constraint vanishes makes the
-equation hold identically.
+equation hold identically; a nonzero constant among the constraints
+means no specialization does, and the caller reads that off the list.
 """
 
 from __future__ import annotations
@@ -52,14 +53,7 @@ class FirstOrderSolution:
     constraints: list[MultiPoly] = field(default_factory=list)
 
 
-@dataclass
-class NoSolutionShape:
-    reason: str
-
-
-def solve_first_order(
-    a: MultiPoly, g: MultiPoly, k: RatLike = 1
-) -> FirstOrderSolution | NoSolutionShape:
+def solve_first_order(a: MultiPoly, g: MultiPoly, k: RatLike = 1) -> FirstOrderSolution:
     """Unique degree-compatible c with k*a*c - c' = g, plus residual constraints.
 
     a is a polynomial in x alone, over ``("x",)``.  g is a polynomial
@@ -115,9 +109,4 @@ def solve_first_order(
             acc = acc - nxt.scale(r + 1)
         if not acc.is_zero():
             constraints.append(acc)
-    for con in constraints:
-        if con.is_constant() and con.constant_value() != 0:
-            return NoSolutionShape(
-                "a low-order coefficient equation is a nonzero constant"
-            )
     return FirstOrderSolution(candidate, constraints)

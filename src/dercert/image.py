@@ -164,9 +164,7 @@ def _y_var(D: Derivation, index: int) -> MultiPoly:
     return MultiPoly.var(D.variables, D.variables[offset + index])
 
 
-def certified_nonmembership(
-    D: Derivation, target: MultiPoly, sanity_bound: int = DEFAULT_SANITY_BOUND
-) -> CertifiedNonMember | None:
+def certified_nonmembership(D: Derivation, target: MultiPoly) -> CertifiedNonMember | None:
     """Match (family, hypotheses, target) against a proven non-membership.
 
     Patterns covered:
@@ -180,16 +178,16 @@ def certified_nonmembership(
         y_i * y_j^m for k_i > 1, all k >= 1, j != i, m >= DEFAULT_M_MIN; and
         target y_i for k_i > 1 when some k_j = 0.
 
-    Every certificate is cross-checked by a bounded solve before being
-    issued; None means no pattern applies (the target may well be a
-    member).
+    Every certificate is cross-checked by a solve at DEFAULT_SANITY_BOUND
+    before being issued; None means no pattern applies (the target may
+    well be a member).
     """
     family = recognize_family(D)
     target = target.with_variables(D.variables)
     cert = _match_pattern(D, family, target)
     if cert is None:
         return None
-    check = image_membership(D, target, sanity_bound)
+    check = image_membership(D, target, DEFAULT_SANITY_BOUND)
     if not isinstance(check, NotFoundUpTo):
         raise CheckFailed(
             "certified pattern contradicted by a bounded membership solve"
@@ -197,19 +195,15 @@ def certified_nonmembership(
     return cert
 
 
-def _simple_linear(family: Family) -> bool:
-    """Whether family is the simple linear plane family: a0 != 0 and deg a1 >= 1."""
-    return (
-        isinstance(family, PlaneFamily)
-        and family.linear
-        and not family.a0.is_zero()
-        and family.a1.total_degree() >= 1
-    )
-
-
 def _match_pattern(D: Derivation, family: Family, target: MultiPoly) -> CertifiedNonMember | None:
-    if _simple_linear(family) and target == MultiPoly.var(D.variables, "x"):
-        return CertifiedNonMember(TAG_P22, "x-outside-image", target)
+    if isinstance(family, PlaneFamily):
+        # the simple linear family: a0 in Q* and deg a1 >= 1
+        simple_linear = (
+            family.linear and not family.a0.is_zero() and family.a1.total_degree() >= 1
+        )
+        if simple_linear and target == MultiPoly.var(D.variables, "x"):
+            return CertifiedNonMember(TAG_P22, "x-outside-image", target)
+        return None
     if isinstance(family, FamilyDiagX):
         nonzero = [i for i, g in enumerate(family.gammas) if not g.is_zero()]
         for i in nonzero:
@@ -222,101 +216,85 @@ def _match_pattern(D: Derivation, family: Family, target: MultiPoly) -> Certifie
                         TAG_T51, "nonconstant-coefficient", target
                     )
         return None
-    if isinstance(family, FamilyDiag):
-        shape = _monomial_shape(target)
-        if shape is None:
-            return None
-        exps = shape
-        ks = family.ks
-        support = [i for i, e in enumerate(exps) if e]
-        if all(k >= 1 for k in ks) and len(support) == 2:
-            i, j = support
-            if exps[i] != 1:
-                i, j = j, i
-            if exps[i] == 1 and ks[i] > 1 and exps[j] >= DEFAULT_M_MIN:
-                return CertifiedNonMember(
-                    TAG_T53, "mixed-power-product", target, m_used=exps[j]
-                )
-        if any(k == 0 for k in ks) and len(support) == 1:
-            (i,) = support
-            if exps[i] == 1 and ks[i] > 1:
-                return CertifiedNonMember(TAG_T53, "high-power-coordinate", target)
+    if not isinstance(family, FamilyDiag) or len(target.nums) != 1:
         return None
-    return None
-
-
-def _monomial_shape(target: MultiPoly) -> tuple[int, ...] | None:
-    """Exponent vector when the target is a single scaled monomial."""
-    if len(target.nums) != 1:
-        return None
+    # a single scaled monomial
     (exps,) = target.nums
-    return exps
+    ks = family.ks
+    support = [i for i, e in enumerate(exps) if e]
+    if all(k >= 1 for k in ks) and len(support) == 2:
+        i, j = support
+        if exps[i] != 1:
+            i, j = j, i
+        if exps[i] == 1 and ks[i] > 1 and exps[j] >= DEFAULT_M_MIN:
+            return CertifiedNonMember(TAG_T53, "mixed-power-product", target, m_used=exps[j])
+    if any(k == 0 for k in ks) and len(support) == 1:
+        (i,) = support
+        if exps[i] == 1 and ks[i] > 1:
+            return CertifiedNonMember(TAG_T53, "high-power-coordinate", target)
+    return None
 
 
 @dataclass(frozen=True)
 class MzVerdict:
     mz: bool
     theorem: str
-    evidence: object | None = None
+    evidence: CertifiedNonMember | tuple
 
 
 def decide_mz(D: Derivation) -> MzVerdict:
     """Mathieu-Zhao status of Im D for the supported families.
 
-    Plane family with constant a0: the image is MZ exactly when the
-    derivation is not simple.  dx + diagonal families: MZ exactly when
-    locally finite.  Pure diagonal families: MZ exactly when every
-    exponent is at most 1.  Everything else (notably the quadratic plane
-    family with a2 != 0) is refused rather than guessed.
+    Each rule reads: Im D is MZ exactly when D is locally finite (C2.3
+    for the plane family with constant a0, T5.1 or C5.2 for dx +
+    diagonal families, T5.3 for pure diagonal ones).  The one exception
+    is the plane family with a2 = a0 = 0, whose image is the ideal (y)
+    and so MZ.  A non-MZ verdict carries a certified non-member of the
+    image as evidence.  Everything else (notably the quadratic
+    plane family with a2 != 0) is refused rather than guessed.
     """
     family = recognize_family(D)
-    if _simple_linear(family):
-        evidence = certified_nonmembership(D, MultiPoly.var(D.variables, "x"))
-        return MzVerdict(mz=False, theorem=TAG_C23, evidence=evidence)
     if isinstance(family, PlaneFamily) and family.linear:
-        if not family.a0.is_zero():
-            return MzVerdict(
-                mz=True, theorem=TAG_C23, evidence=("locally-finite", True)
-            )
-        return MzVerdict(mz=True, theorem=TAG_C23, evidence=("image-is-ideal", "y"))
+        if family.a0.is_zero():
+            return MzVerdict(mz=True, theorem=TAG_C23, evidence=("image-is-ideal", "y"))
+        theorem = TAG_C23
+    elif isinstance(family, FamilyDiagX):
+        theorem = TAG_T51 if all(not g.is_zero() for g in family.gammas) else TAG_C52
+    elif isinstance(family, FamilyDiag):
+        theorem = TAG_T53
+    else:
+        raise UnsupportedFamily(
+            "no Mathieu-Zhao decision is available for this derivation shape"
+        )
+    if locally_finite_closed_form(family):
+        return MzVerdict(mz=True, theorem=theorem, evidence=("locally-finite", True))
+    evidence = certified_nonmembership(D, _obstruction(D, family))
+    if evidence is None:
+        raise CheckFailed("no proven pattern certifies the obstruction to local finiteness")
+    return MzVerdict(mz=False, theorem=theorem, evidence=evidence)
+
+
+def _obstruction(D: Derivation, family: Family) -> MultiPoly:
+    """The target outside Im D that a family which is not locally finite is certified by.
+
+    Plane: x.  dx + diagonal: y_i for the first nonzero gamma_i with
+    k_i > 1, else for the first nonconstant one.  Diagonal: for the first
+    k_i > 1, y_i times y_j^DEFAULT_M_MIN for the first j != i when every
+    k >= 1, else y_i alone.
+    """
+    if isinstance(family, PlaneFamily):
+        return MultiPoly.var(D.variables, "x")
     if isinstance(family, FamilyDiagX):
-        loc_fin = locally_finite_closed_form(family)
-        all_nonzero = all(not g.is_zero() for g in family.gammas)
-        tag = TAG_T51 if all_nonzero else TAG_C52
-        if loc_fin:
-            return MzVerdict(mz=True, theorem=tag, evidence=("locally-finite", True))
-        target = _first_obstruction_diag_x(D, family)
-        evidence = certified_nonmembership(D, target)
-        return MzVerdict(mz=False, theorem=tag, evidence=evidence)
-    if isinstance(family, FamilyDiag):
-        if all(k <= 1 for k in family.ks):
-            return MzVerdict(
-                mz=True, theorem=TAG_T53, evidence=("locally-finite", True)
-            )
-        target = _first_obstruction_diag(D, family)
-        evidence = certified_nonmembership(D, target)
-        return MzVerdict(mz=False, theorem=TAG_T53, evidence=evidence)
-    raise UnsupportedFamily(
-        "no Mathieu-Zhao decision is available for this derivation shape"
-    )
-
-
-def _first_obstruction_diag_x(D: Derivation, family: FamilyDiagX) -> MultiPoly:
-    nonzero = [i for i, g in enumerate(family.gammas) if not g.is_zero()]
-    for i in nonzero:
-        if family.ks[i] > 1:
-            return _y_var(D, i)
-    for i in nonzero:
-        if family.gammas[i].total_degree() >= 1:
-            return _y_var(D, i)
-    raise CheckFailed("called without an obstruction")
-
-
-def _first_obstruction_diag(D: Derivation, family: FamilyDiag) -> MultiPoly:
+        bad = [
+            i
+            for i, (g, k) in enumerate(zip(family.gammas, family.ks))
+            if not g.is_zero() and (k > 1 or g.total_degree() >= 1)
+        ]
+        high = [i for i in bad if family.ks[i] > 1]
+        return _y_var(D, (high or bad)[0])
     ks = family.ks
     high = next(i for i, k in enumerate(ks) if k > 1)
     if all(k >= 1 for k in ks):
-        other = next(j for j in range(len(ks)) if j != high)
+        other = 1 if high == 0 else 0
         return _y_var(D, high) * _y_var(D, other) ** DEFAULT_M_MIN
     return _y_var(D, high)
-

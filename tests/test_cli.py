@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dercert.cli
+import dercert.darboux
 import dercert.derivation
 import dercert.image
 import dercert.simplicity
 from dercert.cli import EXIT_INTERNAL, run_command
+from dercert.darboux import NotDarboux
 from dercert.image import Member, NotFoundUpTo
 from dercert.mpoly import DivisorZero, VariableMismatch, ZeroPolynomial
 
@@ -100,16 +103,17 @@ class TestMz:
         assert code == 3
 
 
+# a search that finds y + 1, among others
+DARBOUX_FOUND = [
+    "--json", "darboux", "deriv{x: y, y: (x - 1)*y^2 + x*y + 1}",
+    "--n-max", "2", "--d0-deg", "2", "--cx-deg", "3",
+]
+
+
 class TestDarboux:
     def test_found(self, capsys):
-        code, report = run_json(
-            capsys,
-            [
-                "darboux",
-                "deriv{x: y, y: (x - 1)*y^2 + x*y + 1}",
-                "--n-max", "2", "--d0-deg", "2", "--cx-deg", "3",
-            ],
-        )
+        code = run_command(DARBOUX_FOUND)
+        report = json.loads(capsys.readouterr().out)
         assert code == 0
         search = report["results"]["search"]
         assert search["status"] == "found"
@@ -200,6 +204,44 @@ class TestInternalFault:
         assert report["exit_code"] == EXIT_INTERNAL
         assert "certified pattern contradicted" in report["results"]["error"]
 
+    def test_uncertified_obstruction_exits_five(self, monkeypatch, capsys):
+        # y1^2 is not locally finite, so the verdict needs the certificate for y1
+        monkeypatch.setattr(dercert.image, "_match_pattern", lambda D, family, target: None)
+        code = run_command(["--json", "mz", "deriv{x: 1, y1: y1^2}"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert captured.out == ""
+        report = json.loads(captured.err)
+        assert report["exit_code"] == EXIT_INTERNAL
+        assert "no proven pattern certifies" in report["results"]["error"]
+
+    def test_residual_point_missing_the_system_exits_five(self, monkeypatch, capsys):
+        real = dercert.darboux._solve_recursive
+
+        def with_bad_point(eqs, params, pending, assignment, budget):
+            result = real(eqs, params, pending, assignment, budget)
+            result.solutions.append(dict.fromkeys(params, Fraction(7919)))
+            return result
+
+        monkeypatch.setattr(dercert.darboux, "_solve_recursive", with_bad_point)
+        code = run_command(DARBOUX_FOUND)
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert captured.out == ""
+        report = json.loads(captured.err)
+        assert report["exit_code"] == EXIT_INTERNAL
+        assert "a residual solution misses the system" in report["results"]["error"]
+
+    def test_rejected_darboux_candidate_exits_five(self, monkeypatch, capsys):
+        monkeypatch.setattr(dercert.darboux, "verify_darboux", lambda D, F: NotDarboux("injected"))
+        code = run_command(DARBOUX_FOUND)
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert captured.out == ""
+        report = json.loads(captured.err)
+        assert report["exit_code"] == EXIT_INTERNAL
+        assert "a solved candidate is not Darboux: injected" in report["results"]["error"]
+
     @pytest.mark.parametrize("fault", [ZeroPolynomial, DivisorZero, VariableMismatch])
     def test_polynomial_core_fault_exits_five(self, monkeypatch, capsys, fault):
         # these are ValueErrors, but never a property of the user's input
@@ -266,7 +308,13 @@ class TestParseErrors:
 
     @pytest.mark.parametrize(
         "bad_line",
-        ['{"a2": "x", "a1": "0"}', '["x", "0", "1"]', '{"a2": 3, "a1": "0", "a0": "1"}', "{"],
+        [
+            '{"a2": "x", "a1": "0"}',
+            '["x", "0", "1"]',
+            '{"a2": 3, "a1": "0", "a0": "1"}',
+            "{",
+            '{"a2": "x +", "a1": "0", "a0": "1"}',
+        ],
     )
     def test_malformed_grid_line(self, tmp_path, capsys, bad_line):
         grid = tmp_path / "grid.jsonl"
@@ -274,6 +322,13 @@ class TestParseErrors:
         code, report = run_json(capsys, ["conjecture-scan", "--alpha", "2", "--grid", str(grid)])
         assert code == report["exit_code"] == 2
         assert report["results"]["error"].startswith(f"{grid}:3: ")
+
+    def test_unparsable_grid_coefficient_names_its_field(self, tmp_path, capsys):
+        grid = tmp_path / "grid.jsonl"
+        grid.write_text('{"a2": "x", "a1": "x*", "a0": "1"}\n')
+        code, report = run_json(capsys, ["conjecture-scan", "--alpha", "2", "--grid", str(grid)])
+        assert code == 2
+        assert report["results"]["error"] == f"{grid}:1: a1: unexpected end of input (column 3)"
 
 
 class TestScan:

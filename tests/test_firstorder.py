@@ -7,13 +7,17 @@ from hypothesis import given, settings
 from conftest import uni, unipolys
 from dercert import (
     MultiPoly,
-    NoSolutionShape,
     UnsupportedShape,
     solve_first_order,
 )
 from dercert.linalg import solve_sparse
 
 F = Fraction
+
+
+def refuted(sol) -> bool:
+    """Whether a nonzero constant is among the constraints, so no specialization solves."""
+    return any(con.is_constant() for con in sol.constraints)
 
 
 def test_simple_instance():
@@ -28,7 +32,7 @@ def test_simple_instance():
 def test_impossible_degree_shape():
     # c' - x*c = 1 needs deg c < 0 with nonzero right side
     result = solve_first_order(uni([0, 1]), -uni([1]))
-    assert isinstance(result, NoSolutionShape)
+    assert refuted(result)
 
 
 def test_exhaustive_low_degree_confirms_no_solution():
@@ -97,8 +101,6 @@ def test_empty_constraints_mean_identity(a, g):
         return
     # c' - a*c = g is a*c - c' = -g
     result = solve_first_order(a, -g)
-    if isinstance(result, NoSolutionShape):
-        return
     if result.constraints:
         return
     c = result.c.restrict("x")
@@ -117,12 +119,12 @@ def test_planted_solution_recovered_in_both_modes(a, c_true, k):
         return
     g = a * c_true.scale(k) - c_true.partial("x")
     sol = solve_first_order(a, g, k=k)
-    assert not isinstance(sol, NoSolutionShape)
+    assert not refuted(sol)
     assert sol.constraints == []
     assert sol.c.restrict("x") == c_true
 
     g2 = c_true.partial("x") - a * c_true
     sol2 = solve_first_order(a, -g2, k=1)
-    assert not isinstance(sol2, NoSolutionShape)
+    assert not refuted(sol2)
     assert sol2.constraints == []
     assert sol2.c.restrict("x") == c_true

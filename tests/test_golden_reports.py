@@ -52,6 +52,16 @@ with l = 3/2 and a simple T4.1 cell; for the power family, condition 1,
 the condition-2 half power, condition 3 with l = -2 at beta = 2 and
 l = 2 at beta = 3 (the sign (-1)^beta), a passing cell, and condition 3
 with alpha < beta.
+
+golden_mz_reports.json, read after them, holds `mz` and `analyze`
+requests recorded while `decide_mz` still restated each Mathieu-Zhao
+rule next to the local-finiteness test and built its obstruction
+targets in one helper per family: plane-linear cells with a0 = 0, with
+constant a1 and with deg a1 >= 1; translation-diagonal cells with a
+zero gamma (MZ and not), with k > 1 only on a later coordinate, and
+with every k = 1 and one nonconstant gamma; diagonal cells with a k = 0
+coordinate (MZ and not), and with the first k > 1 after or before the
+coordinate raised to the fifth power.
 """
 
 import json
@@ -62,7 +72,12 @@ import pytest
 
 from dercert.cli import run_command
 
-GOLDEN = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
+HERE = Path(__file__).parent
+GOLDEN = [
+    case
+    for name in ("golden_reports.json", "golden_mz_reports.json")
+    for case in json.loads((HERE / name).read_text())
+]
 
 
 @pytest.mark.parametrize(

@@ -307,8 +307,9 @@ class TestCertified:
     def test_diag_mixed_power_product(self):
         D = FamilyDiag(gammas=(F(1), F(1)), ks=(2, 1)).to_derivation()
         target = MultiPoly.var(D.variables, "y1") * MultiPoly.var(D.variables, "y2", 7)
-        cert = certified_nonmembership(D, target, sanity_bound=8)
+        cert = certified_nonmembership(D, target)
         assert isinstance(cert, CertifiedNonMember)
+        assert image_membership(D, target, 8) == NotFoundUpTo(bound=8)
         assert cert.theorem == "T5.3" and cert.m_used == 7
 
     def test_member_gets_no_certificate(self):
