@@ -20,12 +20,16 @@ every declared variable needs an entry (0 is allowed).
 Errors carry the 1-based column, in the string passed, of the token they
 name.  A derivation's frame and declared names are checked first; then
 the entries are read left to right, and the first offending token is
-reported.
+reported.  A polynomial with a coefficient whose numerator or
+denominator has more digits than `str()` prints
+(`sys.get_int_max_str_digits()`) is an error at its first token, so
+every parsed value can be printed.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from math import gcd
 
 from .derivation import Derivation
@@ -92,6 +96,25 @@ class _Reader:
             return int(self.tokens[index])
         except ValueError:  # more digits than sys.get_int_max_str_digits() allows
             self.fail(index, f"integer literal of {len(self.tokens[index])} digits is too long")
+
+    def expr_at(self, index: int) -> MultiPoly:
+        """The expression starting at token `index`; one with a coefficient
+        that has more digits than str() prints fails at that column."""
+        self.pos = index
+        poly = self.expr()
+        # 0 is no limit, as on Pythons before 3.10.7, which lack the getter
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        # a value of at most 3 * limit bits is below 8^limit, so printable;
+        # a coefficient is nums[e] / den in lowest terms, no longer than both
+        if limit and max(map(int.bit_length, (poly.den, *poly.nums.values()))) > 3 * limit:
+            top = 10**limit
+            for num in poly.nums.values():
+                g = gcd(num, poly.den)
+                if abs(num) // g >= top or poly.den // g >= top:
+                    raise ParseError(
+                        f"a coefficient has more than {limit} digits", _column(self.src, index)
+                    )
+        return poly
 
     def expr(self) -> MultiPoly:
         node = self.term()
@@ -184,7 +207,7 @@ def parse_poly(src: str, variables: tuple[str, ...] | None = None) -> MultiPoly:
         used = {text for text in tokens if text in _VAR_ORDER}
         variables = sort_variables(used) if used else ("x",)
     reader = _Reader(src, tokens, tuple(variables), False)
-    poly = reader.expr()
+    poly = reader.expr_at(0)
     if tokens[reader.pos] != _END:
         reader.fail(reader.pos, f"unexpected token {tokens[reader.pos]!r}")
     return poly
@@ -266,8 +289,7 @@ def parse_derivation(src: str) -> Derivation:
             raise ParseError("each entry must look like 'var: polynomial'", _column(src, index))
         if name not in _VAR_ORDER:
             raise ParseError(f"unknown variable {name!r}", _column(src, index))
-        reader.pos = index + 2
-        images[name] = reader.expr()
+        images[name] = reader.expr_at(index + 2)
         index = reader.pos
         if tokens[index] == ",":
             index += 1

@@ -92,12 +92,17 @@ def _exponents_of_degree(total: int, nvars: int) -> list[tuple[int, ...]]:
 def image_membership(D: Derivation, target: MultiPoly, bound: int) -> Member | NotFoundUpTo:
     """Solve D(f) = target over all f of total degree <= bound, exactly.
 
-    Column j of the system is D of the j-th basis monomial, built by the
-    product rule D(x^e) = sum_v e_v * x^(e - 1_v) * D(v) from the terms
-    of the images D(v).  Rows are the monomials that occur in a column
-    or in the target, in no particular order.  Both sides are scaled by
-    the lcm of the images' and the target's denominators, so every entry
-    is an int and `solve_sparse` eliminates over the integers.
+    Column j of the system is D of the j-th basis monomial, by the
+    product rule D(x^e) = sum_v e_v * x^(e - 1_v) * D(v).  The terms c*x^m
+    of the images D(v) are grouped once by their shift m - 1_v, and
+    column j writes e_v * c straight into the row of x^(e + m - 1_v).  A
+    shift held by one variable gives a nonzero entry, and distinct
+    shifts land in distinct rows; a shift held by several writes the sum
+    of their e_v * c, and nothing when it cancels.  Rows are the target's
+    monomials, then the other monomials a column reaches, each with its
+    columns in increasing order.  Both sides are scaled by the lcm of
+    the images' and the target's denominators, so every entry is an int
+    and `solve_sparse` eliminates over the integers.
 
     A monomial is keyed by one packed int: its total degree in the top
     field, then its exponents from the last variable down, so decreasing
@@ -122,30 +127,38 @@ def image_membership(D: Derivation, target: MultiPoly, bound: int) -> Member | N
     width = max([bound, *degrees, *map(sum, target.nums)]).bit_length()
     basis, keys = _basis(nvars, bound, width)
     den = lcm(target.den, *(image.den for image in D.images))
-    # the terms x^m of D(v) as packed shifts by m - 1_v, so x^e contributes
-    # e_v * c * x^(e + m - 1_v)
-    shifted = []
+    # the terms x^m of D(v) grouped by their packed shift m - 1_v, so x^e
+    # contributes e_v * c * x^(e + m - 1_v) for each (v, c) of a shift
+    by_shift: dict[int, list[tuple[int, int]]] = {}
     for v, image in enumerate(D.images):
         unit = (1 << width * nvars) + (1 << width * v)  # the key of x_v
         scale = den // image.den
-        shifted.append((v, [(_pack(m, width) - unit, c * scale) for m, c in image.nums.items()]))
-    rows_by_key: dict[int, dict[int, int]] = {}
+        for m, c in image.nums.items():
+            by_shift.setdefault(_pack(m, width) - unit, []).append((v, c * scale))
+    single: dict[int, list[tuple[int, int]]] = {}
+    shared = []
+    for shift, terms in by_shift.items():
+        if len(terms) == 1:
+            ((v, c),) = terms
+            single.setdefault(v, []).append((shift, c))
+        else:
+            shared.append((shift, terms))
+    rhs = [c * (den // target.den) for c in target.nums.values()]
+    rows_by_key: dict[int, dict[int, int]] = {_pack(m, width): {} for m in target.nums}
     for j, exps in enumerate(basis):
         key = keys[j]
-        column: dict[int, int] = {}
-        for v, terms in shifted:
+        for v, terms in single.items():
             e_v = exps[v]
             if e_v:
                 for shift, c in terms:
-                    mono = key + shift
-                    column[mono] = column.get(mono, 0) + e_v * c
-        for mono, coeff in column.items():
+                    rows_by_key.setdefault(key + shift, {})[j] = e_v * c
+        for shift, terms in shared:
+            coeff = 0
+            for v, c in terms:
+                coeff += exps[v] * c
             if coeff:
-                rows_by_key.setdefault(mono, {})[j] = coeff
-    rhs_by_key = {_pack(m, width): c * (den // target.den) for m, c in target.nums.items()}
-    for key in rhs_by_key:
-        rows_by_key.setdefault(key, {})
-    rhs = [rhs_by_key.get(key, 0) for key in rows_by_key]
+                rows_by_key.setdefault(key + shift, {})[j] = coeff
+    rhs += [0] * (len(rows_by_key) - len(rhs))
     solution = solve_sparse(list(rows_by_key.values()), rhs, len(basis))
     if solution is None:
         return NotFoundUpTo(bound=bound)

@@ -97,7 +97,7 @@ def _walk(
     row, rhs) in column order, and the free columns.  Appends the rows
     made by fill-in to `rows` and `rhs`, and mutates no row.
     """
-    last = [max(row, default=-1) for row in rows]
+    last = [max(row) if row else -1 for row in rows]
     ending: list[list[int]] = [[] for _ in range(ncols)]
     for i, col in enumerate(last):
         if col >= 0:
@@ -164,7 +164,7 @@ def _walk(
             if content > 1:
                 new = {c: v // content for c, v in new.items()}
                 b //= content
-            end = max(new, default=-1)
+            end = max(new) if new else -1
             if end < col:  # every column left is solved: a check
                 if _residual(new, b, known):
                     return None

@@ -267,6 +267,11 @@ class TestParseErrors:
         code, report = run_json(capsys, ["analyze", "deriv{x: y, x: y}"])
         assert code == 2
 
+    def test_coefficient_too_long_to_print(self, capsys):
+        code, report = run_json(capsys, ["analyze", "deriv{x: y, y: x*y + 10^5000}"])
+        assert code == 2
+        assert report["results"]["error"] == "a coefficient has more than 4300 digits (column 16)"
+
     def test_negative_bound(self, capsys):
         code, report = run_json(
             capsys,

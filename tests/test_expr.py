@@ -148,6 +148,16 @@ class TestErrorColumns:
                 "deriv{x: y, y: x^" + "2" * 5000 + "}", 18,
                 "integer literal of 5000 digits is too long", id="long-exponent",
             ),
+            # a value built while parsing is held to the same limit, reported
+            # at the start of its entry
+            pytest.param(
+                "deriv{x: y, y: x*y + 10^5000}", 16,
+                "a coefficient has more than 4300 digits", id="long-coefficient",
+            ),
+            pytest.param(
+                "deriv{x: y,  y: x + (1/10)^4300}", 17,
+                "a coefficient has more than 4300 digits", id="long-common-denominator",
+            ),
         ],
     )
     def test_derivation(self, src, column, message):
@@ -155,6 +165,16 @@ class TestErrorColumns:
             parse_derivation(src)
         assert err.value.column == column
         assert str(err.value) == f"{message} (column {column})"
+
+    def test_coefficient_digits_at_the_limit(self):
+        # 10^4299 has 4300 digits, the most str() prints by default
+        assert parse_poly("x - 10^4299").nums[(0,)] == -(10**4299)
+        with pytest.raises(ParseError) as err:
+            parse_poly("  x - 10^4300", ("x",))
+        assert str(err.value) == "a coefficient has more than 4300 digits (column 3)"
+        # held over the common denominator 7 the constant has 4301 digits,
+        # but it prints in lowest terms
+        assert parse_poly("1/7*x + 2*10^4299").nums[(0,)] == 14 * 10**4299
 
     def test_polynomial_over_given_variables(self):
         with pytest.raises(ParseError) as err:

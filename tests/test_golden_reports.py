@@ -62,6 +62,14 @@ zero gamma (MZ and not), with k > 1 only on a later coordinate, and
 with every k = 1 and one nonconstant gamma; diagonal cells with a k = 0
 coordinate (MZ and not), and with the first k > 1 after or before the
 coordinate raised to the fifth power.
+
+The last case of golden_mz_reports.json is an `image` request on the
+diagonal derivation y1*d1 - y2*d2 + 2*y3*d3 with a member target at
+bound 6, recorded while the image system was still assembled one column
+at a time and then scattered into rows.  Every D(y_i) shifts a monomial
+by zero, so all three coordinates share one shift, and its summed
+coefficient e1 - e2 + 2*e3 cancels on the seven kernel monomials.  It
+sits last so that the other cases keep their test ids.
 """
 
 import json

@@ -281,6 +281,32 @@ class TestPackedAssembly:
             assert isinstance(result, Member)
             assert (result.preimage, result.kernel_dim) == expected
 
+    @pytest.mark.parametrize(
+        "derivation, target, bound, preimage, kernel_dim",
+        [
+            # y1 and y2 shift by zero; e1 - e2 cancels on the kernel y1^a*y2^a
+            ("deriv{y1: y1, y2: -y2}", "y1", 4, "y1", 3),
+            ("deriv{y1: y1, y2: -y2}", "y1*y2", 4, None, None),
+            # a shift shared by both variables whose sum e1 + e2 never cancels
+            ("deriv{x: x, y: y}", "x*y", 3, "1/2*x*y", 1),
+            # the shared zero shift beside the single shift of y^2 in D(x)
+            ("deriv{x: x + y^2, y: y}", "x*y", 3, "1/2*x*y - 1/6*y^3", 1),
+            ("deriv{x: x + y^2, y: y}", "2*x^2 + 2*x*y^2", 3, "x^2", 1),
+            ("deriv{x: x + y^2, y: y}", "3*x^2 + y^2", 3, None, None),
+        ],
+    )
+    def test_shared_shifts(self, derivation, target, bound, preimage, kernel_dim):
+        D = parse_derivation(derivation)
+        target = parse_poly(target, D.variables)
+        result = image_membership(D, target, bound)
+        if preimage is None:
+            assert result == NotFoundUpTo(bound=bound)
+            assert reference_membership(D, target, bound) is None
+        else:
+            preimage = parse_poly(preimage, D.variables)
+            assert result == Member(preimage=preimage, kernel_dim=kernel_dim, bound=bound)
+            assert reference_membership(D, target, bound) == (preimage, kernel_dim)
+
     def test_full_fields(self):
         # bound 7 and deg D 0 give 3-bit fields; x^7 fills its exponent and degree fields
         D = parse_derivation("deriv{x: 1/2, y: 0}")

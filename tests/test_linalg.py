@@ -231,3 +231,17 @@ def test_fraction_entries_are_scaled_to_integers_first():
     _, sol, dense = walk_and_solve(rows, rhs, 3)
     assert sol == dense == LinSolution([F(-1), F(2), F(3, 2)], [], 3)
     assert rows[0] == {0: F(1, 2), 1: F(1, 3)} and rhs[0] == F(1, 6)
+
+
+def test_empty_rows_are_checks_of_their_rhs():
+    # an image system holds a row with no column for every target
+    # monomial past every column; rows need not list their columns in order
+    rows = [{}, {2: 1, 0: 1}, {1: 2}, {2: 3}]
+    walked, sol, dense = walk_and_solve(rows, [0, 4, 4, 3], 3)
+    known, waiting, free = walked
+    assert known == {1: 2, 2: 1} and [col for col, _, _ in waiting] == [0] and free == []
+    assert sol == dense == LinSolution([F(3), F(2), F(1)], [], 3)
+    walked, sol, dense = walk_and_solve(rows, [5, 4, 4, 3], 3)
+    assert walked is sol is dense is None
+    assert solve_sparse([{}], [0], 1) == LinSolution([F(0)], [[F(1)]], 0)
+    assert solve_sparse([{}], [F(1, 2)], 1) is None
