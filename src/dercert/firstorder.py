@@ -8,11 +8,13 @@ last exponent.  The solver handles the operator shape
 
     k*a*c - c' = g
 
-for deg a >= 1 and k != 0, where the operator shifts degrees by deg a
+for a != 0 and k != 0, where the operator shifts degrees by deg a
 and is injective (c' - a*c = g is the case k = 1 with right-hand side
 -g).  Top-down coefficient matching determines the unique
 degree-compatible candidate c; the leftover low-order coefficient
-equations come back as polynomial constraints on the parameters.
+equations, one for each power of x below deg a, come back as
+polynomial constraints on the parameters.  A constant a leaves none,
+so c is then the exact solution.
 Specializing the parameters so every constraint vanishes makes the
 equation hold identically; a nonzero constant among the constraints
 means no specialization does, and the caller reads that off the list.
@@ -31,7 +33,7 @@ RatLike = Union[Fraction, int]
 
 
 class UnsupportedShape(ValueError):
-    """The coefficient polynomial a must have degree at least 1."""
+    """The coefficient polynomial a must be nonzero."""
 
 
 def split_x(p: MultiPoly) -> dict[int, MultiPoly]:
@@ -60,12 +62,12 @@ def solve_first_order(a: MultiPoly, g: MultiPoly, k: RatLike = 1) -> FirstOrderS
     over ``params + ("x",)``: x must be the last variable, the others
     are the parameters.  The candidate c lives over
     the same tuple and the constraints over ``params``.  Requires
-    deg a >= 1 so that c -> k*a*c - c' is injective and shifts degrees
-    by deg a; constant a is handled by closed forms elsewhere.
+    a != 0 so that c -> k*a*c - c' is injective and shifts degrees by
+    deg a; a constant a gives no constraints.
     """
+    if a.is_zero():
+        raise UnsupportedShape("coefficient polynomial must be nonzero")
     d = a.total_degree()
-    if d < 1:
-        raise UnsupportedShape("coefficient polynomial must have degree >= 1")
     k = Fraction(k)
     if k == 0:
         raise ValueError("k must be nonzero")

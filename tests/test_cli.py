@@ -18,8 +18,9 @@ import dercert.image
 import dercert.simplicity
 from dercert.cli import EXIT_INTERNAL, run_command
 from dercert.darboux import NotDarboux
+from dercert.firstorder import FirstOrderSolution
 from dercert.image import Member, NotFoundUpTo
-from dercert.mpoly import DivisorZero, VariableMismatch, ZeroPolynomial
+from dercert.mpoly import DivisorZero, MultiPoly, VariableMismatch, ZeroPolynomial
 
 POWER_GRID = Path(__file__).resolve().parents[1] / "grids" / "power_alpha2.jsonl"
 
@@ -168,6 +169,26 @@ class TestInternalFault:
         assert captured.out == ""
         report = json.loads(captured.err)
         assert report["exit_code"] == 5
+        assert "does not map to the target" in report["results"]["error"]
+
+    def test_failed_descent_self_check_exits_five(self, monkeypatch, capsys):
+        real = dercert.image.solve_first_order
+
+        def off_by_one(a, g, k=1):
+            solution = real(a, g, k)
+            return FirstOrderSolution(solution.c + MultiPoly.constant(solution.c.variables, 1), [])
+
+        monkeypatch.setattr(dercert.image, "solve_first_order", off_by_one)
+        # D(x^2*y + 2/3*y^2 - x) for y*dx + (3*y^2 + x*y)*dy
+        target = "3*x^2*y^2 + x^3*y + 4*y^3 + 10/3*x*y^2 - y"
+        code = run_command(
+            ["--json", "image", "deriv{x: y, y: 3*y^2 + x*y}", "--target", target, "--bound", "4"]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert captured.out == ""
+        report = json.loads(captured.err)
+        assert report["exit_code"] == EXIT_INTERNAL
         assert "does not map to the target" in report["results"]["error"]
 
     def test_scan_fault_is_reported_without_json(self, monkeypatch, tmp_path, capsys):

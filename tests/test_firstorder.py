@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import uni, unipolys
+from conftest import nonzero_rationals, uni, unipolys
 from dercert import (
     MultiPoly,
     UnsupportedShape,
@@ -66,9 +66,20 @@ def test_shift_mode_against_linear_system_oracle():
     assert uni([0, 1]) * c.scale(2) - c.partial("x") == uni([0, 0, 0, 2])
 
 
-def test_constant_a_rejected():
+def test_zero_a_rejected():
     with pytest.raises(UnsupportedShape):
-        solve_first_order(uni([1]), uni([1]))
+        solve_first_order(uni([]), uni([1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonzero_rationals, nonzero_rationals, unipolys(max_degree=5, max_terms=5))
+def test_constant_a_is_solved_exactly(lam, k, g):
+    # k*lam*c - c' = g has exactly one polynomial solution for every g,
+    # and the top-down recurrence reaches every coefficient of it
+    sol = solve_first_order(uni([lam]), g, k=k)
+    assert sol.constraints == []
+    c = sol.c.restrict("x")
+    assert c.scale(k * lam) - c.partial("x") == g
 
 
 def test_parametric_right_hand_side():

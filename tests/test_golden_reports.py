@@ -68,8 +68,15 @@ diagonal derivation y1*d1 - y2*d2 + 2*y3*d3 with a member target at
 bound 6, recorded while the image system was still assembled one column
 at a time and then scattered into rows.  Every D(y_i) shifts a monomial
 by zero, so all three coordinates share one shift, and its summed
-coefficient e1 - e2 + 2*e3 cancels on the seven kernel monomials.  It
-sits last so that the other cases keep their test ids.
+coefficient e1 - e2 + 2*e3 cancels on the seven kernel monomials.
+
+The eight cases after it are `image` requests on quadratic plane
+families with a2 != 0, recorded while their membership was still
+decided by the bounded sparse solve: members D(g) with a constant a2,
+with a0 = 0, with a nonconstant a0 and with the second variable named
+y1; the target y^2, whose first-order step has no polynomial solution;
+a member D(g) at a bound below deg g; the y-free target x^2; and the
+target 0.  New cases go last so that the others keep their test ids.
 """
 
 import json

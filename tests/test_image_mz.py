@@ -14,6 +14,7 @@ from dercert import (
     Derivation,
     FamilyDiag,
     FamilyDiagX,
+    FirstOrderSolution,
     Member,
     MultiPoly,
     NotFoundUpTo,
@@ -315,6 +316,80 @@ class TestPackedAssembly:
         assert result == Member(preimage=parse_poly("x^7", D.variables), kernel_dim=8, bound=7)
         assert (result.preimage, result.kernel_dim) == reference_membership(D, target, 7)
         assert image_membership(D, parse_poly("x^7", D.variables), 7) == NotFoundUpTo(bound=7)
+
+
+@st.composite
+def quadratic_plane_cases(draw):
+    """(D, target, bound) for y*dx + (a2*y^2 + a1*y + a0)*dy with a2 != 0."""
+    a2 = draw(st.lists(rationals, min_size=1, max_size=3).map(uni).filter(lambda p: not p.is_zero()))
+    a1 = draw(st.lists(rationals, max_size=2).map(uni))
+    a0 = draw(st.lists(rationals, max_size=2).map(uni))
+    plane = PlaneFamily(1, 1, a2=a2, a1=a1, a0=a0).to_derivation()
+    # the second variable may be named y1: it is the same family
+    variables = ("x", draw(st.sampled_from(["y", "y1"])))
+    D = Derivation(variables, tuple(MultiPoly(variables, image.terms) for image in plane.images))
+    g = draw(multipolys(variables, max_degree=3, max_terms=4))
+    bound = draw(st.integers(0, max(g.total_degree(), 0) + 2))
+    target = D.apply(g)
+    if draw(st.booleans()):
+        target = target + draw(multipolys(variables, max_degree=4, max_terms=2))
+    return D, target, bound
+
+
+def refuse_sparse(rows, rhs, ncols):
+    raise RuntimeError("solve_sparse reached")
+
+
+class TestDescent:
+    @settings(max_examples=150, deadline=None)
+    @given(quadratic_plane_cases())
+    def test_matches_the_reference_solve(self, case):
+        D, target, bound = case
+        result = image_membership(D, target, bound)
+        expected = reference_membership(D, target, bound)
+        if expected is None:
+            assert result == NotFoundUpTo(bound=bound)
+        else:
+            assert isinstance(result, Member)
+            assert (result.preimage, result.kernel_dim) == expected
+            assert result.kernel_dim == 1
+
+    def test_never_assembles_a_system(self, monkeypatch):
+        monkeypatch.setattr(dercert.image, "solve_sparse", refuse_sparse)
+        D = parse_derivation("deriv{x: y, y: (x + 1)*y^2 + x}")
+        g = parse_poly("x*y - 1/3*x^2 + 1/2*y^2", D.variables)
+        assert image_membership(D, D.apply(g), 5) == Member(preimage=g, kernel_dim=1, bound=5)
+        assert image_membership(D, D.apply(g), 1) == NotFoundUpTo(bound=1)
+        assert image_membership(D, parse_poly("y^2", D.variables), 6) == NotFoundUpTo(bound=6)
+
+    @pytest.mark.parametrize(
+        "derivation",
+        [
+            "deriv{x: y, y: x*y + 1}",  # plane-linear
+            "deriv{x: y, y: x*y + x}",  # a2 = 0 with a nonconstant a0
+            "deriv{x: y^2, y: x*y^3 + y^2 + 1}",  # alpha = beta = 2
+            "deriv{y1: y1, y2: -y2}",
+        ],
+    )
+    def test_other_families_solve_the_system(self, monkeypatch, derivation):
+        monkeypatch.setattr(dercert.image, "solve_sparse", refuse_sparse)
+        D = parse_derivation(derivation)
+        with pytest.raises(RuntimeError, match="solve_sparse reached"):
+            image_membership(D, MultiPoly.constant(D.variables, 1), 3)
+
+    def test_wrong_first_order_answer_is_caught(self, monkeypatch):
+        real = dercert.image.solve_first_order
+
+        def off_by_one(a, g, k=1):
+            solution = real(a, g, k)
+            return FirstOrderSolution(solution.c + MultiPoly.constant(solution.c.variables, 1), [])
+
+        monkeypatch.setattr(dercert.image, "solve_first_order", off_by_one)
+        # a0 = 0 leaves the y^0 equation nothing to refute
+        D = parse_derivation("deriv{x: y, y: 3*y^2 + x*y}")
+        target = D.apply(parse_poly("x^2*y + 2/3*y^2 - x", D.variables))
+        with pytest.raises(CheckFailed):
+            image_membership(D, target, 4)
 
 
 class TestCertified:
