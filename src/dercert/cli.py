@@ -155,10 +155,11 @@ def describe_evidence(evidence) -> dict:
 def describe_search(outcome: SearchOutcome) -> dict:
     found = []
     for pair in outcome.pairs:
-        by_y = pair.cofactor.coeffs_in("y")
+        y = pair.F.variables[1]
+        by_y = pair.cofactor.coeffs_in(y)
         found.append(
             {
-                "n": int(pair.F.degree_in("y")),
+                "n": int(pair.F.degree_in(y)),
                 "d1": poly_to_str(by_y.get(1, MultiPoly.zero(pair.F.variables))),
                 "d0": poly_to_str(by_y.get(0, MultiPoly.zero(pair.F.variables))),
                 "F": poly_to_str(pair.F),
@@ -274,8 +275,8 @@ def _necessary_dict(check: NecessaryCheck) -> dict:
     if not check.passed:
         out["failed_condition"] = check.failed_condition
         out["witness"] = describe_certificate(check.witness)
-        if check.l_value is not None:
-            out["l"] = str(check.l_value)
+        if check.witness.l_value is not None:
+            out["l"] = str(check.witness.l_value)
     return out
 
 
@@ -417,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--d0-deg", type=int, default=3)
     p.add_argument("--cx-deg", type=int, default=4)
-    p.add_argument("--effort", type=int, default=100)
+    p.add_argument("--effort", type=int, default=SearchBounds.residual_effort)
 
     p = sub.add_parser("image", parents=[shared], help="bounded image membership for a target")
     p.add_argument("derivation")
@@ -435,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=2)
     p.add_argument("--d0-deg", type=int, default=2)
     p.add_argument("--cx-deg", type=int, default=3)
-    p.add_argument("--effort", type=int, default=100)
+    p.add_argument("--effort", type=int, default=SearchBounds.residual_effort)
     return parser
 
 

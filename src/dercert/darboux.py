@@ -32,8 +32,6 @@ from .firstorder import solve_first_order, split_x
 from .mpoly import CheckFailed, MultiPoly, ZeroPolynomial, divide_exact
 from .upoly import rational_roots
 
-PLANE = ("x", "y")
-
 
 @dataclass(frozen=True)
 class DarbouxPair:
@@ -90,7 +88,8 @@ class ViolationReport:
 
 
 def _decompose_in_y(p: MultiPoly) -> dict[int, MultiPoly]:
-    return {e: c.restrict("x") for e, c in p.coeffs_in("y").items()}
+    # p is over a plane (x, y), whatever y is named
+    return {e: c.restrict("x") for e, c in p.coeffs_in(p.variables[1]).items()}
 
 
 def audit_structure(
@@ -107,8 +106,8 @@ def audit_structure(
     if not fam.quadratic:
         raise UnsupportedFamily("the structure audit needs alpha = beta = 1")
     D = fam.to_derivation()
-    F = pair.F.with_variables(PLANE)
-    cof = pair.cofactor.with_variables(PLANE)
+    F = pair.F.with_variables(fam.variables)
+    cof = pair.cofactor.with_variables(fam.variables)
     if D.apply(F) != cof * F:
         return ViolationReport("product-identity", "D(F) != cofactor * F")
     by_y = _decompose_in_y(F)
@@ -482,11 +481,11 @@ def _search_fixed_n(
     D = fam.to_derivation()
     pairs = []
     for point in result.solutions:
-        F = MultiPoly.zero(PLANE)
+        F = MultiPoly.zero(fam.variables)
         for i, ci in c.items():
             # c_i at the point times y^i, in ascending x-degree
             F = F + MultiPoly(
-                PLANE,
+                fam.variables,
                 [((e, i), coeff.evaluate(point)) for e, coeff in sorted(split_x(ci).items())],
             )
         verified = verify_darboux(D, F)

@@ -58,13 +58,17 @@ class Derivation:
 
 @dataclass(frozen=True)
 class PlaneFamily:
-    """y^alpha on x, and a two-step power shape on y; alpha <= beta."""
+    """y^alpha on x, and a two-step power shape on y; alpha <= beta.
+
+    `variables` names the plane: x, then the variable the family calls y.
+    """
 
     alpha: int
     beta: int
     a2: MultiPoly
     a1: MultiPoly
     a0: MultiPoly
+    variables: tuple[str, str] = ("x", "y")
 
     def __post_init__(self):
         if not (1 <= self.alpha <= self.beta):
@@ -81,8 +85,8 @@ class PlaneFamily:
         return self.quadratic and self.a2.is_zero() and self.a0.is_constant()
 
     def to_derivation(self) -> Derivation:
-        v = ("x", "y")
-        y = MultiPoly.var(v, "y")
+        v = self.variables
+        y = MultiPoly.var(v, v[1])
         img_x = y**self.alpha
         img_y = (
             self.a2.with_variables(v) * y ** (self.beta + 1)
@@ -184,7 +188,7 @@ def _recognize_plane(D: Derivation) -> Family:
             return None
         a2 = by_y[e2].restrict(x) if e2 is not None else zero
         a1 = by_y[e1].restrict(x) if e1 is not None else zero
-        return PlaneFamily(alpha=alpha, beta=beta, a2=a2, a1=a1, a0=a0)
+        return PlaneFamily(alpha, beta, a2, a1, a0, D.variables)
 
     if not support:
         fam = read(None, None, alpha)

@@ -106,7 +106,8 @@ def image_membership(D: Derivation, target: MultiPoly, bound: int) -> Member | N
     The particular preimage is canonical: columns of the system are
     ordered by decreasing graded-lex and free coordinates are set to
     zero.  kernel_dim is the dimension of {f : deg f <= bound, D(f) = 0},
-    constants included.  For the quadratic plane family with a2 != 0
+    constants included, which the system gives as its number of columns
+    minus its rank.  For the quadratic plane family with a2 != 0
     that kernel is the constants at every bound: D(f) = 0 forces
     deg_y f = 0 by the bound of `_descend`, and then f' * y = 0.  So
     kernel_dim is 1, the constant column is the system's only free one,
@@ -338,7 +339,7 @@ def decide_mz(D: Derivation) -> MzVerdict:
     family = recognize_family(D)
     if isinstance(family, PlaneFamily) and family.linear:
         if family.a0.is_zero():
-            return MzVerdict(mz=True, theorem=TAG_C23, evidence=("image-is-ideal", "y"))
+            return MzVerdict(mz=True, theorem=TAG_C23, evidence=("image-is-ideal", D.variables[1]))
         theorem = TAG_C23
     elif isinstance(family, FamilyDiagX):
         theorem = TAG_T51 if all(not g.is_zero() for g in family.gammas) else TAG_C52

@@ -13,8 +13,7 @@ is filed once, under its rightmost column.  At column c:
   is a single-entry pivot: x_c = (b - sum a_j x_j) / a_c, summed only
   over the solved values that are nonzero.  Every other row that ends
   at c only checks consistency: a nonzero residual means the system is
-  inconsistent.  A solved column holds the same value in the particular
-  solution and 0 in every kernel vector;
+  inconsistent;
 * otherwise the unused rows that hold c come from a column -> rows
   index, built the first time such a column is reached.  With none, c is
   free.  With one, that row becomes the pivot of c and waits: its value
@@ -33,15 +32,17 @@ touched, as for the sparse right-hand sides of Gilbert and Peierls
 (1988, SIAM J. Sci. Stat. Comput. 9): an image system, where most
 solved values are zero, does almost no Fraction arithmetic.
 
-The backward pass settles the waiting pivots in reverse column order,
-each as a constant plus a combination of the free columns, which gives
-the particular solution (every free variable zero) and the kernel basis
-(one vector per free column, 1 there and 0 in the other free columns).
-Row operations keep the row space, and each pivot row has no entry in a
-column left of its pivot other than solved ones, so a column becomes a
-pivot column exactly when it is independent of the columns before it.
-Those vectors are then unique: neither the order of the rows nor the
-choice of pivot rows can change them.
+The free columns are set to 0, and the backward pass settles the
+waiting pivots in reverse column order by the forward rule: x_c =
+(b - sum a_j x_j) / a_c over the nonzero values.  A waiting row holds
+only solved columns, free ones (zero) and waiting ones to its right,
+which are settled before it, so this gives the particular solution with
+every free variable zero.  Row operations keep the row space, and each
+pivot row has no entry in a column left of its pivot other than solved
+ones, so a column becomes a pivot column exactly when it is independent
+of the columns before it.  The rank and that solution are then unique:
+neither the order of the rows nor the choice of pivot rows can change
+them.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from itertools import chain
 @dataclass
 class LinSolution:
     particular: list[Fraction]
-    kernel: list[list[Fraction]]
     rank: int
 
 
@@ -90,12 +90,12 @@ def _residual(row: dict[int, int], b: int, known: dict[int, Fraction]) -> Fracti
 
 def _walk(
     rows: list[dict[int, int]], rhs: list[int], ncols: int
-) -> tuple[dict[int, Fraction], list[tuple[int, dict[int, int], int]], list[int]] | None:
+) -> tuple[dict[int, Fraction], list[tuple[int, dict[int, int], int]], int] | None:
     """The forward walk; None means inconsistent.
 
     Returns the nonzero solved values, the waiting pivots as (column,
-    row, rhs) in column order, and the free columns.  Appends the rows
-    made by fill-in to `rows` and `rhs`, and mutates no row.
+    row, rhs) in column order, and the number of free columns.  Appends
+    the rows made by fill-in to `rows` and `rhs`, and mutates no row.
     """
     last = [max(row) if row else -1 for row in rows]
     ending: list[list[int]] = [[] for _ in range(ncols)]
@@ -106,7 +106,7 @@ def _walk(
             return None
     known: dict[int, Fraction] = {}
     waiting = []
-    free = []
+    free = 0
     # rows taken as waiting pivots or replaced by fill-in, which the
     # index still lists; `ending` no longer does
     taken: set[int] = set()
@@ -136,7 +136,7 @@ def _walk(
         elif taken:
             held = [i for i in held if i not in taken]
         if not held:
-            free.append(col)
+            free += 1
             continue
         # a sparsest pivot row adds the least fill-in
         p = min(held, key=lambda i: len(rows[i]))
@@ -186,37 +186,11 @@ def solve_sparse(
     if walked is None:
         return None
     known, waiting, free = walked
-    is_free = set(free)
-    # x[col] = sum_k value[col][k] * t_k, with t_k the free variable k
-    # and t_ncols = 1 for the constant part
-    value: dict[int, dict[int, Fraction]] = {}
     for col, row, b in reversed(waiting):
-        acc: dict[int, Fraction | int] = {ncols: b} if b else {}
-        for c, a in row.items():
-            if c == col:
-                continue
-            solved = value.get(c)
-            if solved is not None:
-                for k, v in solved.items():
-                    acc[k] = acc.get(k, 0) - a * v
-            elif c in is_free:
-                acc[c] = acc.get(c, 0) - a
-            elif c in known:
-                acc[ncols] = acc.get(ncols, 0) - a * known[c]
-        p = row[col]
-        value[col] = {k: Fraction(v, p) for k, v in acc.items() if v}
+        s = _residual(row, b, known)
+        if s:
+            known[col] = Fraction(s, row[col])
     particular = [Fraction(0)] * ncols
     for col, v in known.items():
         particular[col] = v
-    for col, solved in value.items():
-        particular[col] = solved.get(ncols, Fraction(0))
-    kernel = {f: [Fraction(0)] * ncols for f in free}
-    for f, vec in kernel.items():
-        vec[f] = Fraction(1)
-    for col, solved in value.items():
-        for k, v in solved.items():
-            if k != ncols:
-                kernel[k][col] = v
-    return LinSolution(
-        particular=particular, kernel=list(kernel.values()), rank=ncols - len(free)
-    )
+    return LinSolution(particular=particular, rank=ncols - free)

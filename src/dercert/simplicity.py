@@ -33,8 +33,6 @@ TAG_T41 = "T4.1"
 TAG_T42 = "T4.2"
 TAG_REF15 = "REF15"
 
-PLANE = ("x", "y")
-
 
 class UnsupportedIdealShape(ValueError):
     """Only principal ideals and (y, p(x)) pairs are verifiable."""
@@ -60,11 +58,6 @@ class NecessaryCheck:
     passed: bool
     failed_condition: int | None = None
     witness: Certificate | None = None
-    l_value: Fraction | None = None
-
-
-def _y(power: int = 1) -> MultiPoly:
-    return MultiPoly.var(PLANE, "y", power)
 
 
 def condition3_solve(a2: MultiPoly, a1: MultiPoly, a0: Fraction, beta: int) -> list[Fraction]:
@@ -112,12 +105,15 @@ def verify_stable_ideal(D: Derivation, generators: Sequence[MultiPoly]) -> bool:
         lead, p = gens
         lead = lead.with_variables(D.variables)
         p = p.with_variables(D.variables)
-        if lead != MultiPoly.var(D.variables, "y"):
+        if len(D.variables) != 2:
+            raise UnsupportedIdealShape("pair ideals need a plane derivation")
+        x, y = D.variables
+        if lead != MultiPoly.var(D.variables, y):
             raise UnsupportedIdealShape("pair ideals must look like (y, p(x))")
-        if not p.uses_only(["x"]):
+        if not p.uses_only([x]):
             raise UnsupportedIdealShape("second generator must only involve x")
-        dy = D.apply(lead).substitute_value("y", 0)
-        dp = D.apply(p).substitute_value("y", 0)
+        dy = D.apply(lead).substitute_value(y, 0)
+        dp = D.apply(p).substitute_value(y, 0)
         return _divides_mod(dy, p) and _divides_mod(dp, p)
     raise UnsupportedIdealShape(f"{len(gens)} generators")
 
@@ -143,31 +139,34 @@ def _plane_conditions(fam: PlaneFamily) -> NecessaryCheck:
 
     Checks, in order: a0 a nonzero constant; a1 or a2 nonconstant; no l
     in Q* with a2 = l*a1 + (-1)^beta*l^(beta+1)*a0.  A failure returns
-    the stable-ideal witness built from the failing condition.
+    the stable-ideal witness built from the failing condition, over the
+    family's own variables.
     """
     a2, a1, a0 = fam.a2, fam.a1, fam.a0
+    v = fam.variables
+    y = MultiPoly.var(v, v[1])
     if a0.is_zero():
-        return NecessaryCheck(False, 1, _stable([_y()]))
+        return NecessaryCheck(False, 1, _stable([y]))
     if not a0.is_constant():
-        return NecessaryCheck(False, 1, _stable([_y(), a0.with_variables(PLANE)]))
+        return NecessaryCheck(False, 1, _stable([y, a0.with_variables(v)]))
     a0_val = a0.constant_value()
     if a1.is_constant() and a2.is_constant():
         if a2.is_zero() and a1.is_zero():
-            witness = _y(fam.alpha + 1).scale(
+            witness = (y ** (fam.alpha + 1)).scale(
                 Fraction(1, fam.alpha + 1)
-            ) - MultiPoly.var(PLANE, "x").scale(a0_val)
+            ) - MultiPoly.var(v, "x").scale(a0_val)
             return NecessaryCheck(False, 2, _stable([witness]))
         witness = (
-            a2.with_variables(PLANE) * _y(fam.beta + 1)
-            + a1.with_variables(PLANE) * _y(fam.beta)
-            + a0.with_variables(PLANE)
+            a2.with_variables(v) * y ** (fam.beta + 1)
+            + a1.with_variables(v) * y**fam.beta
+            + a0.with_variables(v)
         )
         return NecessaryCheck(False, 2, _stable([witness]))
     solutions = condition3_solve(a2, a1, a0_val, fam.beta)
     if solutions:
         l = solutions[0]
-        witness = _y() + MultiPoly.constant(PLANE, 1 / l)
-        return NecessaryCheck(False, 3, _stable([witness], l_value=l), l_value=l)
+        witness = y + MultiPoly.constant(v, 1 / l)
+        return NecessaryCheck(False, 3, _stable([witness], l_value=l))
     return NecessaryCheck(True)
 
 
@@ -238,7 +237,7 @@ def conjecture_scan(alpha: int, coeff_grid, bounds) -> list[ScanRow]:
             if not verify_stable_ideal(fam.to_derivation(), check.witness.generators):
                 raise CheckFailed("constructed witness failed verification")
             rows.append(
-                ScanRow(alpha, a2, a1, a0, "fail", check.l_value, "skipped")
+                ScanRow(alpha, a2, a1, a0, "fail", check.witness.l_value, "skipped")
             )
             continue
         if not searchable(fam):

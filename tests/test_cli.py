@@ -17,7 +17,8 @@ import dercert.derivation
 import dercert.image
 import dercert.simplicity
 from dercert.cli import EXIT_INTERNAL, run_command
-from dercert.darboux import NotDarboux
+from dercert.darboux import NotDarboux, verify_darboux
+from dercert.expr import parse_derivation, parse_poly, poly_to_str
 from dercert.firstorder import FirstOrderSolution
 from dercert.image import Member, NotFoundUpTo
 from dercert.mpoly import DivisorZero, MultiPoly, VariableMismatch, ZeroPolynomial
@@ -149,6 +150,58 @@ class TestDarboux:
             capsys, ["darboux", "deriv{x: y, y: y^2 + 1}"]
         )
         assert code == 3
+
+
+class TestPlaneOverY1:
+    """A plane derivation over (x, y1) gets its certificates over (x, y1)."""
+
+    def replays(self, text, generators):
+        D = parse_derivation(text)
+        gens = [parse_poly(g, D.variables) for g in generators]
+        return dercert.simplicity.verify_stable_ideal(D, gens)
+
+    def test_condition_3_witness(self, capsys):
+        text = "deriv{x: y1, y1: (2*x - 4)*y1^2 + x*y1 + 1}"
+        code, report = run_json(capsys, ["analyze", text])
+        assert code == 0
+        cert = report["results"]["simplicity"]["certificate"]
+        assert cert == {"generators": ["y1 + 1/2"], "kind": "stable_ideal", "l": "2"}
+        assert self.replays(text, cert["generators"])
+
+    def test_condition_1_pair(self, capsys):
+        text = "deriv{x: y1, y1: x^2*y1 + x}"
+        code, report = run_json(capsys, ["analyze", text])
+        assert code == 0
+        generators = report["results"]["simplicity"]["certificate"]["generators"]
+        assert generators == ["y1", "x"]
+        assert self.replays(text, generators)
+
+    def test_power_family_witness(self, capsys):
+        text = "deriv{x: y1^2, y1: (x + 1)*y1^3 + x*y1^2 + 1}"
+        code, report = run_json(capsys, ["analyze", text])
+        assert code == 0
+        check = report["results"]["necessary_conditions"]
+        assert check["failed_condition"] == 3 and check["l"] == "1"
+        assert check["witness"]["generators"] == ["y1 + 1"]
+        assert self.replays(text, check["witness"]["generators"])
+
+    def test_found_darboux_pair(self, capsys):
+        text = "deriv{x: y1, y1: (2*x - 4)*y1^2 + x*y1 + 1}"
+        code, report = run_json(capsys, ["darboux", text, "--n-max", "1"])
+        assert code == 0
+        (entry,) = report["results"]["search"]["found"]
+        assert (entry["F"], entry["cofactor"], entry["n"]) == (
+            "y1 + 1/2", "2*x*y1 - 4*y1 + 2", 1
+        )
+        assert (entry["d1"], entry["d0"]) == ("2*x - 4", "2")
+        D = parse_derivation(text)
+        pair = verify_darboux(D, parse_poly(entry["F"], D.variables))
+        assert poly_to_str(pair.cofactor) == entry["cofactor"]
+
+    def test_ideal_image_names_the_variable(self, capsys):
+        code, report = run_json(capsys, ["mz", "deriv{x: y1, y1: x*y1}"])
+        assert code == 0
+        assert report["results"]["mz"]["evidence"] == {"kind": "image-is-ideal", "value": "y1"}
 
 
 class TestInternalFault:

@@ -19,15 +19,15 @@ def solve_dense(rows, rhs):
 def test_identity_system():
     sol = solve_dense([[1, 0], [0, 1]], [2, 3])
     assert sol.particular == [F(2), F(3)]
-    assert sol.kernel == []
+    assert sol.rank == 2
 
 
 def test_underdetermined_kernel():
-    sol = solve_dense([[1, 1]], [0])
-    assert sol.particular == [F(0), F(0)]
-    assert len(sol.kernel) == 1
-    v = sol.kernel[0]
-    assert v[0] + v[1] == 0 and v != [0, 0]
+    # x0 + x1 = 1: column 1 is free and set to 0, leaving a kernel of
+    # dimension 2 - rank = 1
+    sol = solve_dense([[1, 1]], [1])
+    assert sol.particular == [F(1), F(0)]
+    assert sol.rank == 1
 
 
 def test_inconsistent():
@@ -46,7 +46,7 @@ matrices = st.integers(min_value=1, max_value=4).flatmap(
 
 @settings(max_examples=200, deadline=None)
 @given(matrices, st.data())
-def test_solution_and_kernel_are_exact(matrix_and_n, data):
+def test_solution_and_rank_are_exact(matrix_and_n, data):
     rows, n = matrix_and_n
     rhs = data.draw(
         st.lists(rationals, min_size=len(rows), max_size=len(rows))
@@ -56,14 +56,14 @@ def test_solution_and_kernel_are_exact(matrix_and_n, data):
         return
     for row, b in zip(rows, rhs):
         assert sum(a * x for a, x in zip(row, sol.particular)) == b
-    for vec in sol.kernel:
-        for row in rows:
-            assert sum(a * x for a, x in zip(row, vec)) == 0
-    assert sol.rank + len(sol.kernel) == n
+    assert sol.rank == dense_reference(rows, rhs, n)[1]
 
 
 def dense_reference(rows, rhs, ncols):
-    """Plain dense Gauss-Jordan over Fraction: leftmost pivots, free variables 0."""
+    """(particular, rank) by plain dense Gauss-Jordan over Fraction.
+
+    Pivots are the leftmost possible and free variables are 0.
+    """
     work = [[F(v) for v in row] + [F(b)] for row, b in zip(rows, rhs)]
     pivots = []
     for col in range(ncols):
@@ -83,16 +83,7 @@ def dense_reference(rows, rhs, ncols):
     particular = [F(0)] * ncols
     for r, col in enumerate(pivots):
         particular[col] = work[r][ncols]
-    kernel = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        vec = [F(0)] * ncols
-        vec[f] = F(1)
-        for r, col in enumerate(pivots):
-            vec[col] = -work[r][f]
-        kernel.append(vec)
-    return particular, kernel, len(pivots)
+    return particular, len(pivots)
 
 
 # mostly zeros, with int and Fraction entries mixed
@@ -148,9 +139,8 @@ def test_solve_sparse_matches_dense_reference(system_data):
         assert sol is None
         return
     assert sol is not None
-    assert (sol.particular, sol.kernel, sol.rank) == expected
+    assert (sol.particular, sol.rank) == expected
     assert all(type(v) is F for v in sol.particular)
-    assert all(type(v) is F for vec in sol.kernel for v in vec)
 
 
 def test_solve_sparse_leaves_its_input_alone():
@@ -167,9 +157,7 @@ def test_integer_rows_drop_zeros_and_stay_unmutated():
     copies = ([dict(r) for r in rows], list(rhs))
     sol = solve_sparse(rows, rhs, 3)
     assert (rows, rhs) == copies
-    assert sol.particular == [3, 2, 0]
-    assert sol.kernel == [[-1, 0, 1]]
-    assert sol.rank == 2
+    assert sol == LinSolution([F(3), F(2), F(0)], 2)
 
 
 # One small system per branch of the walk in _walk; each checks the
@@ -189,8 +177,8 @@ def test_waiting_pivot_row_is_settled_after_its_later_columns_are_peeled():
     walked, sol, dense = walk_and_solve(rows, [6, 4, 3], 3)
     known, waiting, free = walked
     assert [col for col, _, _ in waiting] == [0]
-    assert known == {1: 2, 2: 1} and free == []
-    assert sol == dense == LinSolution([F(3), F(2), F(1)], [], 3)
+    assert known == {1: 2, 2: 1} and free == 0
+    assert sol == dense == LinSolution([F(3), F(2), F(1)], 3)
 
 
 def test_two_multi_entry_rows_meeting_at_a_column_take_fill_in():
@@ -201,8 +189,8 @@ def test_two_multi_entry_rows_meeting_at_a_column_take_fill_in():
     walked, sol, dense = walk_and_solve(rows, [1, 4, 8], 3)
     known, waiting, free = walked
     assert [col for col, _, _ in waiting] == [1]
-    assert known == {0: 1, 2: F(3, 2)} and free == []
-    assert sol == dense == LinSolution([F(1), F(3, 2), F(3, 2)], [], 3)
+    assert known == {0: 1, 2: F(3, 2)} and free == 0
+    assert sol == dense == LinSolution([F(1), F(3, 2), F(3, 2)], 3)
 
 
 def test_second_row_ending_on_a_column_catches_the_inconsistency():
@@ -211,25 +199,25 @@ def test_second_row_ending_on_a_column_catches_the_inconsistency():
     rows = [{0: 2}, {0: 1, 1: 3}, {0: 2, 1: 6}]
     walked, sol, dense = walk_and_solve(rows, [2, 4, 9], 2)
     assert walked is sol is dense is None
-    assert solve_sparse(rows, [2, 4, 8], 2) == LinSolution([F(1), F(1)], [], 2)
+    assert solve_sparse(rows, [2, 4, 8], 2) == LinSolution([F(1), F(1)], 2)
 
 
-def test_free_column_held_only_by_a_waiting_row_has_its_kernel_vector():
+def test_free_column_held_only_by_a_waiting_row_is_zero():
     # the only row waits on column 0; column 1 is then held by no unused
-    # row, so it is free, and the waiting row gives x0 = 3 - 2*t1
+    # row, so it is free and 0, and the waiting row gives x0 = 3 - 2*0
     rows = [{0: 1, 1: 2}]
     walked, sol, dense = walk_and_solve(rows, [3], 2)
     known, waiting, free = walked
     assert [col for col, _, _ in waiting] == [0]
-    assert known == {} and free == [1]
-    assert sol == dense == LinSolution([F(3), F(0)], [[F(-2), F(1)]], 1)
+    assert known == {} and free == 1
+    assert sol == dense == LinSolution([F(3), F(0)], 1)
 
 
 def test_fraction_entries_are_scaled_to_integers_first():
     rows = [{0: F(1, 2), 1: F(1, 3)}, {1: F(2, 3)}, {0: F(3, 4), 2: F(5, 6)}]
     rhs = [F(1, 6), F(4, 3), F(1, 2)]
     _, sol, dense = walk_and_solve(rows, rhs, 3)
-    assert sol == dense == LinSolution([F(-1), F(2), F(3, 2)], [], 3)
+    assert sol == dense == LinSolution([F(-1), F(2), F(3, 2)], 3)
     assert rows[0] == {0: F(1, 2), 1: F(1, 3)} and rhs[0] == F(1, 6)
 
 
@@ -239,9 +227,9 @@ def test_empty_rows_are_checks_of_their_rhs():
     rows = [{}, {2: 1, 0: 1}, {1: 2}, {2: 3}]
     walked, sol, dense = walk_and_solve(rows, [0, 4, 4, 3], 3)
     known, waiting, free = walked
-    assert known == {1: 2, 2: 1} and [col for col, _, _ in waiting] == [0] and free == []
-    assert sol == dense == LinSolution([F(3), F(2), F(1)], [], 3)
+    assert known == {1: 2, 2: 1} and [col for col, _, _ in waiting] == [0] and free == 0
+    assert sol == dense == LinSolution([F(3), F(2), F(1)], 3)
     walked, sol, dense = walk_and_solve(rows, [5, 4, 4, 3], 3)
     assert walked is sol is dense is None
-    assert solve_sparse([{}], [0], 1) == LinSolution([F(0)], [[F(1)]], 0)
+    assert solve_sparse([{}], [0], 1) == LinSolution([F(0)], 0)
     assert solve_sparse([{}], [F(1, 2)], 1) is None

@@ -169,7 +169,7 @@ class TestPowerFamilyNecessary:
         fam = PlaneFamily(alpha=2, beta=2, a2=uni([1, 1]), a1=uni([0, 1]), a0=uni([1]))
         check = conjecture_necessary(fam)
         assert not check.passed and check.failed_condition == 3
-        assert check.l_value == 1
+        assert check.witness.l_value == 1
         assert check.witness.generators == (poly("y + 1"),)
         assert verify_stable_ideal(fam.to_derivation(), check.witness.generators)
 
