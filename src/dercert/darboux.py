@@ -14,10 +14,11 @@ equations form a polynomial system in the unknowns whose rational
 solutions are exactly the Darboux candidates within the degree bounds.
 A constraint c*u^k = 0 in a single unknown u forces u = 0 in every
 rational solution, so the descent substitutes that zero as soon as such
-a constraint appears, before the next step multiplies u in; a nonzero
-constant constraint refutes the slice there.  Every candidate is
-re-verified by exact division, and one that fails raises CheckFailed:
-the descent only yields Darboux polynomials, so a failure is a fault.
+a constraint appears, before the next step multiplies u in; a round
+pins all the unknowns it forces in one pass.  A nonzero constant
+constraint refutes the slice there.  Every candidate is re-verified by
+exact division, and one that fails raises CheckFailed: the descent
+only yields Darboux polynomials, so a failure is a fault.
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ def _root_branch(eqs, name, root, params, pending, assignment, budget) -> Residu
     """Substitute name = root; a nonzero constant closes the branch, as the recursion would."""
     sub = []
     for e in eqs:
-        e = e.substitute_value(name, root)
+        e = e.substitute({name: root})
         if len(e.nums) == 1 and e.is_constant():
             return ResidualResult([], False)
         sub.append(e)
@@ -282,12 +283,8 @@ def _solve_recursive(
                     {x[:idx] + (x[idx] - 1,) + x[idx + 1 :]: c for x, c in e.nums.items()},
                     e.den,
                 )
-                zero_branch = _solve_recursive(
-                    [other.substitute_value(name, 0) for other in eqs],
-                    params,
-                    pending,
-                    {**assignment, name: Fraction(0)},
-                    budget,
+                zero_branch = _root_branch(
+                    eqs, name, Fraction(0), params, pending, assignment, budget
                 )
                 rest = list(eqs)
                 rest[pos] = quotient
@@ -300,7 +297,7 @@ def _solve_recursive(
             partial = e.partial(name)
             if partial.is_constant() and not partial.is_zero():
                 coeff = partial.constant_value()
-                rest = e.substitute_value(name, 0)
+                rest = e.substitute({name: 0})
                 replacement = rest.scale(Fraction(-1) / coeff)
                 sub = [other.substitute_poly(name, replacement) for other in eqs if other is not e]
                 return _solve_recursive(
@@ -395,10 +392,11 @@ def _pin_forced_zeros(
 ) -> bool:
     """Substitute u = 0 for every unknown u that a constraint c*u^k forces to zero.
 
-    Runs to a fixpoint, in place: the c_i, e_low and the constraints get
-    the zeros, and constraints that vanish are dropped.  Returns False
-    when a constraint is a nonzero constant, so the slice has no solution;
-    this is the one place the descent refutes a slice.
+    Runs to a fixpoint, in place: each round gives all the zeros it forces
+    to the c_i, e_low and the constraints in one pass per polynomial, and
+    drops the constraints that vanish.  Returns False when a constraint is
+    a nonzero constant, so the slice has no solution; this is the one
+    place the descent refutes a slice.
     """
     while True:
         forced: dict[str, None] = {}
@@ -412,12 +410,11 @@ def _pin_forced_zeros(
                     forced[con.variables[used[0]]] = None
         if not forced:
             return True
-        for name in forced:
-            for polys in (c, e_low):
-                for key, p in polys.items():
-                    polys[key] = p.substitute_value(name, 0)
-            constraints[:] = [p.substitute_value(name, 0) for p in constraints]
-        constraints[:] = [p for p in constraints if not p.is_zero()]
+        zeros = dict.fromkeys(forced, 0)
+        for polys in (c, e_low):
+            for key, p in polys.items():
+                polys[key] = p.substitute(zeros)
+        constraints[:] = [q for q in (p.substitute(zeros) for p in constraints) if not q.is_zero()]
 
 
 def _search_fixed_n(
@@ -479,15 +476,13 @@ def _search_fixed_n(
         # pinning settled every constraint: the point is all unknowns at zero
         result = ResidualResult([dict.fromkeys(params, Fraction(0))], False)
     D = fam.to_derivation()
+    y = MultiPoly.var(fam.variables, fam.variables[1])
     pairs = []
     for point in result.solutions:
-        F = MultiPoly.zero(fam.variables)
-        for i, ci in c.items():
-            # c_i at the point times y^i, in ascending x-degree
-            F = F + MultiPoly(
-                fam.variables,
-                [((e, i), coeff.evaluate(point)) for e, coeff in sorted(split_x(ci).items())],
-            )
+        F = sum(
+            (ci.substitute(point).with_variables(fam.variables) * y**i for i, ci in c.items()),
+            MultiPoly.zero(fam.variables),
+        )
         verified = verify_darboux(D, F)
         if not isinstance(verified, DarbouxPair):
             raise CheckFailed(f"a solved candidate is not Darboux: {verified.reason}")
@@ -495,7 +490,15 @@ def _search_fixed_n(
     return pairs, result.note if result.undecided else None
 
 
-def _search_power(fam: PlaneFamily, bounds: SearchBounds) -> SearchOutcome:
+def darboux_search_power_family(fam: PlaneFamily, bounds: SearchBounds) -> SearchOutcome:
+    """Bounded search for Darboux polynomials of an alpha = beta power family.
+
+    Runs the descent at each y-degree up to n_max, with deg c_i <=
+    cx_deg_max and lower cofactor coefficients of degree <= d0_deg_max.
+    Finding none is reported as none-up-to-bounds, never a proof for
+    unbounded degrees; the simplicity criterion is.  A family outside
+    the search hypotheses raises UnsupportedFamily.
+    """
     if not searchable(fam):
         raise UnsupportedFamily("search needs deg a2 >= 1 and a0 a nonzero constant")
     pairs: list[DarbouxPair] = []
@@ -517,16 +520,5 @@ def _search_power(fam: PlaneFamily, bounds: SearchBounds) -> SearchOutcome:
 
 
 def darboux_search_family_a(fam: PlaneFamily, bounds: SearchBounds) -> SearchOutcome:
-    """Bounded search over cofactors n*a2*y + d0 with deg d0 <= d0_deg_max.
-
-    No Darboux polynomial within the bounds is reported as
-    none-up-to-bounds; this is never a proof for unbounded degrees, the
-    simplicity criterion is.  A family outside the search hypotheses
-    raises UnsupportedFamily.
-    """
-    return _search_power(fam, bounds)
-
-
-def darboux_search_power_family(fam: PlaneFamily, bounds: SearchBounds) -> SearchOutcome:
-    """Same triangular descent for the alpha = beta power family."""
-    return _search_power(fam, bounds)
+    """Alias of `darboux_search_power_family`, kept for the alpha = 1 family."""
+    return darboux_search_power_family(fam, bounds)

@@ -20,7 +20,10 @@ factor can arise.
 Term order: each operation merges into one dict and drops zero
 numerators once, keeping the order the validating constructor would
 give -- the first operand's terms, then the other operand's new terms.
-Rescaling to a common denominator keeps every position.  Term dicts are
+Rescaling to a common denominator keeps every position.  Substituting
+values lists each term under its exponent vector with the assigned
+exponents zeroed, in the order of the terms it came from, so a term
+that a zero value kills still fixes where its key sits.  Term dicts are
 never changed after construction, so a result may share its operand's.
 Polynomials in one variable live over a one-name tuple: the family
 coefficients a2(x), a1(x), a0(x) and gamma_i(x) over ``("x",)``, terms
@@ -264,32 +267,35 @@ class MultiPoly:
 
     # -- substitution and reshaping ---------------------------------------
 
-    def substitute_value(self, name: str, value: RatLike) -> "MultiPoly":
-        """Specialize one variable to a rational; variable stays in the tuple.
+    def substitute(self, values: Mapping[str, RatLike]) -> "MultiPoly":
+        """Specialize variables to rationals in one pass; the names stay in the tuple.
 
-        With value = a/b and top the highest power of the variable, the
-        term c * name^k contributes c * a^k * b^(top - k) over den * b^top;
-        each factor is computed once.
+        With value = a/b and top the highest power of its variable, the
+        term c * name^k gets the factor a^k * b^(top - k), computed once
+        per power, and the result lies over den times every such b^top.
+        Returns self when none of the names occurs.
         """
-        idx = self.variables.index(name)
-        top = max((exps[idx] for exps in self.nums), default=0)
-        if not top:
+        subs = []
+        den = self.den
+        for name, value in values.items():
+            idx = self.variables.index(name)
+            top = max((exps[idx] for exps in self.nums), default=0)
+            if top:
+                subs.append((idx, value.numerator, value.denominator, top, {}))
+                den *= value.denominator**top
+        if not subs:
             return self
-        a, b = value.numerator, value.denominator
-        factors: dict[int, int] = {}
         out: dict[tuple[int, ...], int] = {}
         for exps, c in self.nums.items():
-            power = exps[idx]
-            if power not in factors:
-                factors[power] = a**power * b ** (top - power)
-            c = c * factors[power]
-            if power:
-                exps = exps[:idx] + (0,) + exps[idx + 1 :]
-            if exps in out:
-                out[exps] += c
-            else:
-                out[exps] = c
-        return MultiPoly._build(self.variables, _nonzero(out), self.den * b**top)
+            for idx, a, b, top, factors in subs:
+                power = exps[idx]
+                if power not in factors:
+                    factors[power] = a**power * b ** (top - power)
+                c *= factors[power]
+                if power:
+                    exps = exps[:idx] + (0,) + exps[idx + 1 :]
+            out[exps] = out.get(exps, 0) + c
+        return MultiPoly._build(self.variables, _nonzero(out), den)
 
     def substitute_poly(self, name: str, replacement: "MultiPoly") -> "MultiPoly":
         """Replace a variable by a polynomial over the same variable tuple.

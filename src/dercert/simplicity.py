@@ -112,8 +112,8 @@ def verify_stable_ideal(D: Derivation, generators: Sequence[MultiPoly]) -> bool:
             raise UnsupportedIdealShape("pair ideals must look like (y, p(x))")
         if not p.uses_only([x]):
             raise UnsupportedIdealShape("second generator must only involve x")
-        dy = D.apply(lead).substitute_value(y, 0)
-        dp = D.apply(p).substitute_value(y, 0)
+        dy = D.apply(lead).substitute({y: 0})
+        dp = D.apply(p).substitute({y: 0})
         return _divides_mod(dy, p) and _divides_mod(dp, p)
     raise UnsupportedIdealShape(f"{len(gens)} generators")
 

@@ -98,7 +98,7 @@ def test_parametric_right_hand_side():
     assert con.evaluate({"u0": 1, "u1": 3}) != 0
 
     def at_point(p: MultiPoly) -> MultiPoly:
-        return p.substitute_value("u0", -5).substitute_value("u1", 5).restrict("x")
+        return p.substitute({"u0": -5, "u1": 5}).restrict("x")
 
     c = at_point(sol.c)
     lhs = uni([0, 1]) * c - c.partial("x")

@@ -76,10 +76,14 @@ class TestReshaping:
         with pytest.raises(VariableMismatch):
             poly("x*y").restrict("x")
 
-    def test_substitute_value(self):
+    def test_substitute(self):
         p = poly("x*y^2 + x")
-        assert p.substitute_value("y", 0) == poly("x")
-        assert p.substitute_value("y", 2) == poly("5*x")
+        assert p.substitute({"y": 0}) == poly("x")
+        assert p.substitute({"y": 2}) == poly("5*x")
+        assert p.substitute({"x": 3, "y": Fraction(1, 2)}) == poly("15/4")
+        # no name occurs: the polynomial itself comes back
+        q = poly("x + 1")
+        assert q.substitute({"y": 7}) is q
 
     def test_substitute_poly(self):
         p = poly("y^2 + 1")
@@ -101,6 +105,7 @@ class TestReshaping:
 
 
 XZY = ("x", "z", "y")
+UVXY = ("u", "v", "x", "y")
 
 
 def items(p: MultiPoly) -> list:
@@ -177,23 +182,43 @@ class TestTrustedCore:
         )
 
     @settings(max_examples=200, deadline=None)
-    @given(multipolys(), st.sampled_from(XY), rationals)
+    @given(
+        multipolys(UVXY, max_degree=3),
+        st.dictionaries(
+            st.sampled_from(UVXY), st.just(Fraction(0)) | rationals, min_size=1, max_size=3
+        ),
+    )
     # x*y comes first: y = 0 zeroes it, yet its rest x keeps the first
     # position, ahead of the constant, once the later term x is added
-    @example(MultiPoly(XY, [((1, 1), 2), ((0, 0), 1), ((1, 0), 3)]), "y", Fraction(0))
-    def test_substitute_value(self, a, name, value):
-        i = XY.index(name)
-        result = a.substitute_value(name, value)
-        assert_built_as(
-            result,
-            [
-                (tuple(0 if j == i else e for j, e in enumerate(exps)), c * value ** exps[i])
-                for exps, c in items(a)
-            ],
-        )
-        assert result == naive_substitution(
-            a, name, lambda k: MultiPoly.constant(XY, value**k)
-        )
+    @example(
+        MultiPoly(UVXY, [((0, 0, 1, 1), 2), ((0, 0, 0, 0), 1), ((0, 0, 1, 0), 3)]),
+        {"y": Fraction(0)},
+    )
+    # u*v*y dies at u = v = 0, yet its key y stays ahead of x; substituting
+    # u first and then v drops that key and puts y after x
+    @example(
+        MultiPoly(UVXY, [((1, 1, 0, 1), 1), ((0, 0, 1, 0), 1), ((0, 0, 0, 1), 1)]),
+        {"u": Fraction(0), "v": Fraction(0)},
+    )
+    def test_substitute(self, a, values):
+        assigned = [UVXY.index(name) for name in values]
+        result = a.substitute(values)
+        expected = []
+        for exps, c in items(a):
+            for i in assigned:
+                c *= values[UVXY[i]] ** exps[i]
+            expected.append((tuple(0 if j in assigned else e for j, e in enumerate(exps)), c))
+        assert_built_as(result, expected, UVXY)
+        if not a.support() & set(values):
+            assert result is a
+        # the same polynomial as substituting the names one at a time
+        one_by_one = naive = a
+        for name, value in values.items():
+            one_by_one = one_by_one.substitute({name: value})
+            naive = naive_substitution(
+                naive, name, lambda k: MultiPoly.constant(UVXY, value**k)
+            )
+        assert result == one_by_one == naive
 
     @settings(max_examples=200, deadline=None)
     @given(multipolys(), st.sampled_from(XY), multipolys(max_degree=2, max_terms=3))

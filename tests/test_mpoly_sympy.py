@@ -86,14 +86,25 @@ class TestRingOperations:
 
 class TestSubstitution:
     @PROPERTY
-    @given(poly_tuples(1), st.integers(0, 3), coefficients)
-    def test_substitute_value(self, a, which, value):
+    @given(
+        poly_tuples(1),
+        st.lists(
+            st.tuples(st.integers(0, 3), st.just(Fraction(0)) | coefficients),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_substitute(self, a, assignment):
         (a,) = a
-        name = a.variables[which % len(a.variables)]
+        values = {a.variables[which % len(a.variables)]: value for which, value in assignment}
         expr = to_sympy(a).as_expr().subs(
-            sympy.Symbol(name), sympy.Rational(value.numerator, value.denominator)
+            {
+                sympy.Symbol(name): sympy.Rational(value.numerator, value.denominator)
+                for name, value in values.items()
+            },
+            simultaneous=True,
         )
-        assert_matches(a.substitute_value(name, value), expr)
+        assert_matches(a.substitute(values), expr)
 
     @PROPERTY
     @given(poly_tuples(2, max_degree=2), st.integers(0, 3))
