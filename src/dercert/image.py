@@ -4,7 +4,12 @@ D is linear, so "is target = D(f) solvable with deg f <= bound" is a
 finite exact linear system over the monomial basis.  For the quadratic
 plane family with a2 != 0 that system is triangular in the y-degree,
 and a descent of at most one first-order solve per y-degree decides it
-without assembling the system.  A Member result is always sound (the
+without assembling the system.  For the diagonal families, where D
+keeps the degree in each y_i with k_i = 1 or gamma_i = 0, the system
+is block diagonal in those degrees, and only the blocks the target's
+monomials fall in are solved against it; the others give only their
+rank to the kernel dimension, so the answer is the one the whole
+system gives.  A Member result is always sound (the
 preimage is returned and re-checkable); a bounded failure is only
 NotFoundUpTo.  Global non-membership is asserted solely through the
 proven family patterns in `certified_nonmembership`, each tagged with
@@ -18,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import itemgetter
 
 from .derivation import (
     X_ONLY,
@@ -194,6 +200,20 @@ def _solve_system(D: Derivation, target: MultiPoly, bound: int) -> tuple[MultiPo
     needs, and x^(e - 1_v) is formed only when e_v >= 1, so no field
     overflows or underflows and shifting x^e by a term of D(v) is one int
     addition.
+
+    D keeps the degree in x_v when every term of D(v) has x_v-exponent
+    exactly 1 and no other image holds x_v (see `_kept`), so the system
+    is block diagonal in the tuple of kept exponents.  Only the columns
+    in the blocks of the target's monomials are solved against the
+    target, numbered in basis order; the other columns form one
+    homogeneous system, solved only for its rank, and only when the
+    target's part is consistent.  This is exact: the whole system is
+    consistent exactly when the target's part is, ranks add over blocks,
+    and a column is independent of the columns before it exactly when it
+    is within its block, so the particular solution that `solve_sparse`
+    gives the whole system (every free column 0) is the one of the
+    target's part, and 0 off it.  With no kept variable, as for the plane
+    families, the target's part is the whole system.
     """
     nvars = len(D.variables)
     degrees = [bound + sum(m) - 1 for image in D.images for m in image.nums]
@@ -216,8 +236,49 @@ def _solve_system(D: Derivation, target: MultiPoly, bound: int) -> tuple[MultiPo
             single.setdefault(v, []).append((shift, c))
         else:
             shared.append((shift, terms))
+    # the columns in the target's blocks and the others, each part as its
+    # exponent vectors and their keys in basis order
+    kept = _kept(D)
+    if kept:
+        block = itemgetter(*kept)
+        wanted = set(map(block, target.nums))
+        inside, outside = ([], []), ([], [])
+        for exps, key, b in zip(basis, keys, map(block, basis)):
+            part = inside if b in wanted else outside
+            part[0].append(exps)
+            part[1].append(key)
+    else:
+        inside, outside = (basis, keys), ((), ())
+    rows = _assemble(*inside, single, shared, {_pack(m, width): {} for m in target.nums})
     rhs = [c * (den // target.den) for c in target.nums.values()]
-    rows_by_key: dict[int, dict[int, int]] = {_pack(m, width): {} for m in target.nums}
+    rhs += [0] * (len(rows) - len(rhs))
+    solution = solve_sparse(rows, rhs, len(inside[0]))
+    if solution is None:
+        return None
+    rank = solution.rank
+    if outside[0]:
+        rows = _assemble(*outside, single, shared, {})
+        rank += solve_sparse(rows, [0] * len(rows), len(outside[0])).rank
+    preimage = MultiPoly(
+        D.variables, [(exps, c) for exps, c in zip(inside[0], solution.particular) if c]
+    )
+    return preimage, len(basis) - rank
+
+
+def _assemble(
+    basis: tuple | list,
+    keys: tuple | list,
+    single: dict[int, list[tuple[int, int]]],
+    shared: list[tuple[int, list[tuple[int, int]]]],
+    rows_by_key: dict[int, dict[int, int]],
+) -> list[dict[int, int]]:
+    """Write D(x^e) for e = basis[j] into column j of rows_by_key, and return its rows.
+
+    rows_by_key maps a packed monomial key to its row.  single maps a
+    variable to the shifts it alone holds, each with its scaled
+    coefficient; shared lists the shifts that several variables hold,
+    each with its (variable, coefficient) pairs (see `_solve_system`).
+    """
     for j, exps in enumerate(basis):
         key = keys[j]
         for v, terms in single.items():
@@ -231,14 +292,24 @@ def _solve_system(D: Derivation, target: MultiPoly, bound: int) -> tuple[MultiPo
                 coeff += exps[v] * c
             if coeff:
                 rows_by_key.setdefault(key + shift, {})[j] = coeff
-    rhs += [0] * (len(rows_by_key) - len(rhs))
-    solution = solve_sparse(list(rows_by_key.values()), rhs, len(basis))
-    if solution is None:
-        return None
-    preimage = MultiPoly(
-        D.variables, [(basis[j], c) for j, c in enumerate(solution.particular) if c]
+    return list(rows_by_key.values())
+
+
+def _kept(D: Derivation) -> tuple[int, ...]:
+    """The indices v of the variables x_v whose degree D keeps.
+
+    Every term of D(v) has x_v-exponent exactly 1, and no other image
+    holds x_v.  Then every term of D(x^e) = sum_w e_w * x^(e - 1_w) * D(w)
+    has x_v-exponent e_v.  This holds for y_i when k_i = 1 or gamma_i = 0
+    in the diagonal families, and for no variable of a plane family.
+    """
+    images = D.images
+    return tuple(
+        v
+        for v, image in enumerate(images)
+        if all(m[v] == 1 for m in image.nums)
+        and not any(m[v] for w, other in enumerate(images) if w != v for m in other.nums)
     )
-    return preimage, len(basis) - solution.rank
 
 
 def _y_var(D: Derivation, index: int) -> MultiPoly:

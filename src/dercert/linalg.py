@@ -4,7 +4,10 @@
 right-hand side of int or Fraction, and never mutates them.  A system
 whose entries are nonzero ints and whose rhs is int is used as it is;
 any other is scaled row by row to integers by the lcm of the row's
-denominators.
+denominators.  Callers keep columns that no row holds out of `ncols`:
+such a column is free, but no row ends at it, so the walk builds its
+column -> rows index when it reaches that column, which a system
+without it might build later or never.
 
 The solve is one walk over the columns from left to right.  Every row
 is filed once, under its rightmost column.  At column c:

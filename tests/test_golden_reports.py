@@ -76,7 +76,16 @@ decided by the bounded sparse solve: members D(g) with a constant a2,
 with a0 = 0, with a nonconstant a0 and with the second variable named
 y1; the target y^2, whose first-order step has no polynomial solution;
 a member D(g) at a bound below deg g; the y-free target x^2; and the
-target 0.  New cases go last so that the others keep their test ids.
+target 0.
+
+The four cases after them are `image` requests on diagonal families,
+recorded while every bounded system was still solved over all its
+columns, before the solve was split into the blocks of the exponents D
+keeps: a diagonal member D(g) whose terms span several blocks, a
+translation-diagonal member with a zero gamma, the non-member y1 + y2^7
+at bound 5, whose y2^7 lies in a block with no column, and the target 0
+on a diagonal family whose every coordinate is kept.  New cases go last
+so that the others keep their test ids.
 """
 
 import json

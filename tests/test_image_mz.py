@@ -392,6 +392,96 @@ class TestDescent:
             image_membership(D, target, 4)
 
 
+@st.composite
+def kept_cases(draw):
+    """(D, target, bound) on derivations that keep the degree of some y_i.
+
+    FamilyDiag with k_i in 0..3, FamilyDiagX with zero and nonconstant
+    gamma_i, and D(y_i) = y_i * h_i(the other variables), which keeps y_i
+    when no other image holds it.
+    """
+    kind = draw(st.sampled_from(["diag", "diag-x", "product"]))
+    n = draw(st.integers(2, 3) if kind != "diag-x" else st.integers(1, 2))
+    ks = draw(st.lists(st.integers(0 if kind == "diag" else 1, 3), min_size=n, max_size=n))
+    if kind == "diag":
+        gammas = draw(st.lists(rationals.filter(bool), min_size=n, max_size=n))
+        D = FamilyDiag(gammas=tuple(gammas), ks=tuple(ks)).to_derivation()
+    elif kind == "diag-x":
+        gammas = draw(st.lists(st.lists(rationals, max_size=3).map(uni), min_size=n, max_size=n))
+        D = FamilyDiagX(gammas=tuple(gammas), ks=tuple(ks)).to_derivation()
+    else:
+        variables = tuple(f"y{i + 1}" for i in range(n))
+        images = []
+        for v in variables:
+            others = tuple(w for w in variables if w != v)
+            h = draw(polys_in(others, 2, 2, rationals)).with_variables(variables)
+            images.append(MultiPoly.var(variables, v) * h)
+        D = Derivation(variables, tuple(images))
+    bound = draw(st.integers(0, 6 if len(D.variables) == 2 else 4))
+    # several terms of g fall in several blocks of the kept exponents
+    member = D.apply(draw(polys_in(D.variables, bound, 4, rationals)))
+    target = draw(st.sampled_from(["member", "zero", "no-column", "other"]))
+    if target == "member":
+        return D, member, bound
+    if target == "zero":
+        return D, MultiPoly.zero(D.variables), bound
+    if target == "no-column":  # a kept exponent above the bound, which no column has
+        v = draw(st.sampled_from(D.variables))
+        return D, member + MultiPoly.var(D.variables, v, bound + draw(st.integers(1, 2))), bound
+    return D, draw(polys_in(D.variables, bound + 3, 4, rationals)), bound
+
+
+def recorded_solves(monkeypatch):
+    """The (rows, rhs, ncols) of every solve_sparse call image makes from now on."""
+    calls = []
+    real = dercert.image.solve_sparse
+
+    def record(rows, rhs, ncols):
+        calls.append((rows, rhs, ncols))
+        return real(rows, rhs, ncols)
+
+    monkeypatch.setattr(dercert.image, "solve_sparse", record)
+    return calls
+
+
+class TestKeptBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(kept_cases())
+    def test_matches_the_reference_solve(self, case):
+        D, target, bound = case
+        result = image_membership(D, target, bound)
+        expected = reference_membership(D, target, bound)
+        if expected is None:
+            assert result == NotFoundUpTo(bound=bound)
+        else:
+            assert isinstance(result, Member)
+            assert (result.preimage, result.kernel_dim) == expected
+
+    def test_non_member_solves_its_block_alone(self, monkeypatch):
+        calls = recorded_solves(monkeypatch)
+        D = parse_derivation("deriv{y1: 2*y1^2, y2: 3*y2, y3: -y3}")
+        # y2 and y3 are kept; the block y2^5*y3^0 holds y1^a*y2^5 for a <= 6
+        result = image_membership(D, parse_poly("y1*y2^5", D.variables), 11)
+        assert result == NotFoundUpTo(bound=11)
+        assert [ncols for _, _, ncols in calls] == [7]
+
+    def test_member_adds_the_rank_of_the_other_blocks(self, monkeypatch):
+        calls = recorded_solves(monkeypatch)
+        D = parse_derivation("deriv{y1: 2*y1^2, y2: 3*y2, y3: -y3}")
+        g = parse_poly("y1*y2 + y3^2 - y1^2*y3", D.variables)
+        result = image_membership(D, D.apply(g), 11)
+        assert result == Member(preimage=g, kernel_dim=3, bound=11)
+        assert len(calls) == 2 and sum(ncols for _, _, ncols in calls) == 364
+        # the second system is homogeneous
+        assert not any(calls[1][1])
+
+    def test_plane_family_solves_one_system(self, monkeypatch):
+        calls = recorded_solves(monkeypatch)
+        D = parse_derivation("deriv{x: y, y: x*y + 1}")
+        image_membership(D, MultiPoly.constant(D.variables, 1), 10)
+        assert [(len(rows), ncols) for rows, _, ncols in calls] == [(75, 66)]
+
+
 class TestCertified:
     def test_plane_linear_x(self):
         D = mk_b(uni([0, 1]), 1).to_derivation()
