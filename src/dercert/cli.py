@@ -464,6 +464,11 @@ def run_command(argv: list[str]) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
+    if "--target" in argv:
+        # argparse takes a value such as -x for an option; bind it to --target
+        i = argv.index("--target")
+        if argv[i + 1 : i + 2] and argv[i + 1].startswith("-"):
+            argv = [*argv[:i], f"--target={argv[i + 1]}", *argv[i + 2 :]]
     try:
         args = _parser.parse_args(argv)
     except SystemExit as exc:

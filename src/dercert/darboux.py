@@ -78,7 +78,7 @@ class CofactorStructure:
     d1: MultiPoly
     d0: MultiPoly
     c: tuple[MultiPoly, ...]
-    regime: str  # "full" | "no-linear-term" | "outside-hypotheses"
+    regime: str  # "full" inside the search hypotheses, else "outside-hypotheses"
     note: str = ""
 
 
@@ -96,13 +96,16 @@ def _decompose_in_y(p: MultiPoly) -> dict[int, MultiPoly]:
 def audit_structure(
     fam: PlaneFamily, pair: DarbouxPair
 ) -> CofactorStructure | ViolationReport:
-    """Check the forced cofactor shape and the coefficient recurrences.
+    """Check D(F) = L*F for a pair and split it by y.
 
-    The family must be quadratic.  Inside the search hypotheses (deg
-    a2 >= 1, a0 a nonzero constant) the audit asserts deg_y L <= 1,
-    d1 = n*a2, a constant leading coefficient, and the full recurrence
-    chain linking the c_i.  Outside them only the decomposition is
-    produced, flagged as such.
+    The family must be quadratic.  Write F = sum c_i(x) y^i with
+    y-degree n >= 1.  The identity itself forces the shape of the pair:
+    deg_y D(F) <= n + 1 and Q[x, y] is a domain, so deg_y L <= 1, say
+    L = d1*y + d0; its y^(n+1) coefficient reads c_n' = (d1 - n*a2)*c_n,
+    so d1 = n*a2 and c_n is constant; its y^n, ..., y^0 coefficients are
+    the recurrences the search descends.  So only the identity and the
+    y-degree can fail.  Outside the search hypotheses (deg a2 >= 1, a0 a
+    nonzero constant) the decomposition is flagged as such.
     """
     if not fam.quadratic:
         raise UnsupportedFamily("the structure audit needs alpha = beta = 1")
@@ -118,46 +121,12 @@ def audit_structure(
     zero = MultiPoly.zero(X_ONLY)
     c = tuple(by_y.get(i, zero) for i in range(n + 1))
     cof_y = _decompose_in_y(cof)
-    if cof_y and max(cof_y) > 1:
-        return ViolationReport("cofactor-y-degree", "deg_y of cofactor exceeds 1")
     d1 = cof_y.get(1, zero)
     d0 = cof_y.get(0, zero)
-    if not searchable(fam):
-        return CofactorStructure(
-            n=n,
-            d1=d1,
-            d0=d0,
-            c=c,
-            regime="outside-hypotheses",
-            note="structural constraints not asserted for this coefficient shape",
-        )
-    regime = "no-linear-term" if fam.a1.is_zero() else "full"
-    if not c[n].is_constant():
-        return ViolationReport("leading-coefficient", "c_n is not constant")
-    if d1 != fam.a2.scale(n):
-        return ViolationReport("cofactor-linear-part", "d1 != n * a2")
-    a0 = fam.a0.constant_value()
-    a1, a2 = fam.a1, fam.a2
-    # top recurrence: c_{n-1}' = a2*c_{n-1} + (d0 - n*a1)*c_n
-    top = c[n - 1].partial("x") - (
-        a2 * c[n - 1] + (d0 - a1.scale(n)) * c[n]
-    )
-    if not top.is_zero():
-        return ViolationReport("recurrence-top", "first descent equation fails")
-    for i in range(1, n):
-        lhs = c[i + 1].scale(Fraction(i + 1) * a0)
-        rhs = (
-            a2.scale(n - i + 1) * c[i - 1]
-            + (d0 - a1.scale(i)) * c[i]
-            - c[i - 1].partial("x")
-        )
-        if lhs != rhs:
-            return ViolationReport(
-                "recurrence-middle", f"descent equation fails at index {i}"
-            )
-    if c[1].scale(a0) != d0 * c[0]:
-        return ViolationReport("recurrence-bottom", "closing equation fails")
-    return CofactorStructure(n=n, d1=d1, d0=d0, c=c, regime=regime)
+    if searchable(fam):
+        return CofactorStructure(n=n, d1=d1, d0=d0, c=c, regime="full")
+    note = "structural constraints not asserted for this coefficient shape"
+    return CofactorStructure(n=n, d1=d1, d0=d0, c=c, regime="outside-hypotheses", note=note)
 
 
 # -- residual polynomial systems ------------------------------------------

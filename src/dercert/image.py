@@ -332,7 +332,8 @@ def certified_nonmembership(D: Derivation, target: MultiPoly) -> CertifiedNonMem
         y_i * y_j^m for k_i > 1, all k >= 1, j != i, m >= DEFAULT_M_MIN; and
         target y_i for k_i > 1 when some k_j = 0.
 
-    Every certificate is cross-checked by a solve at DEFAULT_SANITY_BOUND
+    Im D is a Q-subspace, so each pattern also covers every nonzero
+    multiple of its target.  Every certificate is cross-checked by a solve at DEFAULT_SANITY_BOUND
     before being issued; None means no pattern applies (the target may
     well be a member).
     """
@@ -350,42 +351,45 @@ def certified_nonmembership(D: Derivation, target: MultiPoly) -> CertifiedNonMem
 
 
 def _match_pattern(D: Derivation, family: Family, target: MultiPoly) -> CertifiedNonMember | None:
+    # Im D is a Q-subspace, so each pattern covers every nonzero multiple of its monomial
+    if len(target.nums) != 1:
+        return None
+    (exps,) = target.nums
+    support = [i for i, e in enumerate(exps) if e]
+    # the index of the variable the target is a multiple of, if it is one
+    coord = support[0] if len(support) == 1 and exps[support[0]] == 1 else None
     if isinstance(family, PlaneFamily):
-        # the simple linear family: a0 in Q* and deg a1 >= 1
+        # the simple linear family: a0 in Q* and deg a1 >= 1; x comes first
         simple_linear = (
             family.linear and not family.a0.is_zero() and family.a1.total_degree() >= 1
         )
-        if simple_linear and target == MultiPoly.var(D.variables, "x"):
+        if simple_linear and coord == 0:
             return CertifiedNonMember(TAG_P22, "x-outside-image", target)
         return None
     if isinstance(family, FamilyDiagX):
+        # x comes first, so y_i is variable i + 1
         nonzero = [i for i, g in enumerate(family.gammas) if not g.is_zero()]
         for i in nonzero:
-            if family.ks[i] > 1 and target == _y_var(D, i):
+            if family.ks[i] > 1 and coord == i + 1:
                 return CertifiedNonMember(TAG_T51, "high-power-coordinate", target)
         if all(family.ks[i] == 1 for i in nonzero):
             for i in nonzero:
-                if family.gammas[i].total_degree() >= 1 and target == _y_var(D, i):
+                if family.gammas[i].total_degree() >= 1 and coord == i + 1:
                     return CertifiedNonMember(
                         TAG_T51, "nonconstant-coefficient", target
                     )
         return None
-    if not isinstance(family, FamilyDiag) or len(target.nums) != 1:
+    if not isinstance(family, FamilyDiag):
         return None
-    # a single scaled monomial
-    (exps,) = target.nums
     ks = family.ks
-    support = [i for i, e in enumerate(exps) if e]
     if all(k >= 1 for k in ks) and len(support) == 2:
         i, j = support
         if exps[i] != 1:
             i, j = j, i
         if exps[i] == 1 and ks[i] > 1 and exps[j] >= DEFAULT_M_MIN:
             return CertifiedNonMember(TAG_T53, "mixed-power-product", target, m_used=exps[j])
-    if any(k == 0 for k in ks) and len(support) == 1:
-        (i,) = support
-        if exps[i] == 1 and ks[i] > 1:
-            return CertifiedNonMember(TAG_T53, "high-power-coordinate", target)
+    if any(k == 0 for k in ks) and coord is not None and ks[coord] > 1:
+        return CertifiedNonMember(TAG_T53, "high-power-coordinate", target)
     return None
 
 

@@ -92,6 +92,23 @@ class TestImage:
         }
         assert report["results"]["certified"]["theorem"] == "P2.2"
 
+    @pytest.mark.parametrize(
+        "derivation, target",
+        [
+            ("deriv{x: y, y: x*y + 1}", "-x"),
+            ("deriv{x: 1, y1: x*y1, y2: y2^2}", "-2*y1^3"),
+            ("deriv{x: y, y: x*y + 1}", "-1"),
+        ],
+    )
+    def test_negative_target_as_separate_argument(self, capsys, derivation, target):
+        # argparse would read a lone -x as an option; it must bind to --target
+        split = run_json(capsys, ["image", derivation, "--target", target, "--bound", "3"])
+        joined = run_json(capsys, ["image", derivation, f"--target={target}", "--bound", "3"])
+        for code, report in (split, joined):
+            assert code != 2
+            report.pop("timing_ms")
+        assert split == joined
+
 
 class TestMz:
     def test_diag_x_not_mz(self, capsys):

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, example, given, settings
 
-from conftest import nonzero_rationals, uni, unipolys
+from conftest import nonzero_rationals, rationals, uni, unipolys
 import dercert.darboux
 from dercert import (
     CheckFailed,
@@ -122,6 +122,67 @@ class TestAudit:
         result = audit_structure(family, fake)
         assert isinstance(result, ViolationReport)
         assert result.check == "product-identity"
+
+
+@st.composite
+def darboux_cells(draw):
+    """A quadratic plane family and a Darboux polynomial F of it, by construction.
+
+    y + 1/l divides D(y) = a2*y^2 + a1*y + a0 when a2 = l*a1 - l^2*a0;
+    D(y) itself is Darboux (cofactor 2*a2*y + a1) when a2, a1 and a0 are
+    constants; y is Darboux when a0 = 0.  F is a scaled product of one or
+    two of them.  The root cells reach inside the search hypotheses.
+    """
+    kind = draw(st.sampled_from(["root", "constants", "no-a0"]))
+    if kind == "constants":
+        a2, a1, a0 = (uni([draw(rationals)]) for _ in range(3))
+    else:
+        a1 = draw(unipolys(3, 3))
+        a0 = uni([])
+        if kind == "root":
+            a0 = draw(st.one_of(nonzero_rationals.map(lambda q: uni([q])), unipolys(2, 3)))
+        a2 = draw(unipolys(3, 3))
+    if kind == "root":
+        l = draw(nonzero_rationals)
+        a2 = a1.scale(l) - a0.scale(l * l)
+    family = fam(a2, a1, a0)
+    D = family.to_derivation()
+    y = poly("y")
+    factors = []
+    if kind == "root":
+        factors.append(y + MultiPoly.constant(XY, 1 / l))
+    if all(a.is_constant() for a in (a2, a1, a0)) and D.images[1].degree_in("y") >= 1:
+        factors.append(D.images[1])
+    if a0.is_zero():
+        factors.append(y)
+    assume(factors)
+    picks = draw(st.lists(st.sampled_from(factors), min_size=1, max_size=2))
+    F = MultiPoly.constant(XY, draw(nonzero_rationals))
+    for factor in picks:
+        F = F * factor
+    return family, F
+
+
+class TestShapeTheorem:
+    """D(F) = L*F alone forces the shape audit_structure reports."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(darboux_cells())
+    def test_identity_forces_the_shape(self, cell):
+        family, F = cell
+        pair = verify_darboux(family.to_derivation(), F)
+        assert isinstance(pair, DarbouxPair)
+        assert pair.cofactor.degree_in("y") <= 1
+        structure = audit_structure(family, pair)
+        assert isinstance(structure, CofactorStructure)
+        inside = dercert.darboux.searchable(family)
+        assert structure.regime == ("full" if inside else "outside-hypotheses")
+        assert structure.d1 == family.a2.scale(structure.n)
+        assert structure.c[-1].is_constant() and not structure.c[-1].is_zero()
+        tampered = DarbouxPair(F=pair.F, cofactor=pair.cofactor + poly("1"))
+        report = audit_structure(family, tampered)
+        assert isinstance(report, ViolationReport)
+        assert report.check == "product-identity"
 
 
 class TestResidualSolver:

@@ -516,6 +516,32 @@ class TestCertified:
             assert isinstance(image_membership(D, target, bound), NotFoundUpTo)
 
 
+class TestCertifiedMultiples:
+    """Im D is a Q-subspace, so each pattern covers every nonzero multiple."""
+
+    @pytest.mark.parametrize(
+        "derivation, target, theorem",
+        [
+            ("deriv{x: y, y: x*y + 1}", "-x", "P2.2"),
+            ("deriv{x: y, y: x*y + 1}", "2*x", "P2.2"),
+            ("deriv{x: 1, y1: x*y1, y2: y2^2}", "-3/2*y2", "T5.1"),
+            ("deriv{x: 1, y: x*y}", "2*y", "T5.1"),
+            ("deriv{y1: y1^2, y2: y2}", "-1/3*y1*y2^7", "T5.3"),
+        ],
+    )
+    def test_multiples_are_certified(self, derivation, target, theorem):
+        D = parse_derivation(derivation)
+        cert = certified_nonmembership(D, parse_poly(target, D.variables))
+        assert isinstance(cert, CertifiedNonMember)
+        assert cert.theorem == theorem
+        assert cert.target == parse_poly(target, D.variables)
+
+    @pytest.mark.parametrize("target", ["x + 1", "x^2", "0"])
+    def test_other_targets_are_not(self, target):
+        D = parse_derivation("deriv{x: y, y: x*y + 1}")
+        assert certified_nonmembership(D, parse_poly(target, D.variables)) is None
+
+
 class TestDecideMz:
     def test_locally_finite_diag_x(self):
         fam = FamilyDiagX(gammas=(uni([1]), uni([2])), ks=(1, 1))
