@@ -9,14 +9,10 @@ anywhere.
 """
 
 from .darboux import (
-    CofactorStructure,
     DarbouxPair,
     NotDarboux,
     SearchBounds,
     SearchOutcome,
-    ViolationReport,
-    audit_structure,
-    darboux_search_family_a,
     darboux_search_power_family,
     solve_residual_system,
     verify_darboux,
@@ -70,14 +66,10 @@ from .simplicity import (
 from .upoly import rational_roots
 
 __all__ = [
-    "CofactorStructure",
     "DarbouxPair",
     "NotDarboux",
     "SearchBounds",
     "SearchOutcome",
-    "ViolationReport",
-    "audit_structure",
-    "darboux_search_family_a",
     "darboux_search_power_family",
     "solve_residual_system",
     "verify_darboux",

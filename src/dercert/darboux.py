@@ -1,4 +1,4 @@
-"""Darboux polynomial verification, structure audit, and bounded search.
+"""Darboux polynomial verification and bounded search.
 
 A Darboux polynomial of D is a non-constant F with D(F) = L*F for some
 polynomial cofactor L.  For the plane families
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .derivation import X_ONLY, Derivation, Family, PlaneFamily, UnsupportedFamily
+from .derivation import Derivation, Family, PlaneFamily, UnsupportedFamily
 from .firstorder import solve_first_order, split_x
 from .mpoly import CheckFailed, MultiPoly, ZeroPolynomial, divide_exact
 from .upoly import rational_roots
@@ -67,66 +67,6 @@ def searchable(fam: Family) -> bool:
         and fam.a0.is_constant()
         and not fam.a0.is_zero()
     )
-
-
-# -- structure audit ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CofactorStructure:
-    n: int
-    d1: MultiPoly
-    d0: MultiPoly
-    c: tuple[MultiPoly, ...]
-    regime: str  # "full" inside the search hypotheses, else "outside-hypotheses"
-    note: str = ""
-
-
-@dataclass(frozen=True)
-class ViolationReport:
-    check: str
-    detail: str = ""
-
-
-def _decompose_in_y(p: MultiPoly) -> dict[int, MultiPoly]:
-    # p is over a plane (x, y), whatever y is named
-    return {e: c.restrict("x") for e, c in p.coeffs_in(p.variables[1]).items()}
-
-
-def audit_structure(
-    fam: PlaneFamily, pair: DarbouxPair
-) -> CofactorStructure | ViolationReport:
-    """Check D(F) = L*F for a pair and split it by y.
-
-    The family must be quadratic.  Write F = sum c_i(x) y^i with
-    y-degree n >= 1.  The identity itself forces the shape of the pair:
-    deg_y D(F) <= n + 1 and Q[x, y] is a domain, so deg_y L <= 1, say
-    L = d1*y + d0; its y^(n+1) coefficient reads c_n' = (d1 - n*a2)*c_n,
-    so d1 = n*a2 and c_n is constant; its y^n, ..., y^0 coefficients are
-    the recurrences the search descends.  So only the identity and the
-    y-degree can fail.  Outside the search hypotheses (deg a2 >= 1, a0 a
-    nonzero constant) the decomposition is flagged as such.
-    """
-    if not fam.quadratic:
-        raise UnsupportedFamily("the structure audit needs alpha = beta = 1")
-    D = fam.to_derivation()
-    F = pair.F.with_variables(fam.variables)
-    cof = pair.cofactor.with_variables(fam.variables)
-    if D.apply(F) != cof * F:
-        return ViolationReport("product-identity", "D(F) != cofactor * F")
-    by_y = _decompose_in_y(F)
-    n = max(by_y) if by_y else 0
-    if n == 0:
-        return ViolationReport("y-degree", "F has y-degree 0")
-    zero = MultiPoly.zero(X_ONLY)
-    c = tuple(by_y.get(i, zero) for i in range(n + 1))
-    cof_y = _decompose_in_y(cof)
-    d1 = cof_y.get(1, zero)
-    d0 = cof_y.get(0, zero)
-    if searchable(fam):
-        return CofactorStructure(n=n, d1=d1, d0=d0, c=c, regime="full")
-    note = "structural constraints not asserted for this coefficient shape"
-    return CofactorStructure(n=n, d1=d1, d0=d0, c=c, regime="outside-hypotheses", note=note)
 
 
 # -- residual polynomial systems ------------------------------------------
@@ -489,5 +429,10 @@ def darboux_search_power_family(fam: PlaneFamily, bounds: SearchBounds) -> Searc
 
 
 def darboux_search_family_a(fam: PlaneFamily, bounds: SearchBounds) -> SearchOutcome:
-    """Alias of `darboux_search_power_family`, kept for the alpha = 1 family."""
+    """The same search as `darboux_search_power_family`, not exported.
+
+    Nothing in the package calls it; it stays only because the
+    benchmark's `darboux.search` span is hooked on this name, and goes
+    once that hook moves to `darboux_search_power_family`.
+    """
     return darboux_search_power_family(fam, bounds)

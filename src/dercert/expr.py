@@ -23,7 +23,8 @@ the entries are read left to right, and the first offending token is
 reported.  A polynomial with a coefficient whose numerator or
 denominator has more digits than `str()` prints
 (`sys.get_int_max_str_digits()`) is an error at its first token, so
-every parsed value can be printed.
+every parsed value can be printed.  So is a '(' or unary '-' nested
+inside MAX_NESTING others, which keeps the descent's recursion bounded.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .derivation import Derivation
 from .mpoly import MultiPoly, grlex_key
 
 MAX_EXPONENT = 10**6
+MAX_NESTING = 100  # the most '(' and unary '-' open around a token
 
 VAR_NAMES = ("x", "y") + tuple(f"y{i}" for i in range(1, 10))
 _VAR_ORDER = {name: i for i, name in enumerate(VAR_NAMES)}
@@ -63,7 +65,7 @@ class _Reader:
     `variables` as it goes.  In a derivation "," and "}" end an entry's
     polynomial the way the end of the input ends a lone one."""
 
-    __slots__ = ("src", "tokens", "pos", "variables", "atoms", "in_derivation")
+    __slots__ = ("src", "tokens", "pos", "variables", "atoms", "in_derivation", "depth")
 
     def __init__(self, src: str, tokens: list[str], variables: tuple[str, ...], in_derivation: bool):
         self.src = src
@@ -72,6 +74,7 @@ class _Reader:
         self.variables = variables
         self.atoms = {name: MultiPoly.var(variables, name) for name in variables}
         self.in_derivation = in_derivation
+        self.depth = 0  # the '(' and unary '-' being read
 
     def fail(self, index: int, message: str):
         """Raise at token `index`; a token that cannot be read at all, or the
@@ -171,16 +174,20 @@ class _Reader:
             # MultiPoly.constant of num/den without building the Fraction
             nums = {(0,) * len(self.variables): num} if num else {}
             return MultiPoly._from_canonical(self.variables, nums, den)
-        if text == "(":
+        if text == "(" or text == "-":
+            if self.depth == MAX_NESTING:
+                self.fail(index, f"nesting deeper than {MAX_NESTING}")
+            self.depth += 1
             self.pos = index + 1
-            inner = self.expr()
-            if self.tokens[self.pos] != ")":
-                self.fail(self.pos, "expected ')'")
-            self.pos += 1
+            if text == "-":
+                inner = -self.base()
+            else:
+                inner = self.expr()
+                if self.tokens[self.pos] != ")":
+                    self.fail(self.pos, "expected ')'")
+                self.pos += 1
+            self.depth -= 1
             return inner
-        if text == "-":
-            self.pos = index + 1
-            return -self.base()
         if text in _VAR_ORDER:
             if self.in_derivation:
                 self.fail(index, f"variable {text!r} is not declared by this derivation")

@@ -1,13 +1,13 @@
 """Exact linear system solving over the rationals.
 
-`solve_sparse` takes sparse rows (dict column -> int or Fraction) and a
-right-hand side of int or Fraction, and never mutates them.  A system
-whose entries are nonzero ints and whose rhs is int is used as it is;
-any other is scaled row by row to integers by the lcm of the row's
-denominators.  Callers keep columns that no row holds out of `ncols`:
-such a column is free, but no row ends at it, so the walk builds its
-column -> rows index when it reaches that column, which a system
-without it might build later or never.
+`solve_sparse` takes sparse rows (dict column -> nonzero int) and an
+int right-hand side, and never mutates them; any other system raises
+ValueError.  A caller with rational entries scales each row to integers
+first, which changes neither the solutions nor the rank.  Callers keep
+columns that no row holds out of `ncols`: such a column is free, but no
+row ends at it, so the walk builds its column -> rows index when it
+reaches that column, which a system without it might build later or
+never.
 
 The solve is one walk over the columns from left to right.  Every row
 is filed once, under its rightmost column.  At column c:
@@ -60,28 +60,6 @@ from itertools import chain
 class LinSolution:
     particular: list[Fraction]
     rank: int
-
-
-def _integer_rows(
-    rows: list[dict[int, Fraction | int]], rhs: list[Fraction | int]
-) -> tuple[list[dict[int, int]], list[int]]:
-    """Integer rows and rhs, without zero entries, in new lists.
-
-    A system of nonzero int entries and int rhs passes one check done in
-    C and keeps its row dicts, which the walk never mutates; any other is
-    scaled by the lcm of each row's denominators.
-    """
-    values = list(chain.from_iterable(map(dict.values, rows)))
-    if {*map(type, values), *map(type, rhs)} <= {int} and all(values):
-        return list(rows), list(rhs)
-    int_rows, int_rhs = [], []
-    for row, b in zip(rows, rhs):
-        scale = math.lcm(b.denominator, *(v.denominator for v in row.values()))
-        int_rows.append(
-            {c: v.numerator * (scale // v.denominator) for c, v in row.items() if v}
-        )
-        int_rhs.append(b.numerator * (scale // b.denominator))
-    return int_rows, int_rhs
 
 
 def _residual(row: dict[int, int], b: int, known: dict[int, Fraction]) -> Fraction | int:
@@ -181,11 +159,16 @@ def _walk(
     return known, waiting, free
 
 
-def solve_sparse(
-    rows: list[dict[int, Fraction | int]], rhs: list[Fraction | int], ncols: int
-) -> LinSolution | None:
-    """Solve A x = b with sparse rows of int or Fraction; None means inconsistent."""
-    walked = _walk(*_integer_rows(rows, rhs), ncols)
+def solve_sparse(rows: list[dict[int, int]], rhs: list[int], ncols: int) -> LinSolution | None:
+    """Solve A x = b over nonzero int entries and an int rhs; None means inconsistent.
+
+    The entry check is one pass done in C; the walk appends fill-in rows
+    to new lists and mutates no row dict.
+    """
+    values = list(chain.from_iterable(map(dict.values, rows)))
+    if not ({*map(type, values), *map(type, rhs)} <= {int} and all(values)):
+        raise ValueError("solve_sparse takes nonzero int entries and an int rhs")
+    walked = _walk(list(rows), list(rhs), ncols)
     if walked is None:
         return None
     known, waiting, free = walked

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import hypothesis.strategies as st
 
@@ -38,6 +38,19 @@ def nonzero_multipolys(variables=("x", "y"), max_degree: int = 4, max_terms: int
     return multipolys(variables, max_degree, max_terms).filter(
         lambda p: not p.is_zero()
     )
+
+
+def scaled_to_ints(rows, rhs):
+    """Dense rows and rhs, each row scaled by the lcm of its denominators.
+
+    The scaled system has the same solutions and rank, and holds only ints.
+    """
+    int_rows, int_rhs = [], []
+    for row, b in zip(rows, rhs):
+        scale = lcm(Fraction(b).denominator, *(Fraction(v).denominator for v in row))
+        int_rows.append([int(v * scale) for v in row])
+        int_rhs.append(int(b * scale))
+    return int_rows, int_rhs
 
 
 def assert_layout(p: MultiPoly) -> None:

@@ -363,6 +363,19 @@ class TestParseErrors:
         assert code == 2
         assert report["results"]["error"] == "a coefficient has more than 4300 digits (column 16)"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["image", "deriv{x: 1, y: 0}", "--target", "(" * 400 + "x" + ")" * 400, "--bound", "2"],
+            ["image", "deriv{x: 1, y: 0}", "--target", "-" * 1200 + "x", "--bound", "2"],
+            ["analyze", "deriv{x: " + "(" * 400 + "y" + ")" * 400 + ", y: 1}"],
+        ],
+    )
+    def test_deep_nesting_is_a_parse_error(self, capsys, argv):
+        code, report = run_json(capsys, argv)
+        assert code == report["exit_code"] == 2
+        assert report["results"]["error"].startswith("nesting deeper than 100 (column ")
+
     def test_negative_bound(self, capsys):
         code, report = run_json(
             capsys,

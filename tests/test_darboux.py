@@ -8,16 +8,12 @@ from conftest import nonzero_rationals, rationals, uni, unipolys
 import dercert.darboux
 from dercert import (
     CheckFailed,
-    CofactorStructure,
     DarbouxPair,
     MultiPoly,
     NotDarboux,
     PlaneFamily,
     SearchBounds,
-    ViolationReport,
     ZeroPolynomial,
-    audit_structure,
-    darboux_search_family_a,
     darboux_search_power_family,
     decide_simple_family_a,
     parse_poly,
@@ -84,44 +80,43 @@ class TestVerify:
         assert squared.cofactor == pair.cofactor + pair.cofactor
 
 
+def structure(pair):
+    """(n, d1, d0, c) read off a pair: F = sum c_i(x) y^i of y-degree n, L = d1*y + d0.
+
+    Asserts deg_y L <= 1, which D(F) = L*F forces in a quadratic family.
+    """
+    by_y = {i: c.restrict("x") for i, c in pair.F.coeffs_in("y").items()}
+    cof_y = {i: c.restrict("x") for i, c in pair.cofactor.coeffs_in("y").items()}
+    assert max(cof_y, default=0) <= 1
+    n, zero = max(by_y), uni([])
+    return n, cof_y.get(1, zero), cof_y.get(0, zero), tuple(by_y.get(i, zero) for i in range(n + 1))
+
+
 class TestAudit:
     def test_witness_structure(self):
         pair = verify_darboux(WITNESSED.to_derivation(), poly("y + 1"))
-        structure = audit_structure(WITNESSED, pair)
-        assert isinstance(structure, CofactorStructure)
-        assert structure.n == 1
-        assert structure.d1 == uni([-1, 1])
-        assert structure.d0 == uni([1])
-        assert structure.c == (uni([1]), uni([1]))
-        assert structure.regime == "full"
+        assert dercert.darboux.searchable(WITNESSED)
+        assert structure(pair) == (1, uni([-1, 1]), uni([1]), (uni([1]), uni([1])))
 
     def test_outside_hypotheses_still_decomposes(self):
         pair = verify_darboux(QUADRATIC.to_derivation(), poly("y^2 + 1"))
-        structure = audit_structure(QUADRATIC, pair)
-        assert isinstance(structure, CofactorStructure)
-        assert structure.regime == "outside-hypotheses"
-        assert structure.n == 2
-        assert structure.d1 == uni([2])
-        assert structure.d0 == uni([])
+        assert not dercert.darboux.searchable(QUADRATIC)
+        n, d1, d0, _ = structure(pair)
+        assert (n, d1, d0) == (2, uni([2]), uni([]))
 
     def test_tampered_cofactor_is_caught(self):
-        pair = verify_darboux(WITNESSED.to_derivation(), poly("y + 1"))
-        tampered = DarbouxPair(F=pair.F, cofactor=pair.cofactor + poly("1"))
-        report = audit_structure(WITNESSED, tampered)
-        assert isinstance(report, ViolationReport)
+        D = WITNESSED.to_derivation()
+        pair = verify_darboux(D, poly("y + 1"))
+        assert D.apply(pair.F) != (pair.cofactor + poly("1")) * pair.F
 
     def test_no_linear_term_hypotheses_admit_no_pairs(self):
         # a1 = 0 with deg a2 >= 1 and a0 in Q* forces simplicity, so no
-        # genuine pair exists under these hypotheses; a fabricated one
-        # must be rejected at the product identity, not waved through as
-        # outside-hypotheses
+        # genuine pair exists under these hypotheses; the pair of the
+        # witnessed cell, y + 1 with cofactor (x - 1)*y + 1, is not one
         family = fam(uni([-1, 1]), uni([]), uni([1]))
-        out = darboux_search_family_a(family, SearchBounds(2, 2, 3))
+        out = darboux_search_power_family(family, SearchBounds(2, 2, 3))
         assert out.status == "none-up-to-bounds"
-        fake = DarbouxPair(F=poly("y + 1"), cofactor=poly("(x - 1)*y + 1"))
-        result = audit_structure(family, fake)
-        assert isinstance(result, ViolationReport)
-        assert result.check == "product-identity"
+        assert isinstance(verify_darboux(family.to_derivation(), poly("y + 1")), NotDarboux)
 
 
 @st.composite
@@ -164,7 +159,7 @@ def darboux_cells(draw):
 
 
 class TestShapeTheorem:
-    """D(F) = L*F alone forces the shape audit_structure reports."""
+    """D(F) = L*F alone forces deg_y L <= 1, d1 = n*a2 and a constant c_n."""
 
     @settings(max_examples=200, deadline=None)
     @given(darboux_cells())
@@ -173,16 +168,11 @@ class TestShapeTheorem:
         pair = verify_darboux(family.to_derivation(), F)
         assert isinstance(pair, DarbouxPair)
         assert pair.cofactor.degree_in("y") <= 1
-        structure = audit_structure(family, pair)
-        assert isinstance(structure, CofactorStructure)
-        inside = dercert.darboux.searchable(family)
-        assert structure.regime == ("full" if inside else "outside-hypotheses")
-        assert structure.d1 == family.a2.scale(structure.n)
-        assert structure.c[-1].is_constant() and not structure.c[-1].is_zero()
-        tampered = DarbouxPair(F=pair.F, cofactor=pair.cofactor + poly("1"))
-        report = audit_structure(family, tampered)
-        assert isinstance(report, ViolationReport)
-        assert report.check == "product-identity"
+        n, d1, _, c = structure(pair)
+        assert d1 == family.a2.scale(n)
+        assert c[-1].is_constant() and not c[-1].is_zero()
+        D = family.to_derivation()
+        assert D.apply(pair.F) != (pair.cofactor + poly("1")) * pair.F
 
 
 class TestResidualSolver:
@@ -269,35 +259,35 @@ class TestResidualSolver:
 
 class TestSearch:
     def test_simple_family_has_none(self):
-        out = darboux_search_family_a(
+        out = darboux_search_power_family(
             fam(uni([0, 1]), uni([]), uni([1])), SearchBounds(3, 3, 4)
         )
         assert out.status == "none-up-to-bounds"
 
     def test_witness_rediscovered(self):
-        out = darboux_search_family_a(WITNESSED, SearchBounds(2, 2, 3))
+        out = darboux_search_power_family(WITNESSED, SearchBounds(2, 2, 3))
         assert out.status == "found"
         assert poly("y + 1") in [pair.F for pair in out.pairs]
 
     def test_constant_a1_is_simple_and_searchless(self):
-        out = darboux_search_family_a(
+        out = darboux_search_power_family(
             fam(uni([0, 1]), uni([1]), uni([1])), SearchBounds(3, 3, 4)
         )
         assert out.status == "none-up-to-bounds"
 
     def test_found_pairs_verify(self):
-        out = darboux_search_family_a(WITNESSED, SearchBounds(2, 2, 3))
+        out = darboux_search_power_family(WITNESSED, SearchBounds(2, 2, 3))
         D = WITNESSED.to_derivation()
         for pair in out.pairs:
             assert D.apply(pair.F) == pair.cofactor * pair.F
 
     def test_preconditions_rejected(self):
         with pytest.raises(ValueError):
-            darboux_search_family_a(
+            darboux_search_power_family(
                 fam(uni([1]), uni([0, 1]), uni([1])), SearchBounds(2, 2, 3)
             )
         with pytest.raises(ValueError):
-            darboux_search_family_a(
+            darboux_search_power_family(
                 fam(uni([0, 1]), uni([0, 1]), uni([0, 1])), SearchBounds(2, 2, 3)
             )
 
@@ -312,7 +302,7 @@ class TestSearch:
         if family.a2.total_degree() < 1:
             return
         verdict = decide_simple_family_a(family)
-        out = darboux_search_family_a(family, SearchBounds(3, 3, 4))
+        out = darboux_search_power_family(family, SearchBounds(3, 3, 4))
         if verdict.simple:
             assert out.status != "found"
 
@@ -328,7 +318,7 @@ class TestSearch:
         bounds = SearchBounds(
             n_max=1, d0_deg_max=max(2, int(a1.total_degree())), cx_deg_max=3
         )
-        out = darboux_search_family_a(family, bounds)
+        out = darboux_search_power_family(family, bounds)
         expected = poly("y") + MultiPoly.constant(XY, 1 / l)
         assert out.status == "found"
         assert expected in [pair.F for pair in out.pairs]
@@ -343,7 +333,7 @@ class TestSearch:
         d0_needed = int(
             max(0, pair.cofactor.coeffs_in("y")[0].total_degree())
         )
-        out = darboux_search_family_a(
+        out = darboux_search_power_family(
             WITNESSED, SearchBounds(n_needed, d0_needed, 4)
         )
         assert out.status == "found"

@@ -6,7 +6,6 @@ import pytest
 
 from conftest import uni
 from dercert import (
-    DarbouxPair,
     Derivation,
     FamilyDiag,
     FamilyDiagX,
@@ -17,7 +16,6 @@ from dercert import (
     UnsupportedIdealShape,
     VariableMismatch,
     ZeroPolynomial,
-    audit_structure,
     decide_simple_family_a,
     parse_derivation,
     parse_poly,
@@ -95,8 +93,6 @@ def test_quadratic_only_deciders_refuse_power_families():
     fam = PlaneFamily(2, 2, a2=uni([0, 1]), a1=uni([]), a0=uni([1]))
     with pytest.raises(UnsupportedFamily):
         decide_simple_family_a(fam)
-    with pytest.raises(UnsupportedFamily):
-        audit_structure(fam, DarbouxPair(F=MultiPoly.var(XY, "y"), cofactor=MultiPoly.zero(XY)))
 
 
 def test_first_order_guards():

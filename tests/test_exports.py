@@ -1,6 +1,8 @@
-"""The package's export list matches what its __init__ binds."""
+"""The package's export list matches what its __init__ binds, and holds
+no entry point that only tests call."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import dercert
@@ -26,3 +28,45 @@ def test_all_matches_the_bound_names():
 
 def test_every_export_imports():
     assert [name for name in dercert.__all__ if not hasattr(dercert, name)] == []
+
+
+def _names_the_package_loads() -> set[str]:
+    """Names read in the package's modules other than __init__.py.
+
+    A name read inside the top-level definition of the same name (a
+    recursive call, say) does not count.
+    """
+    names = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = owner or node.name
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        else:
+            name = None
+        if name is not None and name != owner:
+            names.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    for path in Path(dercert.__file__).parent.glob("*.py"):
+        if path.name != "__init__.py":
+            visit(ast.parse(path.read_text()), None)
+    return names
+
+
+def test_every_export_is_a_type_a_verifier_or_used_by_the_package():
+    # an exported function that no package module calls is reached by
+    # tests alone; tests import such a helper from its module instead
+    used = _names_the_package_loads()
+    unused = [
+        name
+        for name in dercert.__all__
+        if not inspect.isclass(getattr(dercert, name))
+        and not name.startswith("verify_")
+        and name not in used
+    ]
+    assert unused == []

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 
 from conftest import multipolys
 from dercert import MultiPoly, ParseError, parse_derivation, parse_poly, poly_to_str
+from dercert.expr import MAX_NESTING
 
 F = Fraction
 XY = ("x", "y")
@@ -175,6 +176,24 @@ class TestErrorColumns:
         # held over the common denominator 7 the constant has 4301 digits,
         # but it prints in lowest terms
         assert parse_poly("1/7*x + 2*10^4299").nums[(0,)] == 14 * 10**4299
+
+    def test_nesting_at_the_limit(self):
+        # MAX_NESTING '(' and unary '-' in any mix parse; one more fails at
+        # the token past the limit
+        deep = "(" * 60 + "-" * 40 + "x" + ")" * 60
+        assert parse_poly(deep) == parse_poly("x")
+        assert parse_poly("-" * MAX_NESTING + "x") == parse_poly("x")
+        for src, column in [
+            ("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), MAX_NESTING + 1),
+            ("x + " + "-" * 1200 + "x", MAX_NESTING + 5),
+            ("-(" * 51 + "x" + ")" * 51, MAX_NESTING + 1),
+        ]:
+            with pytest.raises(ParseError) as err:
+                parse_poly(src)
+            assert str(err.value) == f"nesting deeper than {MAX_NESTING} (column {column})"
+        with pytest.raises(ParseError) as err:
+            parse_derivation("deriv{x: 1, y: " + "(" * 400 + "y" + ")" * 400 + "}")
+        assert err.value.column == 16 + MAX_NESTING
 
     def test_polynomial_over_given_variables(self):
         with pytest.raises(ParseError) as err:

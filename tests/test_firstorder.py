@@ -47,12 +47,12 @@ def test_shift_mode_against_linear_system_oracle():
     # 2*x*c - c' = 2x^3: solve the 4x3 coefficient system exactly
     rows = [
         # unknowns (c2, c1, c0); rows are x^3, x^2, x^1, x^0 coefficients
-        [F(2), F(0), F(0)],
-        [F(0), F(2), F(0)],
-        [F(-2), F(0), F(2)],
-        [F(0), F(-1), F(0)],
+        [2, 0, 0],
+        [0, 2, 0],
+        [-2, 0, 2],
+        [0, -1, 0],
     ]
-    rhs = [F(2), F(0), F(0), F(0)]
+    rhs = [2, 0, 0, 0]
     oracle = solve_sparse([{j: v for j, v in enumerate(row) if v} for row in rows], rhs, 3)
     assert oracle is not None and oracle.rank == 3
     c2, c1, c0 = oracle.particular

@@ -94,7 +94,8 @@ from pathlib import Path
 
 import pytest
 
-from dercert.cli import run_command
+import dercert.cli
+from dercert.cli import render_text, run_command
 
 HERE = Path(__file__).parent
 GOLDEN = [
@@ -116,3 +117,32 @@ def test_report_is_byte_identical(capsys, case):
     out, count = re.subn(r'"timing_ms": [-0-9.e+]+', '"timing_ms": 0', out)
     assert count == 1
     assert out == json.dumps({**case["report"], "timing_ms": 0}, indent=2, sort_keys=True) + "\n"
+
+
+TEXT_CASES = [(i, c) for i, c in enumerate(GOLDEN) if c["argv"][1] != "conjecture-scan"]
+
+
+@pytest.mark.parametrize(
+    "case", [c for _, c in TEXT_CASES], ids=[f"{c['argv'][1]}-{i}" for i, c in TEXT_CASES]
+)
+def test_text_report_renders_the_json_one(capsys, monkeypatch, case):
+    # without --json the same request builds the golden report and prints
+    # render_text of it, on stdout when it exits 0 and on stderr otherwise;
+    # the report is taken as built, since the text follows the order in
+    # which the command fills its fields and the golden file sorts them
+    built = []
+    emit = dercert.cli._emit
+
+    def record(report, *args, **kwargs):
+        built.append(report)
+        emit(report, *args, **kwargs)
+
+    monkeypatch.setattr(dercert.cli, "_emit", record)
+    code = run_command([arg for arg in case["argv"] if arg != "--json"])
+    captured = capsys.readouterr()
+    assert code == case["exit_code"]
+    [report] = built
+    assert {k: v for k, v in report.items() if k != "timing_ms"} == case["report"]
+    out, quiet = (captured.out, captured.err) if code == 0 else (captured.err, captured.out)
+    assert quiet == ""
+    assert out == render_text(report) + "\n"

@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import multipolys, rationals, uni
+from conftest import multipolys, rationals, scaled_to_ints, uni
 import dercert.image
 from dercert import (
     CertifiedNonMember,
@@ -253,8 +253,9 @@ def reference_membership(D, target, bound):
     )
     columns = [D.apply(MultiPoly(D.variables, [(e, 1)])).terms for e in basis]
     monomials = {m for column in columns for m in column} | set(target.terms)
-    rows = [{j: col[m] for j, col in enumerate(columns) if m in col} for m in monomials]
-    rhs = [target.terms.get(m, F(0)) for m in monomials]
+    dense = [[col.get(m, 0) for col in columns] for m in monomials]
+    dense, rhs = scaled_to_ints(dense, [target.terms.get(m, 0) for m in monomials])
+    rows = [{j: v for j, v in enumerate(row) if v} for row in dense]
     solution = solve_sparse(rows, rhs, len(basis))
     if solution is None:
         return None

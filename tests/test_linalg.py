@@ -1,19 +1,21 @@
 from fractions import Fraction
 
+import pytest
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from conftest import nonzero_rationals, rationals
-from dercert.linalg import LinSolution, _integer_rows, _walk, solve_sparse
+from conftest import nonzero_rationals, rationals, scaled_to_ints
+from dercert.linalg import LinSolution, _walk, solve_sparse
 
 F = Fraction
 
 
 def solve_dense(rows, rhs):
-    """solve_sparse on a dense matrix: each row becomes {column: value}."""
+    """solve_sparse on a dense rational matrix, each row scaled to ints."""
     ncols = len(rows[0]) if rows else 0
-    sparse = [{j: F(v) for j, v in enumerate(row) if v} for row in rows]
-    return solve_sparse(sparse, [F(b) for b in rhs], ncols)
+    int_rows, int_rhs = scaled_to_ints(rows, rhs)
+    return solve_sparse([{j: v for j, v in enumerate(row) if v} for row in int_rows], int_rhs, ncols)
 
 
 def test_identity_system():
@@ -86,7 +88,7 @@ def dense_reference(rows, rhs, ncols):
     return particular, len(pivots)
 
 
-# mostly zeros, with int and Fraction entries mixed
+# mostly zeros, with int and Fraction entries mixed; scaled to ints to solve
 sparse_entries = st.one_of(
     st.just(0),
     st.just(0),
@@ -130,10 +132,8 @@ def sparse_systems(draw):
 @given(sparse_systems())
 def test_solve_sparse_matches_dense_reference(system_data):
     rows, rhs, ncols = system_data
-    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
-    # rhs entries that are whole numbers are passed as int, like matrix entries
-    mixed_rhs = [b.numerator if b.denominator == 1 else b for b in map(F, rhs)]
-    sol = solve_sparse(sparse, mixed_rhs, ncols)
+    int_rows, int_rhs = scaled_to_ints(rows, rhs)
+    sol = solve_sparse([{j: v for j, v in enumerate(row) if v} for row in int_rows], int_rhs, ncols)
     expected = dense_reference(rows, rhs, ncols)
     if expected is None:
         assert sol is None
@@ -144,27 +144,29 @@ def test_solve_sparse_matches_dense_reference(system_data):
 
 
 def test_solve_sparse_leaves_its_input_alone():
-    rows = [{0: 2, 1: F(1, 2)}, {0: 4, 1: 3}, {1: 5}]
-    rhs = [F(1), 2, F(5, 3)]
+    rows = [{0: 4, 1: 1}, {0: 4, 1: 3}, {1: 15}]
+    rhs = [2, 2, 5]
     copies = ([dict(r) for r in rows], list(rhs))
     solve_sparse(rows, rhs, 2)
     assert (rows, rhs) == copies
 
 
-def test_integer_rows_drop_zeros_and_stay_unmutated():
+def test_zero_entries_are_refused():
     rows = [{0: 1, 1: 0, 2: 1}, {1: 2, 2: 0}, {0: 0}]
     rhs = [3, 4, 0]
     copies = ([dict(r) for r in rows], list(rhs))
-    sol = solve_sparse(rows, rhs, 3)
+    with pytest.raises(ValueError):
+        solve_sparse(rows, rhs, 3)
     assert (rows, rhs) == copies
-    assert sol == LinSolution([F(3), F(2), F(0)], 2)
+    nonzero = [{c: v for c, v in row.items() if v} for row in rows]
+    assert solve_sparse(nonzero, rhs, 3) == LinSolution([F(3), F(2), F(0)], 2)
 
 
 # One small system per branch of the walk in _walk; each checks the
 # branch it takes, then the solution against the dense reference.
 def walk_and_solve(rows, rhs, ncols):
     """(the walk's output, solve_sparse, the dense Gauss-Jordan reference)."""
-    walked = _walk(*_integer_rows(rows, rhs), ncols)
+    walked = _walk(list(rows), list(rhs), ncols)
     dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
     reference = dense_reference(dense, rhs, ncols)
     return walked, solve_sparse(rows, rhs, ncols), reference and LinSolution(*reference)
@@ -213,12 +215,17 @@ def test_free_column_held_only_by_a_waiting_row_is_zero():
     assert sol == dense == LinSolution([F(3), F(0)], 1)
 
 
-def test_fraction_entries_are_scaled_to_integers_first():
+def test_fraction_entries_are_refused():
     rows = [{0: F(1, 2), 1: F(1, 3)}, {1: F(2, 3)}, {0: F(3, 4), 2: F(5, 6)}]
     rhs = [F(1, 6), F(4, 3), F(1, 2)]
-    _, sol, dense = walk_and_solve(rows, rhs, 3)
-    assert sol == dense == LinSolution([F(-1), F(2), F(3, 2)], 3)
+    for bad in (rows, rhs), ([{0: 3, 1: 2}], [F(1)]), ([{0: F(3)}], [1]), ([{0: True}], [1]):
+        with pytest.raises(ValueError):
+            solve_sparse(*bad, 3)
     assert rows[0] == {0: F(1, 2), 1: F(1, 3)} and rhs[0] == F(1, 6)
+    # the same system scaled row by row to ints: x = (-1, 2, 3/2)
+    int_rows = [{0: 3, 1: 2}, {1: 2}, {0: 9, 2: 10}]
+    _, sol, dense = walk_and_solve(int_rows, [1, 4, 6], 3)
+    assert sol == dense == LinSolution([F(-1), F(2), F(3, 2)], 3)
 
 
 def test_empty_rows_are_checks_of_their_rhs():
@@ -232,4 +239,4 @@ def test_empty_rows_are_checks_of_their_rhs():
     walked, sol, dense = walk_and_solve(rows, [5, 4, 4, 3], 3)
     assert walked is sol is dense is None
     assert solve_sparse([{}], [0], 1) == LinSolution([F(0)], 0)
-    assert solve_sparse([{}], [F(1, 2)], 1) is None
+    assert solve_sparse([{}], [1], 1) is None

@@ -1,6 +1,7 @@
 """solve_sparse against sympy, and its independence of row order.
 
-Systems mix int and Fraction entries.  Most have a right-hand side A x
+Systems are drawn with int and Fraction entries, and each row is scaled
+to integers before the solve, which keeps its solutions.  Most have a right-hand side A x
 for a drawn x, the rest a drawn one; rows that are combinations of
 earlier rows make them rank-deficient, and a combination whose rhs is
 shifted makes them inconsistent.  The reference is sympy's
@@ -15,6 +16,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from conftest import scaled_to_ints
 from dercert.linalg import LinSolution, solve_sparse
 
 sympy = pytest.importorskip("sympy")
@@ -53,8 +55,10 @@ def systems(draw):
     return rows, rhs, ncols
 
 
-def sparse(rows, keep_zeros=False):
-    return [{j: v for j, v in enumerate(row) if v or keep_zeros} for row in rows]
+def sparse(rows, rhs):
+    """The system solve_sparse takes: rows scaled to ints, without zero entries."""
+    int_rows, int_rhs = scaled_to_ints(rows, rhs)
+    return [{j: v for j, v in enumerate(row) if v} for row in int_rows], int_rhs
 
 
 def sympy_reference(rows, rhs, ncols):
@@ -72,10 +76,10 @@ def sympy_reference(rows, rhs, ncols):
 
 
 @settings(max_examples=150, deadline=None)
-@given(systems(), st.booleans())
-def test_solve_sparse_matches_sympy(system, keep_zeros):
+@given(systems())
+def test_solve_sparse_matches_sympy(system):
     rows, rhs, ncols = system
-    args = (sparse(rows, keep_zeros), list(rhs), ncols)
+    args = (*sparse(rows, rhs), ncols)
     before = copy.deepcopy(args)
     sol = solve_sparse(*args)
     assert args == before
@@ -93,9 +97,7 @@ def test_row_order_changes_nothing(system, data):
     rows, rhs, ncols = system
     order = data.draw(st.permutations(range(len(rows))))
     permuted = [rows[i] for i in order], [rhs[i] for i in order]
-    assert solve_sparse(sparse(permuted[0]), permuted[1], ncols) == solve_sparse(
-        sparse(rows), rhs, ncols
-    )
+    assert solve_sparse(*sparse(*permuted), ncols) == solve_sparse(*sparse(rows, rhs), ncols)
 
 
 def test_all_int_system_is_copied_not_mutated():
@@ -158,7 +160,7 @@ def image_shaped_systems(draw):
 @given(image_shaped_systems())
 def test_image_shaped_systems_match_sympy(system):
     rows, rhs, ncols = system
-    args = (sparse(rows), list(rhs), ncols)
+    args = (*sparse(rows, rhs), ncols)
     before = copy.deepcopy(args)
     sol = solve_sparse(*args)
     assert args == before
