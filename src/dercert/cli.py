@@ -154,14 +154,15 @@ def describe_evidence(evidence) -> dict:
 
 def describe_search(outcome: SearchOutcome) -> dict:
     found = []
+    zero = MultiPoly.zero(X_ONLY)
     for pair in outcome.pairs:
         y = pair.F.variables[1]
-        by_y = pair.cofactor.coeffs_in(y)
+        by_y = pair.cofactor.split(y)
         found.append(
             {
                 "n": int(pair.F.degree_in(y)),
-                "d1": poly_to_str(by_y.get(1, MultiPoly.zero(pair.F.variables))),
-                "d0": poly_to_str(by_y.get(0, MultiPoly.zero(pair.F.variables))),
+                "d1": poly_to_str(by_y.get(1, zero)),
+                "d0": poly_to_str(by_y.get(0, zero)),
                 "F": poly_to_str(pair.F),
                 "cofactor": poly_to_str(pair.cofactor),
                 "status": "found",
@@ -179,10 +180,11 @@ def render_text(report: dict) -> str:
         lines.append(f"input: {report['input']}")
     if "family" in report:
         fam = report["family"]
-        extras = ", ".join(f"{k}={v}" for k, v in fam.items() if k != "name")
+        extras = ", ".join(f"{k}={fam[k]}" for k in sorted(fam) if k != "name")
         lines.append(f"family: {fam['name']}" + (f" ({extras})" if extras else ""))
-    for key, value in report.get("results", {}).items():
-        lines.append(f"{key}: {json.dumps(value, sort_keys=True)}")
+    results = report.get("results", {})
+    for key in sorted(results):
+        lines.append(f"{key}: {json.dumps(results[key], sort_keys=True)}")
     if report.get("bounds"):
         lines.append(f"bounds: {json.dumps(report['bounds'], sort_keys=True)}")
     lines.append(f"timing_ms: {report['timing_ms']}")
@@ -352,15 +354,11 @@ def _read_grid(path: str):
             cell = []
             for k in keys:
                 try:
-                    cell.append(_parse_uni(record[k]))
+                    cell.append(parse_poly(record[k], X_ONLY))
                 except ParseError as exc:
                     raise ValueError(f"{path}:{number}: {k}: {exc}") from None
             cells.append(tuple(cell))
     return cells
-
-
-def _parse_uni(src: str) -> MultiPoly:
-    return parse_poly(src, X_ONLY).restrict("x")
 
 
 def _cmd_scan(args, report: dict) -> int:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .derivation import Derivation, Family, PlaneFamily, UnsupportedFamily
-from .firstorder import solve_first_order, split_x
+from .firstorder import solve_first_order
 from .mpoly import CheckFailed, MultiPoly, ZeroPolynomial, divide_exact
 from .upoly import rational_roots
 
@@ -111,8 +111,9 @@ def _bareiss_det(matrix: list[list[MultiPoly]], variables: tuple[str, ...]) -> M
 
 def _resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     """Resultant eliminating var, via the Sylvester determinant."""
-    pc = p.coeffs_in(var)
-    qc = q.coeffs_in(var)
+    # each coefficient back over p's variables, the tuple the determinant runs over
+    pc = {k: c.with_variables(p.variables) for k, c in p.split(var).items()}
+    qc = {k: c.with_variables(p.variables) for k, c in q.split(var).items()}
     m, n = max(pc), max(qc)
     zero = MultiPoly.zero(p.variables)
     p_list = [pc.get(m - i, zero) for i in range(m + 1)]
@@ -368,7 +369,7 @@ def _search_fixed_n(
         sol = solve_first_order(a2, rhs, k=Fraction(n - i))
         c[i] = sol.c
         constraints.extend(sol.constraints)
-        c_x = split_x(sol.c)
+        c_x = sol.c.split("x")
         constraints.extend(c_x[j] for j in sorted(c_x) if j > bounds.cx_deg_max)
         if not _pin_forced_zeros(c, e_low, constraints):
             return [], None
@@ -376,7 +377,7 @@ def _search_fixed_n(
         residue = c.get(m + 1, zero).scale(Fraction(m + 1) * a0_val)
         for s in range(min(alpha - 1, m) + 1):
             residue = residue - e_low[s] * c.get(m - s, zero)
-        constraints.extend(split_x(residue).values())
+        constraints.extend(v for _, v in sorted(residue.split("x").items()))
     if not _pin_forced_zeros(c, e_low, constraints):
         return [], None
     if constraints:

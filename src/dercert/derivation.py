@@ -11,7 +11,7 @@ raw derivation to the most specific structured family:
 A plane family is quadratic when alpha = beta = 1, the shape of the
 simplicity theorem, and linear when it is quadratic with a2 = 0 and a
 constant a0.  The coefficients a2, a1, a0 and gamma_i are MultiPoly
-values over X_ONLY, their terms in ascending degree.
+values over X_ONLY.
 """
 
 from __future__ import annotations
@@ -107,14 +107,6 @@ class FamilyDiagX:
         if any(k < 1 for k in self.ks):
             raise ValueError("exponents must be >= 1")
 
-    def to_derivation(self) -> Derivation:
-        n = len(self.gammas)
-        v = ("x",) + tuple(f"y{i + 1}" for i in range(n))
-        images = [MultiPoly.constant(v, 1)]
-        for i, (g, k) in enumerate(zip(self.gammas, self.ks)):
-            images.append(g.with_variables(v) * MultiPoly.var(v, v[i + 1], k))
-        return Derivation(v, tuple(images))
-
 
 @dataclass(frozen=True)
 class FamilyDiag:
@@ -128,15 +120,6 @@ class FamilyDiag:
             raise ValueError("coefficients must be nonzero")
         if any(k < 0 for k in self.ks):
             raise ValueError("exponents must be nonnegative")
-
-    def to_derivation(self) -> Derivation:
-        n = len(self.gammas)
-        v = tuple(f"y{i + 1}" for i in range(n))
-        images = [
-            MultiPoly.var(v, v[i], k).scale(g)
-            for i, (g, k) in enumerate(zip(self.gammas, self.ks))
-        ]
-        return Derivation(v, tuple(images))
 
 
 @dataclass(frozen=True)
@@ -154,40 +137,38 @@ def _single_var_power(p: MultiPoly, var: str) -> tuple[MultiPoly, int] | None:
     """Match p = gamma(x) * var^k with k >= 1 fixed; None otherwise."""
     if p.is_zero() or not p.uses_only(["x", var]):
         return None
-    by_power = p.coeffs_in(var)
+    by_power = p.split(var)
     if len(by_power) != 1:
         return None
     (k, coeff), = by_power.items()
     if k < 1:
         return None
-    return coeff.restrict("x"), k
+    return coeff.with_variables(X_ONLY), k
 
 
 def _recognize_plane(D: Derivation) -> Family:
-    x, y = D.variables
+    _, y = D.variables
     img_x, img_y = D.images
     if not img_x.uses_only([y]):
         return Generic()
     # x-image must be a pure power of y
-    powers = img_x.coeffs_in(y)
+    powers = img_x.split(y)
     if len(powers) != 1:
         return Generic()
     (alpha, lead), = powers.items()
     if alpha < 1 or not lead.is_constant() or lead.constant_value() != 1:
         return Generic()
-    by_y = img_y.coeffs_in(y)
-    for coeff in by_y.values():
-        if not coeff.uses_only([x]):
-            return Generic()
-    a0 = by_y.get(0, MultiPoly.zero(D.variables)).restrict(x)
-    support = sorted(e for e in by_y if e >= 1)
+    # over (x, y) each coefficient of a power of y lies over (x,) = X_ONLY
+    by_y = img_y.split(y)
     zero = MultiPoly.zero(X_ONLY)
+    a0 = by_y.get(0, zero)
+    support = sorted(e for e in by_y if e >= 1)
 
     def read(e2: int | None, e1: int | None, beta: int) -> PlaneFamily | None:
         if beta < alpha:
             return None
-        a2 = by_y[e2].restrict(x) if e2 is not None else zero
-        a1 = by_y[e1].restrict(x) if e1 is not None else zero
+        a2 = by_y[e2] if e2 is not None else zero
+        a1 = by_y[e1] if e1 is not None else zero
         return PlaneFamily(alpha, beta, a2, a1, a0, D.variables)
 
     if not support:
@@ -228,7 +209,7 @@ def _recognize_diag(D: Derivation) -> Family:
     for name, img in zip(D.variables, D.images):
         if img.is_zero():
             return Generic()
-        by_power = img.coeffs_in(name)
+        by_power = img.split(name)
         if len(by_power) != 1:
             return Generic()
         (k, coeff), = by_power.items()

@@ -4,18 +4,19 @@ Grammar (recursive descent, no implicit multiplication):
 
     expr     := term (('+' | '-') term)*
     term     := factor ('*' factor)*
-    factor   := base ('^' nat)?
-    base     := rational | var | '(' expr ')' | '-' base
+    factor   := '-' factor | base ('^' nat)?
+    base     := rational | var | '(' expr ')'
     rational := int ('/' posint)?
     var      := 'x' | 'y' | 'y' digit
 
-One pass: a compiled regex splits the whole input into tokens once, and
-the parser builds MultiPoly values as it reads them, applying the
-grammar's operations left to right, so the term order of a result
-depends only on the text.  Printing is the inverse: parsing a printed
-polynomial yields an equal polynomial.  Derivations are written as
-deriv{ x: <poly>, y: <poly> } or deriv{ x: <poly>, y1: ..., yn: ... };
-every declared variable needs an entry (0 is allowed).
+Unary minus binds looser than '^', so -x^2 is -(x^2) and -2^2 is -4;
+(-x)^2 is x^2.  One pass: a compiled regex splits the whole input into
+tokens once, and the parser builds MultiPoly values as it reads them,
+applying the grammar's operations left to right.  Printing is the
+inverse: parsing a printed polynomial yields an equal polynomial.
+Derivations are written as deriv{ x: <poly>, y: <poly> } or
+deriv{ x: <poly>, y1: ..., yn: ... }; every declared variable needs an
+entry (0 is allowed).
 
 Errors carry the 1-based column, in the string passed, of the token they
 name.  A derivation's frame and declared names are checked first; then
@@ -119,6 +120,13 @@ class _Reader:
                     )
         return poly
 
+    def enter(self) -> None:
+        """Step past the '(' or unary '-' at pos, one nesting level deeper."""
+        if self.depth == MAX_NESTING:
+            self.fail(self.pos, f"nesting deeper than {MAX_NESTING}")
+        self.depth += 1
+        self.pos += 1
+
     def expr(self) -> MultiPoly:
         node = self.term()
         tokens = self.tokens
@@ -141,6 +149,11 @@ class _Reader:
         return node
 
     def factor(self) -> MultiPoly:
+        if self.tokens[self.pos] == "-":
+            self.enter()
+            node = -self.factor()
+            self.depth -= 1
+            return node
         node = self.base()
         if self.tokens[self.pos] != "^":
             return node
@@ -174,18 +187,12 @@ class _Reader:
             # MultiPoly.constant of num/den without building the Fraction
             nums = {(0,) * len(self.variables): num} if num else {}
             return MultiPoly._from_canonical(self.variables, nums, den)
-        if text == "(" or text == "-":
-            if self.depth == MAX_NESTING:
-                self.fail(index, f"nesting deeper than {MAX_NESTING}")
-            self.depth += 1
-            self.pos = index + 1
-            if text == "-":
-                inner = -self.base()
-            else:
-                inner = self.expr()
-                if self.tokens[self.pos] != ")":
-                    self.fail(self.pos, "expected ')'")
-                self.pos += 1
+        if text == "(":
+            self.enter()
+            inner = self.expr()
+            if self.tokens[self.pos] != ")":
+                self.fail(self.pos, "expected ')'")
+            self.pos += 1
             self.depth -= 1
             return inner
         if text in _VAR_ORDER:
@@ -237,7 +244,8 @@ def poly_to_str(p: MultiPoly) -> str:
     """Canonical rendering, decreasing graded-lex; reparses to an equal value.
 
     A leading negative term always prints its coefficient explicitly
-    ("-1*x^2"), because "-x^2" would reparse as (-x)^2 under the grammar.
+    ("-1*x^2"); "-x^2" would reparse to the same value, since unary minus
+    binds looser than '^'.
     Each coefficient is nums[e] / den in lowest terms, printed as a
     Fraction would print it.
     """

@@ -2,9 +2,8 @@
 
 The unknown c and the right-hand side g are polynomials in x whose
 coefficients are polynomials in a fixed tuple of parameter variables.
-Both are plain MultiPoly values over ``params + ("x",)``, with x last,
-so that `split_x` can read the coefficient of each power of x off the
-last exponent.  The solver handles the operator shape
+Both are plain MultiPoly values over ``params + ("x",)``, with x last.
+The solver handles the operator shape
 
     k*a*c - c' = g
 
@@ -36,19 +35,6 @@ class UnsupportedShape(ValueError):
     """The coefficient polynomial a must be nonzero."""
 
 
-def split_x(p: MultiPoly) -> dict[int, MultiPoly]:
-    """Coefficients of p in its last variable x, over the other variables.
-
-    Powers of x come in the order of their first term in p, and each
-    coefficient keeps the order of its terms in p.
-    """
-    params = p.variables[:-1]
-    buckets: dict[int, dict] = {}
-    for exps, c in p.nums.items():
-        buckets.setdefault(exps[-1], {})[exps[:-1]] = c
-    return {e: MultiPoly._build(params, nums, p.den) for e, nums in buckets.items()}
-
-
 @dataclass
 class FirstOrderSolution:
     c: MultiPoly
@@ -75,7 +61,7 @@ def solve_first_order(a: MultiPoly, g: MultiPoly, k: RatLike = 1) -> FirstOrderS
     lead = a_terms[-1][1] * k
     if g.is_zero():
         return FirstOrderSolution(g, [])
-    g_x = split_x(g)
+    g_x = g.split("x")
     zero = MultiPoly.zero(g.variables[:-1])
     m = max(g_x) - d
     b: dict[int, MultiPoly] = {}

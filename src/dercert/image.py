@@ -36,7 +36,7 @@ from .derivation import (
     locally_finite_closed_form,
     recognize_family,
 )
-from .firstorder import solve_first_order, split_x
+from .firstorder import solve_first_order
 from .linalg import solve_sparse
 from .mpoly import CheckFailed, MultiPoly
 
@@ -157,8 +157,7 @@ def _descend(family: PlaneFamily, target: MultiPoly) -> MultiPoly | None:
     """
     a2, a1, a0 = family.a2, family.a1, family.a0
     zero = MultiPoly.zero(X_ONLY)
-    # y is the last variable, so split_x reads off t_k(x) over ("x",)
-    t = split_x(target)
+    t = target.split(target.variables[1])
     top = max([*t, 1])
     f = {top: zero, top + 1: zero}
     for k in range(top, 1, -1):

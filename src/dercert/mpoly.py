@@ -17,17 +17,11 @@ into account once per operation and are stored through `_build`, which
 divides out gcd(den, numerators), or `_from_canonical` where no common
 factor can arise.
 
-Term order: each operation merges into one dict and drops zero
-numerators once, keeping the order the validating constructor would
-give -- the first operand's terms, then the other operand's new terms.
-Rescaling to a common denominator keeps every position.  Substituting
-values lists each term under its exponent vector with the assigned
-exponents zeroed, in the order of the terms it came from, so a term
-that a zero value kills still fixes where its key sits.  Term dicts are
-never changed after construction, so a result may share its operand's.
-Polynomials in one variable live over a one-name tuple: the family
-coefficients a2(x), a1(x), a0(x) and gamma_i(x) over ``("x",)``, terms
-in ascending degree as `restrict` returns them.  Zero has degree NEG_INF.
+Term order is not part of a polynomial's value, and no result depends on
+it.  Term dicts are never changed after construction, so a result may
+share its operand's.  Polynomials in one variable live over a one-name
+tuple: the family coefficients a2(x), a1(x), a0(x) and gamma_i(x) over
+``("x",)``.  Zero has degree NEG_INF.
 """
 
 from __future__ import annotations
@@ -137,7 +131,7 @@ class MultiPoly:
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:
-        """Monomial -> rational coefficient, in term order; a new dict per call."""
+        """Monomial -> rational coefficient; a new dict per call."""
         den = self.den
         return {e: Fraction(c, den) for e, c in self.nums.items()}
 
@@ -243,8 +237,7 @@ class MultiPoly:
             raise ValueError("negative power")
         if n == 0:
             return MultiPoly.constant(self.variables, 1)
-        # square-and-multiply from the low bit; starting from the first
-        # factor instead of 1 keeps the term order of 1 * factor
+        # square-and-multiply from the low bit, starting from the first factor
         result = None
         base = self
         while True:
@@ -337,29 +330,20 @@ class MultiPoly:
             nums[tuple(new)] = c
         return MultiPoly._from_canonical(variables, nums, self.den)
 
-    def coeffs_in(self, name: str) -> dict[int, "MultiPoly"]:
-        """Decompose as a polynomial in one variable; values keep the full tuple."""
+    def split(self, name: str) -> dict[int, "MultiPoly"]:
+        """Coefficient of each power of `name` that occurs, over the other variables."""
         idx = self.variables.index(name)
+        rest = self.variables[:idx] + self.variables[idx + 1 :]
         buckets: dict[int, dict] = {}
-        for exps, c in self.nums.items():
-            rest = exps[:idx] + (0,) + exps[idx + 1 :]
-            buckets.setdefault(exps[idx], {})[rest] = c
-        build = MultiPoly._build
-        return {p: build(self.variables, b, self.den) for p, b in sorted(buckets.items())}
-
-    def restrict(self, name: str) -> "MultiPoly":
-        """The same polynomial over ``(name,)``, terms in ascending degree.
-
-        Every other variable must be absent.
-        """
-        if not self.uses_only([name]):
-            raise VariableMismatch(f"polynomial involves more than {name}")
-        idx = self.variables.index(name)
-        return MultiPoly._from_canonical(
-            (name,),
-            {(exps[idx],): c for exps, c in sorted(self.nums.items(), key=lambda t: t[0][idx])},
-            self.den,
-        )
+        # one slice per term when name is last, as x is in the Darboux
+        # descent, which splits often enough for two slices to show
+        if idx == len(rest):
+            for exps, c in self.nums.items():
+                buckets.setdefault(exps[idx], {})[exps[:idx]] = c
+        else:
+            for exps, c in self.nums.items():
+                buckets.setdefault(exps[idx], {})[exps[:idx] + exps[idx + 1 :]] = c
+        return {power: MultiPoly._build(rest, nums, self.den) for power, nums in buckets.items()}
 
     def evaluate(self, point: Mapping[str, RatLike]) -> Fraction:
         total = 0

@@ -8,7 +8,7 @@ from math import gcd, lcm
 
 import hypothesis.strategies as st
 
-from dercert import Derivation, MultiPoly
+from dercert import Derivation, MultiPoly, parse_derivation, poly_to_str
 
 X_ONLY = ("x",)
 
@@ -17,11 +17,11 @@ nonzero_rationals = rationals.filter(lambda q: q != 0)
 
 
 def unipolys(max_degree: int = 6, max_terms: int = 5):
-    """Polynomials over ("x",), terms in ascending degree."""
+    """Polynomials over ("x",)."""
     return st.lists(
         st.tuples(st.integers(min_value=0, max_value=max_degree), rationals),
         max_size=max_terms,
-    ).map(lambda terms: MultiPoly(X_ONLY, [((e,), c) for e, c in terms]).restrict("x"))
+    ).map(lambda terms: MultiPoly(X_ONLY, [((e,), c) for e, c in terms]))
 
 
 def multipolys(variables=("x", "y"), max_degree: int = 4, max_terms: int = 5):
@@ -64,6 +64,20 @@ def assert_layout(p: MultiPoly) -> None:
 def uni(src_coeffs) -> MultiPoly:
     """Polynomial over ("x",) from a dense low-to-high coefficient list."""
     return MultiPoly(X_ONLY, [((e,), Fraction(c)) for e, c in enumerate(src_coeffs)])
+
+
+def diag_x_derivation(gammas, ks) -> Derivation:
+    """deriv{x: 1, y1: gamma_1(x)*y1^k_1, ...}, written out and parsed."""
+    entries = "".join(
+        f", y{i}: ({poly_to_str(g)})*y{i}^{k}" for i, (g, k) in enumerate(zip(gammas, ks), 1)
+    )
+    return parse_derivation("deriv{x: 1" + entries + "}")
+
+
+def diag_derivation(gammas, ks) -> Derivation:
+    """deriv{y1: gamma_1*y1^k_1, ...} for rational gamma_i, written out and parsed."""
+    entries = ", ".join(f"y{i}: ({g})*y{i}^{k}" for i, (g, k) in enumerate(zip(gammas, ks), 1))
+    return parse_derivation("deriv{" + entries + "}")
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,10 @@ suite is reproducible.
 import random
 from fractions import Fraction
 
-from conftest import locally_finite_probe, uni
+from conftest import diag_derivation, diag_x_derivation, locally_finite_probe, uni
 from dercert import (
     CertifiedNonMember,
     DarbouxPair,
-    FamilyDiag,
     FamilyDiagX,
     Member,
     MultiPoly,
@@ -28,6 +27,7 @@ from dercert import (
     divide_exact,
     image_membership,
     locally_finite_closed_form,
+    parse_derivation,
     parse_poly,
     poly_to_str,
     rational_roots,
@@ -55,9 +55,9 @@ def test_criterion_1_quadratic_family_grid():
     simple_a2 = [
         uni([0, 1]),
         uni([0, 1]).scale(2),
-        poly("x + 1", ("x",)).restrict("x"),
+        poly("x + 1", ("x",)),
         uni([0, 0, 1]),
-        poly("x^3 - x", ("x",)).restrict("x"),
+        poly("x^3 - x", ("x",)),
     ]
     bounds = SearchBounds(n_max=3, d0_deg_max=3, cx_deg_max=4)
     for a2 in simple_a2:
@@ -122,7 +122,7 @@ def test_criterion_2_planted_l_instances():
         if divide_exact(D.apply(witness), witness) is None:
             failures.append(f"instance {idx}: witness fails exact division")
     fam = PlaneFamily(
-        1, 1, a2=poly("x - 1", ("x",)).restrict("x"), a1=uni([0, 1]), a0=uni([1])
+        1, 1, a2=poly("x - 1", ("x",)), a1=uni([0, 1]), a0=uni([1])
     )
     pair = verify_darboux(fam.to_derivation(), poly("y + 1"))
     if not isinstance(pair, DarbouxPair) or pair.cofactor != poly("(x - 1)*y + 1"):
@@ -134,8 +134,8 @@ def _pairs_for_audit():
     """Darboux pairs over families inside the structure hypotheses (a1 != 0)."""
     collected = []
     fixed = [
-        PlaneFamily(1, 1, a2=poly("x - 1", ("x",)).restrict("x"), a1=uni([0, 1]), a0=uni([1])),
-        PlaneFamily(1, 1, a2=poly("2*x - 4", ("x",)).restrict("x"), a1=uni([0, 1]), a0=uni([1])),
+        PlaneFamily(1, 1, a2=poly("x - 1", ("x",)), a1=uni([0, 1]), a0=uni([1])),
+        PlaneFamily(1, 1, a2=poly("2*x - 4", ("x",)), a1=uni([0, 1]), a0=uni([1])),
     ]
     for fam in fixed:
         outcome = darboux_search_power_family(fam, SearchBounds(2, 2, 3))
@@ -169,8 +169,8 @@ def test_criterion_3_cofactor_structure_audit():
             failures.append(f"cofactor y-degree exceeds 1 for F={poly_to_str(pair.F)}")
             continue
         n = pair.F.degree_in("y")
-        c_n = pair.F.coeffs_in("y")[n].restrict("x")
-        d1 = pair.cofactor.coeffs_in("y").get(1, MultiPoly.zero(XY)).restrict("x")
+        c_n = pair.F.split("y")[n]
+        d1 = pair.cofactor.split("y").get(1, MultiPoly.zero(("x",)))
         if n < 1 or d1 != fam.a2.scale(n):
             failures.append(f"d1 != n*a2 for F={poly_to_str(pair.F)}")
         if not c_n.is_constant() or c_n.is_zero():
@@ -225,7 +225,7 @@ def test_criterion_5_translation_diagonal_grid():
         failures.append("expected 30 grid cells")
     for gammas, ks in cells:
         fam = FamilyDiagX(gammas=gammas, ks=ks)
-        D = fam.to_derivation()
+        D = diag_x_derivation(gammas, ks)
         expected = all(
             g.is_zero() or (k == 1 and g.is_constant()) for g, k in zip(gammas, ks)
         )
@@ -258,12 +258,10 @@ def test_criterion_6_diagonal_grid():
         for g2 in gammas:
             for k1 in range(4):
                 for k2 in range(4):
-                    fam = FamilyDiag(gammas=(g1, g2), ks=(k1, k2))
-                    verdict = decide_mz(fam.to_derivation())
+                    verdict = decide_mz(diag_derivation((g1, g2), (k1, k2)))
                     if verdict.mz != (max(k1, k2) <= 1):
                         failures.append(f"g=({g1},{g2}) k=({k1},{k2}) wrong verdict")
-    fam = FamilyDiag(gammas=(F(1), F(1)), ks=(2, 1))
-    D = fam.to_derivation()
+    D = parse_derivation("deriv{y1: y1^2, y2: y2}")
     v = D.variables
     member = image_membership(D, MultiPoly.var(v, "y2", 5), 5)
     if not isinstance(member, Member) or member.preimage != MultiPoly.var(v, "y2", 5).scale(
@@ -289,7 +287,7 @@ def test_criterion_7_power_family_checks():
         PlaneFamily(
             alpha=2,
             beta=2,
-            a2=poly("x + 1", ("x",)).restrict("x"),
+            a2=poly("x + 1", ("x",)),
             a1=uni([0, 1]),
             a0=uni([1]),
         ),

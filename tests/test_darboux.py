@@ -85,8 +85,8 @@ def structure(pair):
 
     Asserts deg_y L <= 1, which D(F) = L*F forces in a quadratic family.
     """
-    by_y = {i: c.restrict("x") for i, c in pair.F.coeffs_in("y").items()}
-    cof_y = {i: c.restrict("x") for i, c in pair.cofactor.coeffs_in("y").items()}
+    by_y = pair.F.split("y")
+    cof_y = pair.cofactor.split("y")
     assert max(cof_y, default=0) <= 1
     n, zero = max(by_y), uni([])
     return n, cof_y.get(1, zero), cof_y.get(0, zero), tuple(by_y.get(i, zero) for i in range(n + 1))
@@ -331,7 +331,7 @@ class TestSearch:
         assert isinstance(pair, DarbouxPair)
         n_needed = int(witness.degree_in("y"))
         d0_needed = int(
-            max(0, pair.cofactor.coeffs_in("y")[0].total_degree())
+            max(0, pair.cofactor.split("y")[0].total_degree())
         )
         out = darboux_search_power_family(
             WITNESSED, SearchBounds(n_needed, d0_needed, 4)
@@ -348,9 +348,10 @@ def test_inexact_bareiss_division_is_caught(monkeypatch):
 
 
 # Every residual system `_search_fixed_n` hands to `solve_residual_system`
-# for three cells, recorded term by term in insertion order: the order of
-# the constraints and of the terms inside each one steers which
-# elimination step the residual solver takes first.  The first two cells
+# for three cells, recorded term by term.  Only the order of the
+# constraints in the list steers which elimination step the residual
+# solver takes first, and that order is canonical: each descent step's
+# constraints, then the closing residues by ascending power of x.  The first two cells
 # have no constraint that pins an unknown to zero.  In the third, u0_2
 # is pinned at every y-degree; its systems were recorded with pinning
 # and its outcome without it.

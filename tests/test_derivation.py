@@ -4,7 +4,14 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import locally_finite_probe, multipolys, rationals, uni, unipolys
+from conftest import (
+    diag_x_derivation,
+    locally_finite_probe,
+    multipolys,
+    rationals,
+    uni,
+    unipolys,
+)
 from dercert import (
     FamilyDiag,
     FamilyDiagX,
@@ -66,7 +73,7 @@ class TestIterated:
         assert D.apply(D.apply(D.apply(poly("x^3")))) == poly("6")
 
     def test_diag_square_growth(self):
-        D = FamilyDiag(gammas=(F(1), F(1)), ks=(2, 1)).to_derivation()
+        D = parse_derivation("deriv{y1: y1^2, y2: y2}")
         y1 = MultiPoly.var(D.variables, "y1")
         assert D.apply(D.apply(y1)) == MultiPoly.var(D.variables, "y1", 3).scale(2)
 
@@ -138,7 +145,7 @@ class TestRecognize:
         gammas = tuple(g for g, _ in pairs)
         ks = tuple(1 if g.is_zero() else k for g, k in pairs)
         fam = FamilyDiagX(gammas=gammas, ks=ks)
-        assert recognize_family(fam.to_derivation()) == fam
+        assert recognize_family(diag_x_derivation(gammas, ks)) == fam
 
 
 class TestLocallyFinite:
@@ -194,6 +201,7 @@ class TestProbe:
         ]
         for fam in grid:
             closed = locally_finite_closed_form(fam)
-            probe = locally_finite_probe(fam.to_derivation(), cutoff_deg=8, max_iter=12)
+            D = diag_x_derivation(fam.gammas, fam.ks)
+            probe = locally_finite_probe(D, cutoff_deg=8, max_iter=12)
             if closed:
                 assert probe.bounded

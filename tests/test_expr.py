@@ -34,9 +34,12 @@ class TestParse:
     def test_parentheses_and_unary_minus(self):
         assert parse_poly("-(x + 1)*y", XY) == MultiPoly(XY, {(1, 1): F(-1), (0, 1): F(-1)})
 
-    def test_unary_minus_binds_before_power(self):
-        # the grammar reads -x^2 as (-x)^2
-        assert parse_poly("-x^2") == parse_poly("x^2")
+    def test_unary_minus_binds_looser_than_power(self):
+        # the grammar reads -x^2 as -(x^2), and -2^2 as -4
+        assert parse_poly("-x^2") == -parse_poly("x^2")
+        assert parse_poly("(-x)^2") == parse_poly("x^2")
+        assert parse_poly("-2^2") == MultiPoly.constant(("x",), -4)
+        assert parse_poly("x*-y^2", XY) == -parse_poly("x*y^2", XY)
 
     def test_large_exponent_within_limit(self):
         p = parse_poly("x^999999")

@@ -3,8 +3,9 @@
 golden_parse.json was recorded with the parser that built an AST first
 and lowered it to MultiPoly in a second pass.  For each polynomial it
 holds the variables, the common denominator and `list(p.nums.items())`,
-so the test pins the insertion order of the terms as well as the value:
-`split_x` and the residual solver iterate over that order.
+so the test pins the insertion order of the terms as well as the value.
+No result depends on that order; pinning it shows that a change to the
+parser builds the same polynomials the same way.
 
 The entries are about 300 expressions drawn by `generate` from a seeded
 grammar walk (unary-minus chains, nested powers, rationals, cancelling

@@ -6,13 +6,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import multipolys, rationals, scaled_to_ints, uni
+from conftest import diag_derivation, diag_x_derivation, multipolys, rationals, scaled_to_ints, uni
 import dercert.image
 from dercert import (
     CertifiedNonMember,
     CheckFailed,
     Derivation,
-    FamilyDiag,
     FamilyDiagX,
     FirstOrderSolution,
     Member,
@@ -60,7 +59,7 @@ class TestMembership:
         assert result.preimage == parse_poly("1/2*x^2", D.variables)
 
     def test_diag_power_preimage(self):
-        D = FamilyDiag(gammas=(F(1), F(1)), ks=(2, 1)).to_derivation()
+        D = parse_derivation("deriv{y1: y1^2, y2: y2}")
         target = MultiPoly.var(D.variables, "y2", 5)
         result = image_membership(D, target, 5)
         assert isinstance(result, Member)
@@ -121,10 +120,10 @@ class TestMembership:
 # elimination replaced the Fraction one: (derivation, target, bound,
 # printed preimage or None for NotFoundUpTo, kernel_dim).
 PLANE_RATIONAL = parse_derivation("deriv{x: y, y: (1/2)*x*y + 1/3}")
-DIAG_X = FamilyDiagX(gammas=(uni([F(1, 2), 1]), uni([0, 0, F(-3, 4)])), ks=(2, 1))
-DIAG_X_FREE = FamilyDiagX(gammas=(uni([F(1, 2), 1]), uni([])), ks=(2, 1))
-DIAG_3 = FamilyDiag(gammas=(F(1), F(-1), F(1, 3)), ks=(1, 1, 2))
-DIAG_3_CONST = FamilyDiag(gammas=(F(2), F(-1, 3), F(5, 2)), ks=(2, 1, 0))
+DIAG_X = parse_derivation("deriv{x: 1, y1: (1/2 + x)*y1^2, y2: -3/4*x^2*y2}")
+DIAG_X_FREE = parse_derivation("deriv{x: 1, y1: (1/2 + x)*y1^2, y2: 0}")
+DIAG_3 = parse_derivation("deriv{y1: y1, y2: -y2, y3: 1/3*y3^2}")
+DIAG_3_CONST = parse_derivation("deriv{y1: 2*y1^2, y2: -1/3*y2, y3: 5/2}")
 GOLDEN = [
     (PLANE_RATIONAL, "1", 6, "-3/4*x^2 + 3*y", 1),
     (PLANE_RATIONAL, "x", 8, None, None),
@@ -179,9 +178,10 @@ GOLDEN = [
 
 
 class TestCanonicalPreimage:
+    # each case's derivation is named "family", as the test ids spell it
     @pytest.mark.parametrize("family, target, bound, preimage, kernel_dim", GOLDEN)
     def test_golden(self, family, target, bound, preimage, kernel_dim):
-        D = family if isinstance(family, Derivation) else family.to_derivation()
+        D = family
         result = image_membership(D, parse_poly(target, D.variables), bound)
         if preimage is None:
             assert result == NotFoundUpTo(bound=bound)
@@ -406,10 +406,10 @@ def kept_cases(draw):
     ks = draw(st.lists(st.integers(0 if kind == "diag" else 1, 3), min_size=n, max_size=n))
     if kind == "diag":
         gammas = draw(st.lists(rationals.filter(bool), min_size=n, max_size=n))
-        D = FamilyDiag(gammas=tuple(gammas), ks=tuple(ks)).to_derivation()
+        D = diag_derivation(gammas, ks)
     elif kind == "diag-x":
         gammas = draw(st.lists(st.lists(rationals, max_size=3).map(uni), min_size=n, max_size=n))
-        D = FamilyDiagX(gammas=tuple(gammas), ks=tuple(ks)).to_derivation()
+        D = diag_x_derivation(gammas, ks)
     else:
         variables = tuple(f"y{i + 1}" for i in range(n))
         images = []
@@ -491,13 +491,13 @@ class TestCertified:
         assert cert.theorem == "P2.2"
 
     def test_diag_x_high_power(self):
-        D = FamilyDiagX(gammas=(uni([1]),), ks=(2,)).to_derivation()
+        D = parse_derivation("deriv{x: 1, y1: y1^2}")
         cert = certified_nonmembership(D, MultiPoly.var(D.variables, "y1"))
         assert isinstance(cert, CertifiedNonMember)
         assert cert.theorem == "T5.1"
 
     def test_diag_mixed_power_product(self):
-        D = FamilyDiag(gammas=(F(1), F(1)), ks=(2, 1)).to_derivation()
+        D = parse_derivation("deriv{y1: y1^2, y2: y2}")
         target = MultiPoly.var(D.variables, "y1") * MultiPoly.var(D.variables, "y2", 7)
         cert = certified_nonmembership(D, target)
         assert isinstance(cert, CertifiedNonMember)
@@ -509,7 +509,7 @@ class TestCertified:
         assert certified_nonmembership(D, MultiPoly.constant(D.variables, 1)) is None
 
     def test_certificates_hold_at_growing_bounds(self):
-        D = FamilyDiagX(gammas=(uni([0, 1]),), ks=(1,)).to_derivation()
+        D = parse_derivation("deriv{x: 1, y1: x*y1}")
         target = MultiPoly.var(D.variables, "y1")
         cert = certified_nonmembership(D, target)
         assert isinstance(cert, CertifiedNonMember)
@@ -545,19 +545,16 @@ class TestCertifiedMultiples:
 
 class TestDecideMz:
     def test_locally_finite_diag_x(self):
-        fam = FamilyDiagX(gammas=(uni([1]), uni([2])), ks=(1, 1))
-        verdict = decide_mz(fam.to_derivation())
+        verdict = decide_mz(parse_derivation("deriv{x: 1, y1: y1, y2: 2*y2}"))
         assert verdict.mz is True and verdict.theorem == "T5.1"
 
     def test_nonconstant_gamma(self):
-        fam = FamilyDiagX(gammas=(uni([0, 1]),), ks=(1,))
-        verdict = decide_mz(fam.to_derivation())
+        verdict = decide_mz(parse_derivation("deriv{x: 1, y1: x*y1}"))
         assert verdict.mz is False
         assert isinstance(verdict.evidence, CertifiedNonMember)
 
     def test_diag_linear(self):
-        fam = FamilyDiag(gammas=(F(2), F(3)), ks=(1, 1))
-        assert decide_mz(fam.to_derivation()).mz is True
+        assert decide_mz(parse_derivation("deriv{y1: 2*y1, y2: 3*y2}")).mz is True
 
     def test_zero_a0_image_is_principal_ideal(self):
         verdict = decide_mz(mk_b(uni([0, 1]), 0).to_derivation())
@@ -595,5 +592,6 @@ class TestDecideMz:
                 if g.is_zero() and k != 1:
                     continue
                 fam = FamilyDiagX(gammas=(g,), ks=(k,))
-                assert decide_mz(fam.to_derivation()).mz == locally_finite_closed_form(fam)
+                D = diag_x_derivation((g,), (k,))
+                assert decide_mz(D).mz == locally_finite_closed_form(fam)
 

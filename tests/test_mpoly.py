@@ -62,19 +62,20 @@ class TestRingAxioms:
 
 
 class TestReshaping:
-    def test_coeffs_in_y(self):
+    def test_split_y(self):
         p = poly("(x - 1)*y^2 + x*y + 1")
-        by_y = p.coeffs_in("y")
-        assert by_y[2].restrict("x") == uni([-1, 1])
-        assert by_y[1].restrict("x") == uni([0, 1])
-        assert by_y[0].restrict("x") == uni([1])
+        assert p.split("y") == {2: uni([-1, 1]), 1: uni([0, 1]), 0: uni([1])}
+        assert p.split("x") == {
+            1: parse_poly("y^2 + y", ("y",)),
+            0: parse_poly("-y^2 + 1", ("y",)),
+        }
+        assert MultiPoly.zero(XY).split("y") == {}
 
-    def test_restrict_orders_terms_by_degree(self):
-        r = poly("x^3 + 2*x + 1").restrict("x")
-        assert r.variables == ("x",)
-        assert list(r.terms) == [(0,), (1,), (3,)]
+    def test_with_variables_drops_an_unused_variable(self):
+        r = poly("x^3 + 2*x + 1").with_variables(("x",))
+        assert r == uni([1, 2, 0, 1])
         with pytest.raises(VariableMismatch):
-            poly("x*y").restrict("x")
+            poly("x*y").with_variables(("x",))
 
     def test_substitute(self):
         p = poly("x*y^2 + x")
@@ -232,20 +233,22 @@ class TestTrustedCore:
         assert items(result) == items(naive)
 
     @settings(max_examples=200, deadline=None)
-    @given(multipolys(), st.sampled_from(XY))
-    def test_coeffs_in(self, a, name):
-        i = XY.index(name)
-        total = MultiPoly.zero(XY)
-        for power, coeff in a.coeffs_in(name).items():
+    @given(multipolys(UVXY, max_degree=3), st.sampled_from(UVXY))
+    def test_split(self, a, name):
+        i = UVXY.index(name)
+        rest = UVXY[:i] + UVXY[i + 1 :]
+        total = MultiPoly.zero(UVXY)
+        for power, coeff in a.split(name).items():
             assert_built_as(
                 coeff,
                 [
-                    (tuple(0 if j == i else e for j, e in enumerate(exps)), c)
+                    (exps[:i] + exps[i + 1 :], c)
                     for exps, c in items(a)
                     if exps[i] == power
                 ],
+                rest,
             )
-            total = total + coeff * MultiPoly.var(XY, name, power)
+            total = total + coeff.with_variables(UVXY) * MultiPoly.var(UVXY, name, power)
         assert total == a
 
     @settings(max_examples=200, deadline=None)

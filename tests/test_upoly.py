@@ -142,8 +142,6 @@ class TestCanonicalForm:
             assert all(len(e) == 1 and e[0] >= 0 for e in result.terms)
             assert all(isinstance(c, Fraction) and c != 0 for c in result.terms.values())
             assert_layout(result)
-            exps = [e for (e,) in result.restrict("x").terms]
-            assert exps == sorted(exps)
 
 
 class TestRingAxioms:
