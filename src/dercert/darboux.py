@@ -140,14 +140,31 @@ def _merge(branches) -> ResidualResult:
 
 
 def _root_branch(eqs, name, root, params, pending, assignment, budget) -> ResidualResult:
-    """Substitute name = root; a nonzero constant closes the branch, as the recursion would."""
+    """Substitute name = root where it occurs; a nonzero constant closes the branch.
+
+    eqs are (equation, support) pairs.  An equation without name passed
+    the constant check already, so only a rewritten one can close the
+    branch, as the recursion would.
+    """
     sub = []
-    for e in eqs:
-        e = e.substitute({name: root})
-        if len(e.nums) == 1 and e.is_constant():
-            return ResidualResult([], False)
+    for e, sup in eqs:
+        if name in sup:
+            e = e.substitute({name: root})
+            if len(e.nums) == 1 and e.is_constant():
+                return ResidualResult([], False)
         sub.append(e)
     return _solve_recursive(sub, params, pending, {**assignment, name: root}, budget)
+
+
+def _linear_coefficient(e: MultiPoly, idx: int) -> Fraction | None:
+    """c when the only term of e that holds variable idx is c times that variable."""
+    unit = None
+    for exps in e.nums:
+        if exps[idx]:
+            if unit is not None or sum(exps) != 1:
+                return None
+            unit = exps
+    return None if unit is None else Fraction(e.nums[unit], e.den)
 
 
 def _solve_recursive(
@@ -177,7 +194,7 @@ def _solve_recursive(
         if len(sup) == 1:
             (name,) = sup
             return _merge(
-                _root_branch([other for other in eqs if other is not e], name, r,
+                _root_branch([(o, s) for o, s in zip(eqs, supports) if o is not e], name, r,
                              params, pending, assignment, budget)
                 for r in rational_roots(e)
             )
@@ -194,7 +211,7 @@ def _solve_recursive(
                     e.den,
                 )
                 zero_branch = _root_branch(
-                    eqs, name, Fraction(0), params, pending, assignment, budget
+                    zip(eqs, supports), name, Fraction(0), params, pending, assignment, budget
                 )
                 rest = list(eqs)
                 rest[pos] = quotient
@@ -204,12 +221,15 @@ def _solve_recursive(
     # variable appearing linearly with a constant coefficient: eliminate it
     for e, sup in zip(eqs, supports):
         for name in sup:
-            partial = e.partial(name)
-            if partial.is_constant() and not partial.is_zero():
-                coeff = partial.constant_value()
+            coeff = _linear_coefficient(e, e.variables.index(name))
+            if coeff is not None:
                 rest = e.substitute({name: 0})
                 replacement = rest.scale(Fraction(-1) / coeff)
-                sub = [other.substitute_poly(name, replacement) for other in eqs if other is not e]
+                sub = [
+                    o.substitute_poly(name, replacement) if name in s else o
+                    for o, s in zip(eqs, supports)
+                    if o is not e
+                ]
                 return _solve_recursive(
                     sub,
                     params,
@@ -247,7 +267,9 @@ def solve_residual_system(
 
     Strategy: branch on rational roots of univariate members, eliminate
     variables that occur linearly with constant coefficient, and fall
-    back to effort-capped resultants.  Every point is checked against
+    back to effort-capped resultants.  A step rewrites only the
+    equations whose support holds the variable it fixes or eliminates;
+    the others go on as the same objects.  Every point is checked against
     the original system, and one that misses it raises CheckFailed.
     When the solution set has free parameters, the representative with
     those parameters set to zero is returned.  Parameters absent from
@@ -385,6 +407,9 @@ def _search_fixed_n(
     else:
         # pinning settled every constraint: the point is all unknowns at zero
         result = ResidualResult([dict.fromkeys(params, Fraction(0))], False)
+    reason = result.note if result.undecided else None
+    if not result.solutions:
+        return [], reason
     D = fam.to_derivation()
     y = MultiPoly.var(fam.variables, fam.variables[1])
     pairs = []
@@ -397,7 +422,7 @@ def _search_fixed_n(
         if not isinstance(verified, DarbouxPair):
             raise CheckFailed(f"a solved candidate is not Darboux: {verified.reason}")
         pairs.append(verified)
-    return pairs, result.note if result.undecided else None
+    return pairs, reason
 
 
 def darboux_search_power_family(fam: PlaneFamily, bounds: SearchBounds) -> SearchOutcome:

@@ -161,7 +161,9 @@ class MultiPoly:
         return not self.nums
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.nums)
+        # canonical form: a constant has no term, or only the all-zero monomial
+        nums = self.nums
+        return not nums or (len(nums) == 1 and not any(next(iter(nums))))
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():

@@ -483,6 +483,42 @@ def test_residual_systems_are_pinned(monkeypatch, family, bounds, systems, outco
     assert out.detail == detail
 
 
+def test_residual_steps_rewrite_only_equations_that_hold_their_variable(monkeypatch):
+    # every substitution the residual solver makes on an alpha = 3 cell at
+    # the benchmark's bounds lands in an equation whose support holds the
+    # substituted name; the others go on untouched
+    calls, inside = [], []
+    solve = dercert.darboux.solve_residual_system
+    substitute, substitute_poly = MultiPoly.substitute, MultiPoly.substitute_poly
+
+    def solve_watched(system, effort):
+        inside.append(True)
+        try:
+            return solve(system, effort)
+        finally:
+            inside.pop()
+
+    def substitute_watched(self, values):
+        if inside:
+            calls.append((set(values), self.support()))
+        return substitute(self, values)
+
+    def substitute_poly_watched(self, name, replacement):
+        if inside:
+            calls.append(({name}, self.support()))
+        return substitute_poly(self, name, replacement)
+
+    monkeypatch.setattr(dercert.darboux, "solve_residual_system", solve_watched)
+    monkeypatch.setattr(MultiPoly, "substitute", substitute_watched)
+    monkeypatch.setattr(MultiPoly, "substitute_poly", substitute_poly_watched)
+    # alpha = 3, a2 = 2 - x, a1 = 1 - x, a0 = 2
+    family = PlaneFamily(3, 3, uni([2, -1]), uni([1, -1]), uni([2]))
+    out = darboux_search_power_family(family, SearchBounds(3, 2, 4))
+    assert calls
+    assert all(names <= support for names, support in calls)
+    assert (out.status, out.pairs, out.detail) == ("none-up-to-bounds", [], "")
+
+
 def _printed(outcome):
     pairs = [(poly_to_str(p.F), poly_to_str(p.cofactor)) for p in outcome.pairs]
     return outcome.status, outcome.detail, pairs

@@ -233,6 +233,14 @@ class TestTrustedCore:
         assert items(result) == items(naive)
 
     @settings(max_examples=200, deadline=None)
+    @given(
+        multipolys(UVXY, max_degree=2)
+        | rationals.map(lambda c: MultiPoly.constant(UVXY, c))
+    )
+    def test_is_constant(self, a):
+        assert a.is_constant() == all(not any(exps) for exps in a.nums)
+
+    @settings(max_examples=200, deadline=None)
     @given(multipolys(UVXY, max_degree=3), st.sampled_from(UVXY))
     def test_split(self, a, name):
         i = UVXY.index(name)
