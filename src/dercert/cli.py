@@ -82,23 +82,14 @@ RULE_TEXT = {
 
 def describe_family(family) -> dict:
     if isinstance(family, PlaneFamily):
-        if family.linear:
-            return {"name": "plane-linear", "a1": poly_to_str(family.a1), "a0": poly_to_str(family.a0)}
-        if family.quadratic:
-            return {
-                "name": "plane-quadratic",
-                "a2": poly_to_str(family.a2),
-                "a1": poly_to_str(family.a1),
-                "a0": poly_to_str(family.a0),
-            }
-        return {
-            "name": "plane-power",
-            "alpha": family.alpha,
-            "beta": family.beta,
-            "a2": poly_to_str(family.a2),
-            "a1": poly_to_str(family.a1),
-            "a0": poly_to_str(family.a0),
-        }
+        # each shape widens the one before: linear, quadratic, power
+        out = {"name": "plane-linear", "a1": poly_to_str(family.a1), "a0": poly_to_str(family.a0)}
+        if not family.linear:
+            out["name"] = "plane-quadratic"
+            out["a2"] = poly_to_str(family.a2)
+        if not family.quadratic:
+            out.update(name="plane-power", alpha=family.alpha, beta=family.beta)
+        return out
     if isinstance(family, FamilyDiagX):
         return {
             "name": "translation-diagonal",
@@ -409,9 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "analyze", parents=[shared], help="family recognition plus every supported verdict"
     )
+    p.set_defaults(run=_cmd_analyze)
     p.add_argument("derivation")
 
     p = sub.add_parser("darboux", parents=[shared], help="bounded Darboux polynomial search")
+    p.set_defaults(run=_cmd_darboux)
     p.add_argument("derivation")
     p.add_argument("--n-max", type=int, default=3)
     p.add_argument("--d0-deg", type=int, default=3)
@@ -419,16 +412,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--effort", type=int, default=SearchBounds.residual_effort)
 
     p = sub.add_parser("image", parents=[shared], help="bounded image membership for a target")
+    p.set_defaults(run=_cmd_image)
     p.add_argument("derivation")
     p.add_argument("--target", required=True)
     p.add_argument("--bound", type=int, required=True)
 
     p = sub.add_parser("mz", parents=[shared], help="Mathieu-Zhao status of the image")
+    p.set_defaults(run=_cmd_mz)
     p.add_argument("derivation")
 
     p = sub.add_parser(
         "conjecture-scan", parents=[shared], help="evidence table over a coefficient grid"
     )
+    p.set_defaults(run=_cmd_scan)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--grid", required=True, help="JSONL file of {a2, a1, a0} strings")
     p.add_argument("--n-max", type=int, default=2)
@@ -436,15 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cx-deg", type=int, default=3)
     p.add_argument("--effort", type=int, default=SearchBounds.residual_effort)
     return parser
-
-
-_DISPATCH = {
-    "analyze": _cmd_analyze,
-    "mz": _cmd_mz,
-    "image": _cmd_image,
-    "darboux": _cmd_darboux,
-    "conjecture-scan": _cmd_scan,
-}
 
 
 # the parser run_command uses, built on its first call
@@ -478,7 +465,7 @@ def run_command(argv: list[str]) -> int:
     if getattr(args, "derivation", None) is not None:
         report["input"] = args.derivation
     try:
-        code = _DISPATCH[args.command](args, report)
+        code = args.run(args, report)
     except UnsupportedFamily as exc:
         report["results"] = {"error": str(exc)}
         code = EXIT_UNSUPPORTED

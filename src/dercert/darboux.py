@@ -435,7 +435,9 @@ def darboux_search_power_family(fam: PlaneFamily, bounds: SearchBounds) -> Searc
     the search hypotheses raises UnsupportedFamily.
     """
     if not searchable(fam):
-        raise UnsupportedFamily("search needs deg a2 >= 1 and a0 a nonzero constant")
+        raise UnsupportedFamily(
+            "search needs a plane family with alpha = beta, deg a2 >= 1 and a0 a nonzero constant"
+        )
     pairs: list[DarbouxPair] = []
     gave_up: list[str] = []
     for n in range(1, bounds.n_max + 1):

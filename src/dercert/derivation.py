@@ -134,28 +134,22 @@ Family = PlaneFamily | FamilyDiagX | FamilyDiag | Generic
 
 
 def _single_var_power(p: MultiPoly, var: str) -> tuple[MultiPoly, int] | None:
-    """Match p = gamma(x) * var^k with k >= 1 fixed; None otherwise."""
-    if p.is_zero() or not p.uses_only(["x", var]):
-        return None
+    """Match p = coeff * var^k, coeff over the other variables; None otherwise (p = 0 too)."""
     by_power = p.split(var)
     if len(by_power) != 1:
         return None
-    (k, coeff), = by_power.items()
-    if k < 1:
-        return None
-    return coeff.with_variables(X_ONLY), k
+    ((k, coeff),) = by_power.items()
+    return coeff, k
 
 
 def _recognize_plane(D: Derivation) -> Family:
     _, y = D.variables
     img_x, img_y = D.images
-    if not img_x.uses_only([y]):
-        return Generic()
     # x-image must be a pure power of y
-    powers = img_x.split(y)
-    if len(powers) != 1:
+    matched = _single_var_power(img_x, y)
+    if matched is None:
         return Generic()
-    (alpha, lead), = powers.items()
+    lead, alpha = matched
     if alpha < 1 or not lead.is_constant() or lead.constant_value() != 1:
         return Generic()
     # over (x, y) each coefficient of a power of y lies over (x,) = X_ONLY
@@ -197,8 +191,11 @@ def _recognize_diag_x(D: Derivation) -> Family:
         matched = _single_var_power(img, name)
         if matched is None:
             return Generic()
-        gammas.append(matched[0])
-        ks.append(matched[1])
+        gamma, k = matched
+        if k < 1 or not gamma.support() <= {"x"}:
+            return Generic()
+        gammas.append(gamma.with_variables(X_ONLY))
+        ks.append(k)
     return FamilyDiagX(gammas=tuple(gammas), ks=tuple(ks))
 
 
@@ -207,15 +204,11 @@ def _recognize_diag(D: Derivation) -> Family:
         return Generic()
     gammas, ks = [], []
     for name, img in zip(D.variables, D.images):
-        if img.is_zero():
+        matched = _single_var_power(img, name)
+        if matched is None or not matched[0].is_constant():
             return Generic()
-        by_power = img.split(name)
-        if len(by_power) != 1:
-            return Generic()
-        (k, coeff), = by_power.items()
-        if not coeff.is_constant():
-            return Generic()
-        gammas.append(coeff.constant_value())
+        gamma, k = matched
+        gammas.append(gamma.constant_value())
         ks.append(k)
     return FamilyDiag(gammas=tuple(gammas), ks=tuple(ks))
 

@@ -12,9 +12,9 @@ rank to the kernel dimension, so the answer is the one the whole
 system gives.  A Member result is always sound (the
 preimage is returned and re-checkable); a bounded failure is only
 NotFoundUpTo.  Global non-membership is asserted solely through the
-proven family patterns in `certified_nonmembership`, each tagged with
-the rule it instantiates and cross-checked at issue time by a bounded
-solve.
+proven family patterns of `_certified`, each tagged with the rule it
+instantiates and cross-checked at issue time by a bounded solve; the
+Mathieu-Zhao decision reads its evidence off the same table.
 """
 
 from __future__ import annotations
@@ -311,34 +311,18 @@ def _kept(D: Derivation) -> tuple[int, ...]:
     )
 
 
-def _y_var(D: Derivation, index: int) -> MultiPoly:
-    # index counts the y-variables; DiagX derivations carry x in front
-    offset = 1 if D.variables[0] == "x" else 0
-    return MultiPoly.var(D.variables, D.variables[offset + index])
-
-
 def certified_nonmembership(D: Derivation, target: MultiPoly) -> CertifiedNonMember | None:
     """Match (family, hypotheses, target) against a proven non-membership.
 
-    Patterns covered:
-      * the plane family y*dx + (a1(x)y + a0)*dy with a0 in Q* and
-        deg a1 >= 1: target x is never in the image;
-      * dx + sum gamma_i(x) y_i^k_i d_i: target y_i for a coordinate
-        with nonzero gamma_i and k_i > 1, or with every such k_i = 1 and
-        deg gamma_i >= 1 (zero-image coordinates act as constants and do
-        not interfere);
-      * sum gamma_i y_i^k_i d_i (n >= 2, gamma_i != 0): target
-        y_i * y_j^m for k_i > 1, all k >= 1, j != i, m >= DEFAULT_M_MIN; and
-        target y_i for k_i > 1 when some k_j = 0.
-
-    Im D is a Q-subspace, so each pattern also covers every nonzero
-    multiple of its target.  Every certificate is cross-checked by a solve at DEFAULT_SANITY_BOUND
+    The patterns are those of `_certified`.  Im D is a Q-subspace, so
+    each pattern also covers every nonzero multiple of its target.
+    Every certificate is cross-checked by a solve at DEFAULT_SANITY_BOUND
     before being issued; None means no pattern applies (the target may
     well be a member).
     """
     family = recognize_family(D)
     target = target.with_variables(D.variables)
-    cert = _match_pattern(D, family, target)
+    cert = _match_pattern(family, target)
     if cert is None:
         return None
     check = image_membership(D, target, DEFAULT_SANITY_BOUND)
@@ -349,46 +333,58 @@ def certified_nonmembership(D: Derivation, target: MultiPoly) -> CertifiedNonMem
     return cert
 
 
-def _match_pattern(D: Derivation, family: Family, target: MultiPoly) -> CertifiedNonMember | None:
+def _certified(family: Family) -> tuple[dict[int, tuple[str, str]], list[int]]:
+    """The proven non-members of Im D, over the indices of D's variables.
+
+    Returns ({v: (theorem, claim)}, rows): no nonzero multiple of x_v is
+    in Im D, and for i in rows no nonzero multiple of x_i * x_j^m with
+    j != i and m >= DEFAULT_M_MIN is.  The patterns:
+      * P2.2, the plane family y*dx + (a1(x)y + a0)*dy with a0 in Q* and
+        deg a1 >= 1: x;
+      * T5.1, dx + sum gamma_i(x) y_i^k_i d_i: y_i for a coordinate with
+        nonzero gamma_i and k_i > 1, or, when every such k_i = 1, with
+        deg gamma_i >= 1 (zero-image coordinates act as constants and do
+        not interfere);
+      * T5.3, sum gamma_i y_i^k_i d_i (n >= 2, gamma_i != 0), for k_i > 1:
+        the row i when every k >= 1, and y_i when some k_j = 0.
+    """
+    if isinstance(family, PlaneFamily):
+        # the simple linear family; x comes first
+        if family.linear and not family.a0.is_zero() and family.a1.total_degree() >= 1:
+            return {0: (TAG_P22, "x-outside-image")}, []
+        return {}, []
+    if isinstance(family, FamilyDiagX):
+        # x comes first, so y_i is variable i + 1
+        pairs = enumerate(zip(family.gammas, family.ks), 1)
+        nonzero = [(v, g, k) for v, (g, k) in pairs if not g.is_zero()]
+        high = {v: (TAG_T51, "high-power-coordinate") for v, _, k in nonzero if k > 1}
+        if high:
+            return high, []
+        pattern = (TAG_T51, "nonconstant-coefficient")
+        return {v: pattern for v, g, _ in nonzero if g.total_degree() >= 1}, []
+    if isinstance(family, FamilyDiag):
+        high = [i for i, k in enumerate(family.ks) if k > 1]
+        if 0 in family.ks:
+            return dict.fromkeys(high, (TAG_T53, "high-power-coordinate")), []
+        return {}, high
+    return {}, []
+
+
+def _match_pattern(family: Family, target: MultiPoly) -> CertifiedNonMember | None:
     # Im D is a Q-subspace, so each pattern covers every nonzero multiple of its monomial
     if len(target.nums) != 1:
         return None
+    coords, rows = _certified(family)
     (exps,) = target.nums
     support = [i for i, e in enumerate(exps) if e]
-    # the index of the variable the target is a multiple of, if it is one
-    coord = support[0] if len(support) == 1 and exps[support[0]] == 1 else None
-    if isinstance(family, PlaneFamily):
-        # the simple linear family: a0 in Q* and deg a1 >= 1; x comes first
-        simple_linear = (
-            family.linear and not family.a0.is_zero() and family.a1.total_degree() >= 1
-        )
-        if simple_linear and coord == 0:
-            return CertifiedNonMember(TAG_P22, "x-outside-image", target)
-        return None
-    if isinstance(family, FamilyDiagX):
-        # x comes first, so y_i is variable i + 1
-        nonzero = [i for i, g in enumerate(family.gammas) if not g.is_zero()]
-        for i in nonzero:
-            if family.ks[i] > 1 and coord == i + 1:
-                return CertifiedNonMember(TAG_T51, "high-power-coordinate", target)
-        if all(family.ks[i] == 1 for i in nonzero):
-            for i in nonzero:
-                if family.gammas[i].total_degree() >= 1 and coord == i + 1:
-                    return CertifiedNonMember(
-                        TAG_T51, "nonconstant-coefficient", target
-                    )
-        return None
-    if not isinstance(family, FamilyDiag):
-        return None
-    ks = family.ks
-    if all(k >= 1 for k in ks) and len(support) == 2:
+    if len(support) == 1 and exps[support[0]] == 1 and support[0] in coords:
+        return CertifiedNonMember(*coords[support[0]], target)
+    if len(support) == 2:
         i, j = support
         if exps[i] != 1:
             i, j = j, i
-        if exps[i] == 1 and ks[i] > 1 and exps[j] >= DEFAULT_M_MIN:
+        if exps[i] == 1 and i in rows and exps[j] >= DEFAULT_M_MIN:
             return CertifiedNonMember(TAG_T53, "mixed-power-product", target, m_used=exps[j])
-    if any(k == 0 for k in ks) and coord is not None and ks[coord] > 1:
-        return CertifiedNonMember(TAG_T53, "high-power-coordinate", target)
     return None
 
 
@@ -425,33 +421,25 @@ def decide_mz(D: Derivation) -> MzVerdict:
         )
     if locally_finite_closed_form(family):
         return MzVerdict(mz=True, theorem=theorem, evidence=("locally-finite", True))
-    evidence = certified_nonmembership(D, _obstruction(D, family))
+    target = _obstruction(D, family)
+    evidence = None if target is None else certified_nonmembership(D, target)
     if evidence is None:
         raise CheckFailed("no proven pattern certifies the obstruction to local finiteness")
     return MzVerdict(mz=False, theorem=theorem, evidence=evidence)
 
 
-def _obstruction(D: Derivation, family: Family) -> MultiPoly:
+def _obstruction(D: Derivation, family: Family) -> MultiPoly | None:
     """The target outside Im D that a family which is not locally finite is certified by.
 
-    Plane: x.  dx + diagonal: y_i for the first nonzero gamma_i with
-    k_i > 1, else for the first nonconstant one.  Diagonal: for the first
-    k_i > 1, y_i times y_j^DEFAULT_M_MIN for the first j != i when every
-    k >= 1, else y_i alone.
+    The lowest variable that `_certified` certifies, else y_i * y_j^DEFAULT_M_MIN
+    for its first row i and the first j != i; None when it certifies nothing.
     """
-    if isinstance(family, PlaneFamily):
-        return MultiPoly.var(D.variables, "x")
-    if isinstance(family, FamilyDiagX):
-        bad = [
-            i
-            for i, (g, k) in enumerate(zip(family.gammas, family.ks))
-            if not g.is_zero() and (k > 1 or g.total_degree() >= 1)
-        ]
-        high = [i for i in bad if family.ks[i] > 1]
-        return _y_var(D, (high or bad)[0])
-    ks = family.ks
-    high = next(i for i, k in enumerate(ks) if k > 1)
-    if all(k >= 1 for k in ks):
-        other = 1 if high == 0 else 0
-        return _y_var(D, high) * _y_var(D, other) ** DEFAULT_M_MIN
-    return _y_var(D, high)
+    coords, rows = _certified(family)
+    names = D.variables
+    if coords:
+        return MultiPoly.var(names, names[min(coords)])
+    if rows:
+        i = rows[0]
+        j = 1 if i == 0 else 0
+        return MultiPoly.var(names, names[i]) * MultiPoly.var(names, names[j], DEFAULT_M_MIN)
+    return None

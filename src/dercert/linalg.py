@@ -3,11 +3,11 @@
 `solve_sparse` takes sparse rows (dict column -> nonzero int) and an
 int right-hand side, and never mutates them; any other system raises
 ValueError.  A caller with rational entries scales each row to integers
-first, which changes neither the solutions nor the rank.  Callers keep
-columns that no row holds out of `ncols`: such a column is free, but no
-row ends at it, so the walk builds its column -> rows index when it
-reaches that column, which a system without it might build later or
-never.
+first, which changes neither the solutions nor the rank.  A column that
+no row holds is free.  The one caller, `image._solve_system`, passes
+one: the constant monomial's, since D(1) = 0.  It is last in basis
+order, so if the walk first builds its column -> rows index there, that
+index holds no row.
 
 The solve is one walk over the columns from left to right.  Every row
 is filed once, under its rightmost column.  At column c:

@@ -185,10 +185,6 @@ class MultiPoly:
         """Names of the variables that occur in some term."""
         return {name for name, column in zip(self.variables, zip(*self.nums)) if any(column)}
 
-    def uses_only(self, names: Iterable[str]) -> bool:
-        allowed = {self.variables.index(n) for n in names}
-        return not any(e for exps in self.nums for i, e in enumerate(exps) if i not in allowed)
-
     # -- arithmetic ------------------------------------------------------
 
     def _check(self, other: "MultiPoly") -> None:
@@ -315,14 +311,12 @@ class MultiPoly:
     def with_variables(self, variables: tuple[str, ...]) -> "MultiPoly":
         """Embed into a larger (or reordered) variable tuple by name."""
         variables = tuple(variables)
-        mapping = []
-        for name in self.variables:
-            if name not in variables:
-                if not self.uses_only([v for v in self.variables if v in variables]):
+        mapping = [variables.index(name) if name in variables else None for name in self.variables]
+        if None in mapping:
+            used = self.support()
+            for name, index in zip(self.variables, mapping):
+                if index is None and name in used:
                     raise VariableMismatch(f"variable {name} absent from {variables}")
-                mapping.append(None)
-            else:
-                mapping.append(variables.index(name))
         nums = {}
         for exps, c in self.nums.items():
             new = [0] * len(variables)

@@ -110,7 +110,7 @@ def verify_stable_ideal(D: Derivation, generators: Sequence[MultiPoly]) -> bool:
         x, y = D.variables
         if lead != MultiPoly.var(D.variables, y):
             raise UnsupportedIdealShape("pair ideals must look like (y, p(x))")
-        if not p.uses_only([x]):
+        if not p.support() <= {x}:
             raise UnsupportedIdealShape("second generator must only involve x")
         dy = D.apply(lead).substitute({y: 0})
         dp = D.apply(p).substitute({y: 0})
@@ -156,12 +156,8 @@ def _plane_conditions(fam: PlaneFamily) -> NecessaryCheck:
                 Fraction(1, fam.alpha + 1)
             ) - MultiPoly.var(v, "x").scale(a0_val)
             return NecessaryCheck(False, 2, _stable([witness]))
-        witness = (
-            a2.with_variables(v) * y ** (fam.beta + 1)
-            + a1.with_variables(v) * y**fam.beta
-            + a0.with_variables(v)
-        )
-        return NecessaryCheck(False, 2, _stable([witness]))
+        # the y-image a2*y^(beta+1) + a1*y^beta + a0
+        return NecessaryCheck(False, 2, _stable([fam.to_derivation().images[1]]))
     solutions = condition3_solve(a2, a1, a0_val, fam.beta)
     if solutions:
         l = solutions[0]

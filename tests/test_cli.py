@@ -297,7 +297,7 @@ class TestInternalFault:
 
     def test_uncertified_obstruction_exits_five(self, monkeypatch, capsys):
         # y1^2 is not locally finite, so the verdict needs the certificate for y1
-        monkeypatch.setattr(dercert.image, "_match_pattern", lambda D, family, target: None)
+        monkeypatch.setattr(dercert.image, "_match_pattern", lambda family, target: None)
         code = run_command(["--json", "mz", "deriv{x: 1, y1: y1^2}"])
         captured = capsys.readouterr()
         assert code == EXIT_INTERNAL

@@ -6,7 +6,15 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import diag_derivation, diag_x_derivation, multipolys, rationals, scaled_to_ints, uni
+from conftest import (
+    diag_derivation,
+    diag_x_derivation,
+    multipolys,
+    nonzero_rationals,
+    rationals,
+    scaled_to_ints,
+    uni,
+)
 import dercert.image
 from dercert import (
     CertifiedNonMember,
@@ -28,6 +36,7 @@ from dercert import (
     parse_poly,
     poly_to_str,
 )
+from dercert.image import DEFAULT_M_MIN
 from dercert.linalg import solve_sparse
 from dercert.mpoly import grlex_key
 
@@ -541,6 +550,116 @@ class TestCertifiedMultiples:
     def test_other_targets_are_not(self, target):
         D = parse_derivation("deriv{x: y, y: x*y + 1}")
         assert certified_nonmembership(D, parse_poly(target, D.variables)) is None
+
+
+# polynomials over ("x",) on which zero, constant and nonconstant come up often
+few_shapes = st.sampled_from([uni([]), uni([2]), uni([-1, 3])]) | st.lists(rationals, max_size=3).map(uni)
+
+
+@st.composite
+def pattern_cases(draw):
+    """(kind, parameters, D) on the plane-linear, translation-diagonal and diagonal families."""
+    kind = draw(st.sampled_from(["plane-linear", "translation-diagonal", "diagonal"]))
+    if kind == "plane-linear":
+        a1 = draw(few_shapes)
+        a0 = draw(st.sampled_from([F(0), F(1), F(-3, 2)]))
+        return kind, (a1, a0), PlaneFamily(1, 1, a2=uni([]), a1=a1, a0=uni([a0])).to_derivation()
+    if kind == "translation-diagonal":
+        n = draw(st.integers(1, 2))
+        gammas = draw(st.lists(few_shapes, min_size=n, max_size=n))
+        ks = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        return kind, (gammas, ks), diag_x_derivation(gammas, ks)
+    n = draw(st.integers(2, 3))
+    gammas = draw(st.lists(rationals.filter(bool), min_size=n, max_size=n))
+    ks = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return kind, (gammas, ks), diag_derivation(gammas, ks)
+
+
+def proven_nonmember(kind, parameters, exps):
+    """(theorem, claim, m_used) when P2.2, T5.1 or T5.3 puts c*x^exps outside Im D, c != 0."""
+    support = {v: e for v, e in enumerate(exps) if e}
+    coordinate = next(iter(support)) if list(support.values()) == [1] else None
+    if kind == "plane-linear":
+        # y*dx + (a1*y + a0)*dy with a0 in Q* and deg a1 >= 1: x is no image
+        a1, a0 = parameters
+        if coordinate == 0 and a0 != 0 and a1.total_degree() >= 1:
+            return "P2.2", "x-outside-image", None
+        return None
+    gammas, ks = parameters
+    if kind == "translation-diagonal":
+        # dx + sum gamma_i(x)*y_i^k_i*d_i over x, y_1, ...; a zero gamma_i
+        # makes y_i a constant of D, whatever k_i is
+        live = [i for i, g in enumerate(gammas) if not g.is_zero()]
+        i = None if coordinate is None else coordinate - 1
+        if i not in live:
+            return None
+        if ks[i] > 1:
+            return "T5.1", "high-power-coordinate", None
+        if all(ks[j] == 1 for j in live) and gammas[i].total_degree() >= 1:
+            return "T5.1", "nonconstant-coefficient", None
+        return None
+    # sum gamma_i*y_i^k_i*d_i with every gamma_i != 0
+    if coordinate is not None and ks[coordinate] > 1 and 0 in ks:
+        return "T5.3", "high-power-coordinate", None
+    if len(support) == 2 and 0 not in ks:
+        for i, j in itertools.permutations(support):
+            if support[i] == 1 and ks[i] > 1 and support[j] >= DEFAULT_M_MIN:
+                return "T5.3", "mixed-power-product", support[j]
+    return None
+
+
+def probe_exponents(nvars):
+    """Every coordinate, and y_i^a*y_j^m for a in {1, 2} and m around DEFAULT_M_MIN."""
+    units = [tuple(int(v == w) for w in range(nvars)) for v in range(nvars)]
+    products = [
+        tuple(a if w == i else m if w == j else 0 for w in range(nvars))
+        for i, j in itertools.permutations(range(nvars), 2)
+        for a in (1, 2)
+        for m in (DEFAULT_M_MIN - 1, DEFAULT_M_MIN, DEFAULT_M_MIN + 2)
+    ]
+    return units + products
+
+
+class TestCertifiedAgainstTheorems:
+    """The certificate table accepts exactly what P2.2, T5.1 and T5.3 state."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        pattern_cases(),
+        nonzero_rationals,
+        st.lists(st.integers(0, 3), min_size=4, max_size=4),
+    )
+    def test_certifies_exactly_the_theorems_targets(self, case, c, other):
+        kind, parameters, D = case
+        n = len(D.variables)
+        for exps in [*probe_exponents(n), tuple(other[:n])]:
+            target = MultiPoly(D.variables, {exps: c})
+            expected = proven_nonmember(kind, parameters, exps)
+            cert = certified_nonmembership(D, target)
+            if expected is None:
+                assert cert is None
+            else:
+                assert cert == CertifiedNonMember(*expected[:2], target, m_used=expected[2])
+
+    @settings(max_examples=150, deadline=None)
+    @given(pattern_cases())
+    def test_mz_evidence_is_the_first_proven_target(self, case):
+        # the first in the order: each variable, then y_i*y_j^DEFAULT_M_MIN by
+        # i, then j; probe_exponents lists them in that order
+        kind, parameters, D = case
+        verdict = decide_mz(D)
+        if not isinstance(verdict.evidence, CertifiedNonMember):
+            assert verdict.mz is True
+            return
+        proven = (
+            (exps, found)
+            for exps in probe_exponents(len(D.variables))
+            if (found := proven_nonmember(kind, parameters, exps))
+        )
+        exps, (tag, claim, m_used) = next(proven)
+        target = MultiPoly(D.variables, {exps: 1})
+        assert verdict.mz is False
+        assert verdict.evidence == CertifiedNonMember(tag, claim, target, m_used)
 
 
 class TestDecideMz:

@@ -77,6 +77,11 @@ class TestReshaping:
         with pytest.raises(VariableMismatch):
             poly("x*y").with_variables(("x",))
 
+    def test_with_variables_names_a_dropped_variable_that_occurs(self):
+        # x is dropped too, but only y occurs
+        with pytest.raises(VariableMismatch, match="variable y absent"):
+            poly("y").with_variables(("z",))
+
     def test_substitute(self):
         p = poly("x*y^2 + x")
         assert p.substitute({"y": 0}) == poly("x")
