@@ -31,6 +31,7 @@ from .derivation import (
     Derivation,
     FamilyDiag,
     FamilyDiagX,
+    Generic,
     PlaneFamily,
     X_ONLY,
     UnsupportedFamily,
@@ -50,10 +51,10 @@ from .mpoly import CheckFailed, MultiPoly, VariableMismatch, ZeroPolynomial
 from .simplicity import (
     Certificate,
     NecessaryCheck,
+    ScanRow,
     SimplicityVerdict,
     conjecture_necessary,
     decide_simple_family_a,
-    scan_rows_to_jsonl,
     conjecture_scan,
 )
 
@@ -137,12 +138,6 @@ def describe_image_result(result) -> dict:
     return out
 
 
-def describe_evidence(evidence) -> dict:
-    if isinstance(evidence, CertifiedNonMember):
-        return describe_image_result(evidence)
-    return {"kind": evidence[0], "value": str(evidence[1])}
-
-
 def describe_search(outcome: SearchOutcome) -> dict:
     found = []
     zero = MultiPoly.zero(X_ONLY)
@@ -160,6 +155,21 @@ def describe_search(outcome: SearchOutcome) -> dict:
             }
         )
     return {"status": outcome.status, "found": found, "detail": outcome.detail}
+
+
+def describe_scan_row(row: ScanRow, bounds: dict) -> dict:
+    out = {
+        "alpha": row.alpha,
+        "a2": poly_to_str(row.a2),
+        "a1": poly_to_str(row.a1),
+        "a0": poly_to_str(row.a0),
+        "necessary": row.necessary,
+        "darboux_status": row.darboux_status,
+        "bounds": bounds,
+    }
+    if row.l_witness is not None:
+        out["l_witness"] = str(row.l_witness)
+    return out
 
 
 # -- report plumbing -----------------------------------------------------
@@ -231,22 +241,21 @@ def _cmd_analyze(args, report: dict) -> int:
     report["family"] = describe_family(family)
     results: dict = {}
     report["results"] = results
-    if isinstance(family, PlaneFamily):
-        if family.quadratic:
-            results["simplicity"] = _simplicity_dict(decide_simple_family_a(family))
-            if family.linear:
-                results["mz"] = _mz_dict(D)
-                results["locally_finite"] = locally_finite_closed_form(family)
-            else:
-                results["mz"] = {"status": "unsupported", "reason": "no rule covers this shape"}
-        else:
-            results["necessary_conditions"] = _necessary_dict(conjecture_necessary(family))
-    elif isinstance(family, (FamilyDiagX, FamilyDiag)):
-        results["mz"] = _mz_dict(D)
-        results["locally_finite"] = locally_finite_closed_form(family)
-    else:
+    if isinstance(family, Generic):
         results["note"] = "no structured family recognized; no decision available"
         return EXIT_UNSUPPORTED
+    if isinstance(family, PlaneFamily):
+        if not family.quadratic:
+            results["necessary_conditions"] = _necessary_dict(conjecture_necessary(family))
+            return EXIT_OK
+        results["simplicity"] = _simplicity_dict(decide_simple_family_a(family))
+    # decide_mz alone says which shapes have a rule
+    try:
+        results["mz"] = _mz_dict(D)
+    except UnsupportedFamily:
+        results["mz"] = {"status": "unsupported", "reason": "no rule covers this shape"}
+        return EXIT_OK
+    results["locally_finite"] = locally_finite_closed_form(family)
     return EXIT_OK
 
 
@@ -275,11 +284,16 @@ def _necessary_dict(check: NecessaryCheck) -> dict:
 
 def _mz_dict(D: Derivation) -> dict:
     verdict = decide_mz(D)
+    if isinstance(verdict.evidence, CertifiedNonMember):
+        evidence = describe_image_result(verdict.evidence)
+    else:
+        kind, value = verdict.evidence
+        evidence = {"kind": kind, "value": str(value)}
     return {
         "mz": verdict.mz,
         "theorem": verdict.theorem,
         "rule": RULE_TEXT.get(verdict.theorem, ""),
-        "evidence": describe_evidence(verdict.evidence),
+        "evidence": evidence,
     }
 
 
@@ -353,10 +367,11 @@ def _read_grid(path: str):
 
 
 def _cmd_scan(args, report: dict) -> int:
-    bounds = _search_bounds(args)
+    search_bounds = _search_bounds(args)
     grid = _read_grid(args.grid)
-    rows = conjecture_scan(args.alpha, grid, bounds)
-    lines = list(scan_rows_to_jsonl(rows, bounds))
+    rows = conjecture_scan(args.alpha, grid, search_bounds)
+    bounds = dataclasses.asdict(search_bounds)
+    lines = [json.dumps(describe_scan_row(row, bounds), sort_keys=True) for row in rows]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -364,17 +379,17 @@ def _cmd_scan(args, report: dict) -> int:
         for line in lines:
             print(line)
     status = Counter(r.darboux_status for r in rows)
-    # every row counts once: a failing cell is skipped, a passing one searched
-    # or unsupported
+    # every row counts once: a cell is skipped exactly when it fails the
+    # necessary conditions, and a passing one is searched or unsupported
     report["results"] = {
         "cells": len(rows),
-        "necessary_fail": sum(1 for r in rows if r.necessary == "fail"),
+        "necessary_fail": status["skipped"],
         "none_up_to_bounds": status["none-up-to-bounds"],
         "found": status["found"],
         "undecided_residual": status["undecided-residual"],
         "unsupported": status["unsupported"],
     }
-    report["bounds"] = bounds.degree_bounds()
+    report["bounds"] = bounds
     return EXIT_OK
 
 

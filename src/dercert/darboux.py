@@ -74,9 +74,14 @@ def searchable(fam: Family) -> bool:
 
 @dataclass
 class ResidualResult:
+    """The solutions found, and why the solver gave up ("" when it did not)."""
+
     solutions: list[dict[str, Fraction]]
-    undecided: bool
     note: str = ""
+
+    @property
+    def undecided(self) -> bool:
+        return bool(self.note)
 
 
 def _bareiss_det(matrix: list[list[MultiPoly]], variables: tuple[str, ...]) -> MultiPoly:
@@ -128,18 +133,16 @@ def _resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
 
 
 def _merge(branches) -> ResidualResult:
-    """Union of branch results; an undecided union keeps its first branch's reason."""
+    """Union of branch results; an undecided union keeps its first undecided branch's reason."""
     solutions: list[dict[str, Fraction]] = []
     note = ""
-    undecided = False
     for branch in branches:
         solutions.extend(branch.solutions)
-        if branch.undecided and not undecided:
-            undecided, note = True, branch.note
-    return ResidualResult(solutions, undecided, note)
+        note = note or branch.note
+    return ResidualResult(solutions, note)
 
 
-def _root_branch(eqs, name, root, params, pending, assignment, budget) -> ResidualResult:
+def _root_branch(eqs, name, root, params, path, budget) -> ResidualResult:
     """Substitute name = root where it occurs; a nonzero constant closes the branch.
 
     eqs are (equation, support) pairs.  An equation without name passed
@@ -151,9 +154,11 @@ def _root_branch(eqs, name, root, params, pending, assignment, budget) -> Residu
         if name in sup:
             e = e.substitute({name: root})
             if len(e.nums) == 1 and e.is_constant():
-                return ResidualResult([], False)
+                return ResidualResult([])
         sub.append(e)
-    return _solve_recursive(sub, params, pending, {**assignment, name: root}, budget)
+    return _solve_recursive(
+        sub, params, path + [(name, MultiPoly.constant(params, root), 1)], budget
+    )
 
 
 def _linear_coefficient(e: MultiPoly, idx: int) -> Fraction | None:
@@ -170,23 +175,24 @@ def _linear_coefficient(e: MultiPoly, idx: int) -> Fraction | None:
 def _solve_recursive(
     eqs: list[MultiPoly],
     params: tuple[str, ...],
-    pending: list[tuple[str, MultiPoly, Fraction]],
-    assignment: dict[str, Fraction],
+    path: list[tuple[str, MultiPoly, Fraction | int]],
     budget: list[int],
 ) -> ResidualResult:
+    """Solve eqs on the branch that path, the steps name := expr*factor so far, leads to."""
     eqs = [e for e in eqs if not e.is_zero()]
     for e in eqs:
         if e.is_constant():
-            return ResidualResult([], False)
+            return ResidualResult([])
     if not eqs:
-        full = dict(assignment)
-        # unwind linear eliminations, then zero any remaining free parameters
-        for name, expr, inv in reversed(pending):
+        # replay the steps from the last: a step's expression holds only
+        # names that later steps set or that stay free, and free ones are zero
+        full: dict[str, Fraction] = {}
+        for name, expr, factor in reversed(path):
             full.update({v: Fraction(0) for v in expr.support() if v not in full})
-            full[name] = expr.evaluate(full) * inv
+            full[name] = expr.evaluate(full) * factor
         for name in params:
             full.setdefault(name, Fraction(0))
-        return ResidualResult([full], False)
+        return ResidualResult([full])
     supports = [sorted(e.support()) for e in eqs]
 
     # univariate equation: branch over its rational roots
@@ -195,7 +201,7 @@ def _solve_recursive(
             (name,) = sup
             return _merge(
                 _root_branch([(o, s) for o, s in zip(eqs, supports) if o is not e], name, r,
-                             params, pending, assignment, budget)
+                             params, path, budget)
                 for r in rational_roots(e)
             )
 
@@ -211,11 +217,11 @@ def _solve_recursive(
                     e.den,
                 )
                 zero_branch = _root_branch(
-                    zip(eqs, supports), name, Fraction(0), params, pending, assignment, budget
+                    zip(eqs, supports), name, Fraction(0), params, path, budget
                 )
                 rest = list(eqs)
                 rest[pos] = quotient
-                quot_branch = _solve_recursive(rest, params, pending, assignment, budget)
+                quot_branch = _solve_recursive(rest, params, path, budget)
                 return _merge([zero_branch, quot_branch])
 
     # variable appearing linearly with a constant coefficient: eliminate it
@@ -231,11 +237,7 @@ def _solve_recursive(
                     if o is not e
                 ]
                 return _solve_recursive(
-                    sub,
-                    params,
-                    pending + [(name, rest, Fraction(-1) / coeff)],
-                    assignment,
-                    budget,
+                    sub, params, path + [(name, rest, Fraction(-1) / coeff)], budget
                 )
 
     # fall back to resultants, bounded by the effort budget
@@ -249,15 +251,15 @@ def _solve_recursive(
         polys = sorted(by_var[name], key=lambda p: (p.degree_in(name), len(p.nums)))
         for p, q in itertools.combinations(polys[:4], 2):
             if budget[0] <= 0:
-                return ResidualResult([], True, "effort budget exhausted")
+                return ResidualResult([], "effort budget exhausted")
             budget[0] -= 1
             res = _resultant(p, q, name)
             if res.is_zero():
                 continue
             if res in seen:
                 continue
-            return _solve_recursive(eqs + [res], params, pending, assignment, budget)
-    return ResidualResult([], True, "no elimination step applies")
+            return _solve_recursive(eqs + [res], params, path, budget)
+    return ResidualResult([], "no elimination step applies")
 
 
 def solve_residual_system(
@@ -278,13 +280,13 @@ def solve_residual_system(
     """
     system = list(system)
     params: tuple[str, ...] = system[0].variables if system else ()
-    result = _solve_recursive(system, params, [], {}, [effort])
+    result = _solve_recursive(system, params, [], [effort])
     unique: dict[tuple, dict[str, Fraction]] = {}
     for sol in result.solutions:
         if any(e.evaluate(sol) != 0 for e in system):
             raise CheckFailed("a residual solution misses the system")
         unique.setdefault(tuple(sorted(sol.items())), sol)
-    return ResidualResult([unique[key] for key in sorted(unique)], result.undecided, result.note)
+    return ResidualResult([unique[key] for key in sorted(unique)], result.note)
 
 
 # -- bounded triangular search --------------------------------------------
@@ -302,14 +304,6 @@ class SearchBounds:
             raise ValueError("n_max must be at least 1")
         if min(self.d0_deg_max, self.cx_deg_max, self.residual_effort) < 0:
             raise ValueError("degree bounds and residual effort must be nonnegative")
-
-    def degree_bounds(self) -> dict[str, int]:
-        """The three degree bounds, as scan reports and evidence rows record them."""
-        return {
-            "n_max": self.n_max,
-            "d0_deg_max": self.d0_deg_max,
-            "cx_deg_max": self.cx_deg_max,
-        }
 
 
 @dataclass
@@ -406,8 +400,8 @@ def _search_fixed_n(
         result = solve_residual_system(constraints, bounds.residual_effort)
     else:
         # pinning settled every constraint: the point is all unknowns at zero
-        result = ResidualResult([dict.fromkeys(params, Fraction(0))], False)
-    reason = result.note if result.undecided else None
+        result = ResidualResult([dict.fromkeys(params, Fraction(0))])
+    reason = result.note or None
     if not result.solutions:
         return [], reason
     D = fam.to_derivation()

@@ -24,11 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Union
 
-from .mpoly import MultiPoly
-
-RatLike = Union[Fraction, int]
+from .mpoly import MultiPoly, RatLike
 
 
 class UnsupportedShape(ValueError):

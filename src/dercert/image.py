@@ -70,9 +70,6 @@ class CertifiedNonMember:
     m_used: int | None = None
 
 
-ImageResult = Member | NotFoundUpTo | CertifiedNonMember
-
-
 @lru_cache(maxsize=16)
 def _basis(nvars: int, bound: int, width: int) -> tuple[tuple, tuple]:
     """Exponent vectors of total degree <= bound, decreasing graded-lex, and their packed keys."""

@@ -11,11 +11,15 @@ tuple higher, matching x < y and x < y1 < ... < yn.
 
 Only the constructor ``MultiPoly(variables, terms)`` validates: it
 checks exponent vectors, merges repeated monomials and clears the
-denominators.  It is meant for outside input (the parser, tests).
-Internal results run on the integer numerators, take the denominator
-into account once per operation and are stored through `_build`, which
-divides out gcd(den, numerators), or `_from_canonical` where no common
-factor can arise.
+denominators.  In the package it builds the polynomials whose terms
+come as Fractions: the preimage read off the image solve
+(`image._solve_system`), f_0 of the plane descent (`image._descend`)
+and the unknown cofactor coefficients of the Darboux search
+(`darboux._search_fixed_n`); the parser builds through arithmetic and
+`_from_canonical`.  Internal results run on the integer numerators,
+take the denominator into account once per operation and are stored
+through `_build`, which divides out gcd(den, numerators), or
+`_from_canonical` where no common factor can arise.
 
 Term order is not part of a polynomial's value, and no result depends on
 it.  Term dicts are never changed after construction, so a result may

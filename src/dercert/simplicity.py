@@ -20,11 +20,11 @@ replayed through `verify_stable_ideal`.  The tags:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
+from .darboux import SearchBounds, darboux_search_power_family
 from .derivation import X_ONLY, Derivation, PlaneFamily, UnsupportedFamily
 from .mpoly import CheckFailed, MultiPoly, divide_exact
 
@@ -209,18 +209,16 @@ class ScanRow:
     #                      "skipped" | "unsupported"
 
 
-def conjecture_scan(alpha: int, coeff_grid, bounds) -> list[ScanRow]:
+def conjecture_scan(alpha: int, coeff_grid, bounds: SearchBounds) -> list[ScanRow]:
     """Evidence table for the power family at a fixed alpha >= 2.
 
     For each (a2, a1, a0) cell: run the necessary-condition check; when
-    it passes and the cell is searchable, run the bounded triangular
-    Darboux search and report its outcome.  The scan never claims
-    simplicity, only the absence of obstructions up to the given bounds.
-    Witnesses from failing cells are replayed through verify_stable_ideal
-    before the row is emitted.
+    it passes, run the bounded triangular Darboux search and report its
+    outcome, or "unsupported" when the cell lies outside the search
+    hypotheses.  The scan never claims simplicity, only the absence of
+    obstructions up to the given bounds.  Witnesses from failing cells
+    are replayed through verify_stable_ideal before the row is emitted.
     """
-    from .darboux import darboux_search_power_family, searchable
-
     if alpha < 2:
         raise ValueError("alpha = 1 is decided exactly; scan expects alpha >= 2")
     rows: list[ScanRow] = []
@@ -236,27 +234,9 @@ def conjecture_scan(alpha: int, coeff_grid, bounds) -> list[ScanRow]:
                 ScanRow(alpha, a2, a1, a0, "fail", check.witness.l_value, "skipped")
             )
             continue
-        if not searchable(fam):
-            rows.append(ScanRow(alpha, a2, a1, a0, "pass", None, "unsupported"))
-            continue
-        outcome = darboux_search_power_family(fam, bounds)
-        rows.append(ScanRow(alpha, a2, a1, a0, "pass", None, outcome.status))
+        try:
+            status = darboux_search_power_family(fam, bounds).status
+        except UnsupportedFamily:
+            status = "unsupported"
+        rows.append(ScanRow(alpha, a2, a1, a0, "pass", None, status))
     return rows
-
-
-def scan_rows_to_jsonl(rows: Iterable[ScanRow], bounds) -> Iterator[str]:
-    from .expr import poly_to_str
-
-    for row in rows:
-        record = {
-            "alpha": row.alpha,
-            "a2": poly_to_str(row.a2),
-            "a1": poly_to_str(row.a1),
-            "a0": poly_to_str(row.a0),
-            "necessary": row.necessary,
-            "darboux_status": row.darboux_status,
-            "bounds": bounds.degree_bounds(),
-        }
-        if row.l_witness is not None:
-            record["l_witness"] = str(row.l_witness)
-        yield json.dumps(record, sort_keys=True)

@@ -309,8 +309,8 @@ class TestInternalFault:
     def test_residual_point_missing_the_system_exits_five(self, monkeypatch, capsys):
         real = dercert.darboux._solve_recursive
 
-        def with_bad_point(eqs, params, pending, assignment, budget):
-            result = real(eqs, params, pending, assignment, budget)
+        def with_bad_point(eqs, params, path, budget):
+            result = real(eqs, params, path, budget)
             result.solutions.append(dict.fromkeys(params, Fraction(7919)))
             return result
 
@@ -505,6 +505,20 @@ class TestScan:
         }
         assert sum(v for k, v in counts.items() if k != "cells") == counts["cells"]
 
+    def test_bounds_record_the_effort(self, tmp_path, capsys):
+        # effort 0 can turn a row undecided, so the report and every row say so
+        grid = tmp_path / "grid.jsonl"
+        grid.write_text(json.dumps({"a2": "x + 1", "a1": "x", "a0": "1"}))
+        out = tmp_path / "evidence.jsonl"
+        code, report = run_json(
+            capsys,
+            ["conjecture-scan", "--alpha", "3", "--grid", str(grid), "--effort", "0", "--out", str(out)],
+        )
+        assert code == 0
+        bounds = {"n_max": 2, "d0_deg_max": 2, "cx_deg_max": 3, "residual_effort": 0}
+        assert report["bounds"] == bounds
+        assert [json.loads(line)["bounds"] for line in out.read_text().splitlines()] == [bounds]
+
     def test_power_grid_at_default_bounds(self, tmp_path, capsys):
         out = tmp_path / "evidence.jsonl"
         code, report = run_json(
@@ -512,7 +526,9 @@ class TestScan:
             ["conjecture-scan", "--alpha", "2", "--grid", str(POWER_GRID), "--out", str(out)],
         )
         assert code == 0
-        assert report["bounds"] == {"n_max": 2, "d0_deg_max": 2, "cx_deg_max": 3}
+        assert report["bounds"] == {
+            "n_max": 2, "d0_deg_max": 2, "cx_deg_max": 3, "residual_effort": 100
+        }
         assert report["results"] == {
             "cells": 96,
             "found": 0,

@@ -213,6 +213,20 @@ class TestResidualSolver:
         assert result.undecided
         assert result.note == "effort budget exhausted"
 
+    def test_eliminations_before_a_root_replay_last_step_first(self):
+        # u1 := u2*u3, then u2 := u3 + 1, then u3 in {-3, 2}: each
+        # elimination's value needs the steps taken after it
+        P = ("u1", "u2", "u3")
+        u1, u2, u3 = (MultiPoly.var(P, name) for name in P)
+        one = MultiPoly.constant(P, 1)
+        S = [u1 - u2 * u3, u2 - u3 - one, u2 * u3 - one.scale(6)]
+        result = solve_residual_system(S, 10)
+        assert not result.undecided
+        assert result.solutions == [
+            {"u1": F(6), "u2": F(-2), "u3": F(-3)},
+            {"u1": F(6), "u2": F(3), "u3": F(2)},
+        ]
+
     def test_solutions_vanish_on_system(self):
         P = ("u1", "u2", "u3")
         S = [
@@ -540,11 +554,11 @@ def _watched_search(family, bounds, pinning):
         undecided.append(result.undecided)
         return result
 
-    def recurse_watched(eqs, params, pending, assignment, budget):
+    def recurse_watched(eqs, params, path, budget):
         if all(e.is_zero() for e in eqs):
-            fixed = set(assignment) | {name for name, _, _ in pending}
+            fixed = {name for name, _, _ in path}
             free.append(not fixed.issuperset(params))
-        return recurse(eqs, params, pending, assignment, budget)
+        return recurse(eqs, params, path, budget)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dercert.darboux, "solve_residual_system", solve_watched)

@@ -70,3 +70,24 @@ def test_every_export_is_a_type_a_verifier_or_used_by_the_package():
         and name not in used
     ]
     assert unused == []
+
+
+def test_every_module_level_definition_is_read():
+    # what __init__ imports is public and so read; darboux_search_family_a
+    # stays only for the benchmark's darboux.search hook (ROADMAP item 7)
+    read = _names_the_package_loads() | _bound_public_names() | {"darboux_search_family_a"}
+    unread = []
+    for path in sorted(Path(dercert.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            unread.extend(f"{path.stem}.{name}" for name in names if name not in read)
+    assert unread == []
