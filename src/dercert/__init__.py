@@ -30,7 +30,6 @@ from .derivation import (
 from .expr import ParseError, parse_derivation, parse_poly, poly_to_str
 from .firstorder import (
     FirstOrderSolution,
-    UnsupportedShape,
     solve_first_order,
 )
 from .image import (
@@ -46,7 +45,6 @@ from .linalg import LinSolution
 from .mpoly import (
     NEG_INF,
     CheckFailed,
-    DivisorZero,
     MultiPoly,
     VariableMismatch,
     ZeroPolynomial,
@@ -86,7 +84,6 @@ __all__ = [
     "parse_poly",
     "poly_to_str",
     "FirstOrderSolution",
-    "UnsupportedShape",
     "solve_first_order",
     "CertifiedNonMember",
     "Member",
@@ -98,7 +95,6 @@ __all__ = [
     "LinSolution",
     "NEG_INF",
     "CheckFailed",
-    "DivisorZero",
     "MultiPoly",
     "VariableMismatch",
     "ZeroPolynomial",

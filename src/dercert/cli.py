@@ -7,8 +7,8 @@ family for the requested decision, 4 bounded-search outcomes that found
 nothing (not-found-up-to / none-up-to-bounds / undecided), 5 internal
 fault (an exact self-check of a computed result failed, or the
 polynomial core rejected an internal operand: ZeroPolynomial,
-DivisorZero, VariableMismatch; the report still goes to stderr, with
-the fault in results.error).
+VariableMismatch; the report still goes to stderr, with the fault in
+results.error).
 """
 
 from __future__ import annotations
@@ -393,6 +393,14 @@ def _cmd_scan(args, report: dict) -> int:
     return EXIT_OK
 
 
+def _add_search_bounds(p: argparse.ArgumentParser, n_max: int, d0_deg: int, cx_deg: int) -> None:
+    """The Darboux search bounds, shared by darboux and conjecture-scan."""
+    p.add_argument("--n-max", type=int, default=n_max)
+    p.add_argument("--d0-deg", type=int, default=d0_deg)
+    p.add_argument("--cx-deg", type=int, default=cx_deg)
+    p.add_argument("--effort", type=int, default=SearchBounds.residual_effort)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # SUPPRESS keeps a subparser from overwriting flags given before the
     # subcommand with its own defaults
@@ -421,10 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("darboux", parents=[shared], help="bounded Darboux polynomial search")
     p.set_defaults(run=_cmd_darboux)
     p.add_argument("derivation")
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--d0-deg", type=int, default=3)
-    p.add_argument("--cx-deg", type=int, default=4)
-    p.add_argument("--effort", type=int, default=SearchBounds.residual_effort)
+    _add_search_bounds(p, n_max=3, d0_deg=3, cx_deg=4)
 
     p = sub.add_parser("image", parents=[shared], help="bounded image membership for a target")
     p.set_defaults(run=_cmd_image)
@@ -442,10 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_scan)
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--grid", required=True, help="JSONL file of {a2, a1, a0} strings")
-    p.add_argument("--n-max", type=int, default=2)
-    p.add_argument("--d0-deg", type=int, default=2)
-    p.add_argument("--cx-deg", type=int, default=3)
-    p.add_argument("--effort", type=int, default=SearchBounds.residual_effort)
+    _add_search_bounds(p, n_max=2, d0_deg=2, cx_deg=3)
     return parser
 
 

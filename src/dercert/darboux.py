@@ -87,8 +87,6 @@ class ResidualResult:
 def _bareiss_det(matrix: list[list[MultiPoly]], variables: tuple[str, ...]) -> MultiPoly:
     """Fraction-free determinant; all intermediate divisions are exact."""
     size = len(matrix)
-    if size == 0:
-        return MultiPoly.constant(variables, 1)
     m = [row[:] for row in matrix]
     sign = 1
     prev = MultiPoly.constant(variables, 1)

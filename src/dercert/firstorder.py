@@ -9,11 +9,12 @@ The solver handles the operator shape
 
 for a != 0 and k != 0, where the operator shifts degrees by deg a
 and is injective (c' - a*c = g is the case k = 1 with right-hand side
--g).  Top-down coefficient matching determines the unique
-degree-compatible candidate c; the leftover low-order coefficient
-equations, one for each power of x below deg a, come back as
-polynomial constraints on the parameters.  A constant a leaves none,
-so c is then the exact solution.
+-g).  One walk over the coefficient equations, from the top power of
+x down, does both jobs: each power at or above deg a fixes one
+coefficient of the unique degree-compatible candidate c, and each
+power below deg a leaves a polynomial constraint on the parameters,
+listed lowest power first.  A constant a leaves none, so c is then
+the exact solution.
 Specializing the parameters so every constraint vanishes makes the
 equation hold identically; a nonzero constant among the constraints
 means no specialization does, and the caller reads that off the list.
@@ -25,11 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .mpoly import MultiPoly, RatLike
-
-
-class UnsupportedShape(ValueError):
-    """The coefficient polynomial a must be nonzero."""
+from .mpoly import MultiPoly, RatLike, ZeroPolynomial
 
 
 @dataclass
@@ -49,7 +46,7 @@ def solve_first_order(a: MultiPoly, g: MultiPoly, k: RatLike = 1) -> FirstOrderS
     deg a; a constant a gives no constraints.
     """
     if a.is_zero():
-        raise UnsupportedShape("coefficient polynomial must be nonzero")
+        raise ZeroPolynomial("coefficient polynomial must be nonzero")
     d = a.total_degree()
     k = Fraction(k)
     if k == 0:
@@ -60,18 +57,21 @@ def solve_first_order(a: MultiPoly, g: MultiPoly, k: RatLike = 1) -> FirstOrderS
         return FirstOrderSolution(g, [])
     g_x = g.split("x")
     zero = MultiPoly.zero(g.variables[:-1])
-    m = max(g_x) - d
+    # acc is the x^t coefficient of g - (k*a*c - c'), powers top down; at
+    # t >= d it leaves out b_(t-d), which it fixes, and below d it must vanish
     b: dict[int, MultiPoly] = {}
-    for j in range(m, -1, -1):
-        acc = g_x.get(j + d, zero)
+    constraints: list[MultiPoly] = []
+    for t in (*range(max(g_x), d - 1, -1), *range(d)):
+        acc = g_x.get(t, zero)
         for q, aq in a_terms:
-            p = j + d - q
-            if p > j and p in b:
-                acc = acc - b[p].scale(aq * k)
-        upper = b.get(j + d + 1)
-        if upper is not None:
-            acc = acc + upper.scale(j + d + 1)
-        b[j] = acc.scale(Fraction(1) / lead)
+            if t - q in b:
+                acc = acc - b[t - q].scale(aq * k)
+        if t + 1 in b:
+            acc = acc + b[t + 1].scale(t + 1)
+        if t >= d:
+            b[t - d] = acc.scale(Fraction(1) / lead)
+        elif not acc.is_zero():
+            constraints.append(-acc)
     # terms degree by degree, top down, over the lcm of the b_j's denominators;
     # lowest terms, since the b_j holding a prime's highest power in that lcm
     # is scaled by a cofactor prime to it
@@ -81,17 +81,4 @@ def solve_first_order(a: MultiPoly, g: MultiPoly, k: RatLike = 1) -> FirstOrderS
         {exps + (j,): c * (den // bj.den) for j, bj in b.items() for exps, c in bj.nums.items()},
         den,
     )
-    # low-order coefficients of k*a*c - c' - g must vanish
-    constraints: list[MultiPoly] = []
-    for r in range(d):
-        acc = -g_x.get(r, zero)
-        for q, aq in a_terms:
-            p = r - q
-            if p in b:
-                acc = acc + b[p].scale(aq * k)
-        nxt = b.get(r + 1)
-        if nxt is not None:
-            acc = acc - nxt.scale(r + 1)
-        if not acc.is_zero():
-            constraints.append(acc)
     return FirstOrderSolution(candidate, constraints)

@@ -89,8 +89,6 @@ def _exponents_of_degree(total: int, nvars: int) -> list[tuple[int, ...]]:
     """Exponent vectors summing to total, last exponent descending, then the one before."""
     if not nvars:
         return [] if total else [()]
-    if nvars == 1:
-        return [(total,)]
     return [
         head + (last,)
         for last in range(total, -1, -1)

@@ -55,10 +55,6 @@ class CheckFailed(AssertionError):
     """
 
 
-class DivisorZero(ZeroPolynomial):
-    """Exact division was attempted with divisor zero."""
-
-
 class VariableMismatch(ValueError):
     """Operands live over different variable tuples."""
 
@@ -335,14 +331,8 @@ class MultiPoly:
         idx = self.variables.index(name)
         rest = self.variables[:idx] + self.variables[idx + 1 :]
         buckets: dict[int, dict] = {}
-        # one slice per term when name is last, as x is in the Darboux
-        # descent, which splits often enough for two slices to show
-        if idx == len(rest):
-            for exps, c in self.nums.items():
-                buckets.setdefault(exps[idx], {})[exps[:idx]] = c
-        else:
-            for exps, c in self.nums.items():
-                buckets.setdefault(exps[idx], {})[exps[:idx] + exps[idx + 1 :]] = c
+        for exps, c in self.nums.items():
+            buckets.setdefault(exps[idx], {})[exps[:idx] + exps[idx + 1 :]] = c
         return {power: MultiPoly._build(rest, nums, self.den) for power, nums in buckets.items()}
 
     def evaluate(self, point: Mapping[str, RatLike]) -> Fraction:
@@ -389,7 +379,7 @@ def divide_exact(h: MultiPoly, g: MultiPoly) -> MultiPoly | None:
     """
     h._check(g)
     if g.is_zero():
-        raise DivisorZero("division by the zero polynomial")
+        raise ZeroPolynomial("division by the zero polynomial")
     g_exps, g_coeff = g.leading_term()
     quotient = MultiPoly.zero(h.variables)
     rem = h

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import X_ONLY
+
 import dercert.cli
 import dercert.darboux
 import dercert.derivation
@@ -19,9 +21,9 @@ import dercert.simplicity
 from dercert.cli import EXIT_INTERNAL, run_command
 from dercert.darboux import NotDarboux, verify_darboux
 from dercert.expr import parse_derivation, parse_poly, poly_to_str
-from dercert.firstorder import FirstOrderSolution
+from dercert.firstorder import FirstOrderSolution, solve_first_order
 from dercert.image import Member, NotFoundUpTo
-from dercert.mpoly import DivisorZero, MultiPoly, VariableMismatch, ZeroPolynomial
+from dercert.mpoly import MultiPoly, VariableMismatch, ZeroPolynomial
 
 POWER_GRID = Path(__file__).resolve().parents[1] / "grids" / "power_alpha2.jsonl"
 
@@ -221,6 +223,17 @@ class TestPlaneOverY1:
         assert report["results"]["mz"]["evidence"] == {"kind": "image-is-ideal", "value": "y1"}
 
 
+def _raises(fault):
+    def broken(family):
+        raise fault("injected")
+
+    return broken
+
+
+def _zero_first_order_a(family):
+    return solve_first_order(MultiPoly.zero(X_ONLY), MultiPoly.var(X_ONLY, "x"))
+
+
 class TestInternalFault:
     def test_failed_self_check_exits_five_with_report(self, monkeypatch, capsys):
         real = dercert.image.solve_sparse
@@ -333,17 +346,26 @@ class TestInternalFault:
         assert report["exit_code"] == EXIT_INTERNAL
         assert "a solved candidate is not Darboux: injected" in report["results"]["error"]
 
-    @pytest.mark.parametrize("fault", [ZeroPolynomial, DivisorZero, VariableMismatch])
-    def test_polynomial_core_fault_exits_five(self, monkeypatch, capsys, fault):
+    @pytest.mark.parametrize(
+        "broken, message",
+        [
+            pytest.param(_raises(ZeroPolynomial), "injected", id="ZeroPolynomial"),
+            pytest.param(_raises(VariableMismatch), "injected", id="VariableMismatch"),
+            pytest.param(
+                _zero_first_order_a, "coefficient polynomial must be nonzero", id="zero-a"
+            ),
+        ],
+    )
+    def test_polynomial_core_fault_exits_five(self, monkeypatch, capsys, broken, message):
         # these are ValueErrors, but never a property of the user's input
-        def broken(family):
-            raise fault("injected")
-
         monkeypatch.setattr(dercert.cli, "decide_simple_family_a", broken)
-        code, report = run_json(capsys, ["analyze", "deriv{x: y, y: x*y^2 + 1}"])
+        code = run_command(["--json", "analyze", "deriv{x: y, y: x*y^2 + 1}"])
+        captured = capsys.readouterr()
         assert code == EXIT_INTERNAL
+        assert captured.out == ""
+        report = json.loads(captured.err)
         assert report["exit_code"] == EXIT_INTERNAL
-        assert "injected" in report["results"]["error"]
+        assert message in report["results"]["error"]
 
 
 class TestParseErrors:

@@ -4,7 +4,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, example, given, settings
 
-from conftest import nonzero_rationals, rationals, uni, unipolys
+from conftest import multipolys, nonzero_rationals, rationals, uni, unipolys
 import dercert.darboux
 from dercert import (
     CheckFailed,
@@ -352,6 +352,39 @@ class TestSearch:
         )
         assert out.status == "found"
         assert witness in [p.F for p in out.pairs]
+
+
+# polynomials over (u0, u1, x) that hold x
+HOLDS_X = st.builds(
+    lambda p, e, c: p + MultiPoly(p.variables, {(0, 0, e): c}),
+    multipolys(("u0", "u1", "x"), max_degree=3, max_terms=3),
+    st.integers(min_value=1, max_value=3),
+    nonzero_rationals,
+).filter(lambda p: p.degree_in("x") >= 1)
+
+
+def _to_sympy(p: MultiPoly, sympy):
+    names = sympy.symbols(p.variables)
+    return sympy.Add(
+        *(
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*(n**e for n, e in zip(names, exps)))
+            for exps, c in p.terms.items()
+        )
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(HOLDS_X, HOLDS_X)
+def test_resultant_matches_sympy(p, q):
+    # the determinant of sympy's Sylvester matrix: sympy.resultant itself
+    # flips the sign for some degree pairs, giving 1 for Res(x + 1, x^3) = -1
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.subresultants_qq_zz import res
+
+    expected = res(_to_sympy(p, sympy), _to_sympy(q, sympy), sympy.Symbol("x"))
+    got = _to_sympy(dercert.darboux._resultant(p, q, "x"), sympy)
+    assert sympy.expand(got - expected) == 0
 
 
 def test_inexact_bareiss_division_is_caught(monkeypatch):

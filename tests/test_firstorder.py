@@ -4,10 +4,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from conftest import nonzero_rationals, uni, unipolys
+from conftest import multipolys, nonzero_rationals, uni, unipolys
 from dercert import (
     MultiPoly,
-    UnsupportedShape,
+    ZeroPolynomial,
     solve_first_order,
 )
 from dercert.linalg import solve_sparse
@@ -67,7 +67,7 @@ def test_shift_mode_against_linear_system_oracle():
 
 
 def test_zero_a_rejected():
-    with pytest.raises(UnsupportedShape):
+    with pytest.raises(ZeroPolynomial):
         solve_first_order(uni([]), uni([1]))
 
 
@@ -139,3 +139,19 @@ def test_planted_solution_recovered_in_both_modes(a, c_true, k):
     assert not refuted(sol2)
     assert sol2.constraints == []
     assert sol2.c == c_true
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    unipolys(max_degree=4, max_terms=4).filter(lambda a: a.total_degree() >= 1),
+    multipolys(("u0", "u1", "x"), max_degree=5, max_terms=6),
+    st.sampled_from([F(1), F(2), F(-1, 2), F(3)]),
+)
+def test_constraints_are_the_low_coefficients_lowest_first(a, g, k):
+    # every nonzero x-coefficient of k*a*c - c' - g sits below deg a, and
+    # those coefficients, by ascending power of x, are the constraints
+    sol = solve_first_order(a, g, k=k)
+    residual = a.with_variables(g.variables) * sol.c.scale(k) - sol.c.partial("x") - g
+    coefficients = sorted(residual.split("x").items())
+    assert all(power < a.total_degree() for power, _ in coefficients)
+    assert sol.constraints == [coefficient for _, coefficient in coefficients]
