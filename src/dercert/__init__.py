@@ -45,6 +45,7 @@ from .linalg import LinSolution
 from .mpoly import (
     NEG_INF,
     CheckFailed,
+    DegreeOverflow,
     MultiPoly,
     VariableMismatch,
     ZeroPolynomial,
@@ -95,6 +96,7 @@ __all__ = [
     "LinSolution",
     "NEG_INF",
     "CheckFailed",
+    "DegreeOverflow",
     "MultiPoly",
     "VariableMismatch",
     "ZeroPolynomial",

@@ -159,17 +159,6 @@ def _root_branch(eqs, name, root, params, path, budget) -> ResidualResult:
     )
 
 
-def _linear_coefficient(e: MultiPoly, idx: int) -> Fraction | None:
-    """c when the only term of e that holds variable idx is c times that variable."""
-    unit = None
-    for exps in e.nums:
-        if exps[idx]:
-            if unit is not None or sum(exps) != 1:
-                return None
-            unit = exps
-    return None if unit is None else Fraction(e.nums[unit], e.den)
-
-
 def _solve_recursive(
     eqs: list[MultiPoly],
     params: tuple[str, ...],
@@ -206,14 +195,8 @@ def _solve_recursive(
     # an equation every term of which contains v splits as v = 0 or quotient = 0
     for pos, (e, sup) in enumerate(zip(eqs, supports)):
         for name in sup:
-            idx = e.variables.index(name)
-            if all(exps[idx] >= 1 for exps in e.nums):
-                # lowering one exponent keeps the canonical form
-                quotient = MultiPoly._from_canonical(
-                    e.variables,
-                    {x[:idx] + (x[idx] - 1,) + x[idx + 1 :]: c for x, c in e.nums.items()},
-                    e.den,
-                )
+            quotient = e.quotient_by(name)
+            if quotient is not None:
                 zero_branch = _root_branch(
                     zip(eqs, supports), name, Fraction(0), params, path, budget
                 )
@@ -225,7 +208,7 @@ def _solve_recursive(
     # variable appearing linearly with a constant coefficient: eliminate it
     for e, sup in zip(eqs, supports):
         for name in sup:
-            coeff = _linear_coefficient(e, e.variables.index(name))
+            coeff = e.linear_coefficient(name)
             if coeff is not None:
                 rest = e.substitute({name: 0})
                 replacement = rest.scale(Fraction(-1) / coeff)
@@ -326,12 +309,11 @@ def _pin_forced_zeros(
         forced: dict[str, None] = {}
         for con in constraints:
             if len(con.nums) == 1:
-                (exps,) = con.nums
-                used = [i for i, e in enumerate(exps) if e]
+                used = con.support()
                 if not used:
                     return False
                 if len(used) == 1:
-                    forced[con.variables[used[0]]] = None
+                    forced.update(dict.fromkeys(used))
         if not forced:
             return True
         zeros = dict.fromkeys(forced, 0)

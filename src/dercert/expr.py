@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import re
 import sys
+from fractions import Fraction
 from math import gcd
 
 from .derivation import Derivation
-from .mpoly import MultiPoly, grlex_key
+from .mpoly import DegreeOverflow, MultiPoly
 
 MAX_EXPONENT = 10**6
 MAX_NESTING = 100  # the most '(' and unary '-' open around a token
@@ -144,8 +145,13 @@ class _Reader:
     def term(self) -> MultiPoly:
         node = self.factor()
         while self.tokens[self.pos] == "*":
+            index = self.pos
             self.pos += 1
-            node = node * self.factor()
+            right = self.factor()
+            try:
+                node = node * right
+            except DegreeOverflow as exc:
+                self.fail(index, str(exc))
         return node
 
     def factor(self) -> MultiPoly:
@@ -165,7 +171,10 @@ class _Reader:
         if exponent > MAX_EXPONENT:
             self.fail(index, f"exponent exceeds {MAX_EXPONENT}")
         self.pos = index + 1
-        return node**exponent
+        try:
+            return node**exponent
+        except DegreeOverflow as exc:
+            self.fail(index, str(exc))
 
     def base(self) -> MultiPoly:
         index = self.pos
@@ -181,12 +190,9 @@ class _Reader:
                 den = self.integer(index) if self.tokens[index].isdecimal() else 0
                 if den == 0:
                     self.fail(index, "denominator must be a positive integer")
-                g = gcd(num, den)
-                num, den = num // g, den // g
             self.pos = index + 1
-            # MultiPoly.constant of num/den without building the Fraction
-            nums = {(0,) * len(self.variables): num} if num else {}
-            return MultiPoly._from_canonical(self.variables, nums, den)
+            # an integer literal needs no Fraction
+            return MultiPoly.constant(self.variables, num if den == 1 else Fraction(num, den))
         if text == "(":
             self.enter()
             inner = self.expr()
@@ -249,12 +255,11 @@ def poly_to_str(p: MultiPoly) -> str:
     Each coefficient is nums[e] / den in lowest terms, printed as a
     Fraction would print it.
     """
-    if not p.nums:
+    if p.is_zero():
         return "0"
     den = p.den
     parts = []
-    for exps in sorted(p.nums, key=grlex_key, reverse=True):
-        num = p.nums[exps]
+    for exps, num in p.descending():
         g = gcd(num, den)
         coeff = str(abs(num) // g) if den == g else f"{abs(num) // g}/{den // g}"
         mono = _format_monomial(p.variables, exps)

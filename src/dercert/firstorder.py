@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from .mpoly import MultiPoly, RatLike, ZeroPolynomial
 
@@ -72,13 +71,5 @@ def solve_first_order(a: MultiPoly, g: MultiPoly, k: RatLike = 1) -> FirstOrderS
             b[t - d] = acc.scale(Fraction(1) / lead)
         elif not acc.is_zero():
             constraints.append(-acc)
-    # terms degree by degree, top down, over the lcm of the b_j's denominators;
-    # lowest terms, since the b_j holding a prime's highest power in that lcm
-    # is scaled by a cofactor prime to it
-    den = lcm(*(bj.den for bj in b.values()))
-    candidate = MultiPoly._from_canonical(
-        g.variables,
-        {exps + (j,): c * (den // bj.den) for j, bj in b.items() for exps, c in bj.nums.items()},
-        den,
-    )
-    return FirstOrderSolution(candidate, constraints)
+    # terms degree by degree, top down
+    return FirstOrderSolution(MultiPoly.join(g.variables, "x", b), constraints)

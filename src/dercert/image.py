@@ -20,7 +20,6 @@ Mathieu-Zhao decision reads its evidence off the same table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import itemgetter
@@ -162,14 +161,10 @@ def _descend(family: PlaneFamily, target: MultiPoly) -> MultiPoly | None:
             return None
         f[k - 1] = solution.c
     rhs = t.get(1, zero) - a1 * f[1] - (a0 * f[2]).scale(2)
-    f[0] = MultiPoly(
-        X_ONLY, [((e + 1,), Fraction(c, rhs.den * (e + 1))) for (e,), c in rhs.nums.items()]
-    )
+    f[0] = MultiPoly(X_ONLY, [((e + 1,), c / (e + 1)) for (e,), c in rhs.terms.items()])
     if a0 * f[1] != t.get(0, zero):
         return None
-    den = lcm(*(fk.den for fk in f.values()))
-    nums = {(e, k): c * (den // fk.den) for k, fk in f.items() for (e,), c in fk.nums.items()}
-    return MultiPoly._build(target.variables, nums, den)
+    return MultiPoly.join(target.variables, target.variables[1], f)
 
 
 def _solve_system(D: Derivation, target: MultiPoly, bound: int) -> tuple[MultiPoly, int] | None:
@@ -187,9 +182,12 @@ def _solve_system(D: Derivation, target: MultiPoly, bound: int) -> tuple[MultiPo
     the images' and the target's denominators, so every entry is an int
     and `solve_sparse` eliminates over the integers.
 
-    A monomial is keyed by one packed int: its total degree in the top
-    field, then its exponents from the last variable down, so decreasing
-    keys are decreasing graded-lex.  Every field is as wide as the largest
+    A monomial is keyed by one packed int, built by `_pack` from the
+    exponent tuples that `MultiPoly.numerators` gives: its total degree
+    in the top field, then its exponents from the last variable down, so
+    decreasing keys are decreasing graded-lex, as in `MultiPoly`.  The
+    fields here are sized per system, not MultiPoly's fixed width, so the
+    keys stay small ints.  Every field is as wide as the largest
     total degree of a column (bound + deg D - 1), the basis or the target
     needs, and x^(e - 1_v) is formed only when e_v >= 1, so no field
     overflows or underflows and shifting x^e by a term of D(v) is one int
@@ -210,17 +208,19 @@ def _solve_system(D: Derivation, target: MultiPoly, bound: int) -> tuple[MultiPo
     families, the target's part is the whole system.
     """
     nvars = len(D.variables)
-    degrees = [bound + sum(m) - 1 for image in D.images for m in image.nums]
-    width = max([bound, *degrees, *map(sum, target.nums)]).bit_length()
+    image_nums = [image.numerators for image in D.images]
+    wanted = target.numerators
+    degrees = [bound + sum(m) - 1 for nums in image_nums for m in nums]
+    width = max([bound, *degrees, *map(sum, wanted)]).bit_length()
     basis, keys = _basis(nvars, bound, width)
     den = lcm(target.den, *(image.den for image in D.images))
     # the terms x^m of D(v) grouped by their packed shift m - 1_v, so x^e
     # contributes e_v * c * x^(e + m - 1_v) for each (v, c) of a shift
     by_shift: dict[int, list[tuple[int, int]]] = {}
-    for v, image in enumerate(D.images):
+    for v, (image, nums) in enumerate(zip(D.images, image_nums)):
         unit = (1 << width * nvars) + (1 << width * v)  # the key of x_v
         scale = den // image.den
-        for m, c in image.nums.items():
+        for m, c in nums.items():
             by_shift.setdefault(_pack(m, width) - unit, []).append((v, c * scale))
     single: dict[int, list[tuple[int, int]]] = {}
     shared = []
@@ -232,19 +232,19 @@ def _solve_system(D: Derivation, target: MultiPoly, bound: int) -> tuple[MultiPo
             shared.append((shift, terms))
     # the columns in the target's blocks and the others, each part as its
     # exponent vectors and their keys in basis order
-    kept = _kept(D)
+    kept = _kept(image_nums)
     if kept:
         block = itemgetter(*kept)
-        wanted = set(map(block, target.nums))
+        blocks = set(map(block, wanted))
         inside, outside = ([], []), ([], [])
         for exps, key, b in zip(basis, keys, map(block, basis)):
-            part = inside if b in wanted else outside
+            part = inside if b in blocks else outside
             part[0].append(exps)
             part[1].append(key)
     else:
         inside, outside = (basis, keys), ((), ())
-    rows = _assemble(*inside, single, shared, {_pack(m, width): {} for m in target.nums})
-    rhs = [c * (den // target.den) for c in target.nums.values()]
+    rows = _assemble(*inside, single, shared, {_pack(m, width): {} for m in wanted})
+    rhs = [c * (den // target.den) for c in wanted.values()]
     rhs += [0] * (len(rows) - len(rhs))
     solution = solve_sparse(rows, rhs, len(inside[0]))
     if solution is None:
@@ -289,20 +289,20 @@ def _assemble(
     return list(rows_by_key.values())
 
 
-def _kept(D: Derivation) -> tuple[int, ...]:
+def _kept(images: list[dict[tuple[int, ...], int]]) -> tuple[int, ...]:
     """The indices v of the variables x_v whose degree D keeps.
 
-    Every term of D(v) has x_v-exponent exactly 1, and no other image
-    holds x_v.  Then every term of D(x^e) = sum_w e_w * x^(e - 1_w) * D(w)
-    has x_v-exponent e_v.  This holds for y_i when k_i = 1 or gamma_i = 0
-    in the diagonal families, and for no variable of a plane family.
+    images holds the terms of each D(x_v) by exponent tuple.  Every term
+    of D(v) has x_v-exponent exactly 1, and no other image holds x_v.
+    Then every term of D(x^e) = sum_w e_w * x^(e - 1_w) * D(w) has
+    x_v-exponent e_v.  This holds for y_i when k_i = 1 or gamma_i = 0 in
+    the diagonal families, and for no variable of a plane family.
     """
-    images = D.images
     return tuple(
         v
         for v, image in enumerate(images)
-        if all(m[v] == 1 for m in image.nums)
-        and not any(m[v] for w, other in enumerate(images) if w != v for m in other.nums)
+        if all(m[v] == 1 for m in image)
+        and not any(m[v] for w, other in enumerate(images) if w != v for m in other)
     )
 
 
@@ -370,7 +370,7 @@ def _match_pattern(family: Family, target: MultiPoly) -> CertifiedNonMember | No
     if len(target.nums) != 1:
         return None
     coords, rows = _certified(family)
-    (exps,) = target.nums
+    (exps,) = target.numerators
     support = [i for i, e in enumerate(exps) if e]
     if len(support) == 1 and exps[support[0]] == 1 and support[0] in coords:
         return CertifiedNonMember(*coords[support[0]], target)

@@ -75,7 +75,7 @@ def condition3_solve(a2: MultiPoly, a1: MultiPoly, a0: Fraction, beta: int) -> l
     if j < 1:
         return []
     sign = Fraction(-1) ** beta
-    l = Fraction(a2.nums.get((j,), 0) * a1.den, a2.den * a1.nums[(j,)])
+    l = a2.terms.get((j,), 0) / a1.terms[(j,)]
     if l != 0 and a2 == a1.scale(l) + MultiPoly.constant(X_ONLY, sign * l ** (beta + 1) * a0):
         return [l]
     return []

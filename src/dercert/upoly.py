@@ -41,7 +41,7 @@ def rational_roots(p: MultiPoly) -> list[Fraction]:
     if len(p.support()) > 1:
         raise VariableMismatch("rational_roots needs a polynomial in one variable")
     # with one variable occurring, a term's total degree is its exponent
-    by_degree = {sum(exps): c for exps, c in p.nums.items()}
+    by_degree = {sum(exps): c for exps, c in p.numerators.items()}
     low = min(by_degree)
     degree = max(by_degree) - low
     roots = [Fraction(0)] if low > 0 else []

@@ -135,6 +135,15 @@ class TestErrorColumns:
             ("deriv{x: y, y: 1 + }", 20, "unexpected end of input"),
             ("deriv{x: y, y: 1 $ 2}", 18, "unexpected character '$'"),
             ("deriv{x: y, y: x^1000001}", 18, "exponent exceeds 1000000"),
+            # a total degree past the limit, at the exponent or the '*' that forms it
+            (
+                "deriv{x: y, y: (x^1000000)^1000000}", 28,
+                "total degree 1000000000000 exceeds the limit 2147483647",
+            ),
+            (
+                "deriv{x: y, y: (x^1000000)^2000*(y^1000000)^1000}", 32,
+                "total degree 3000000000 exceeds the limit 2147483647",
+            ),
             ("deriv{x: 1, x 2}", 13, "each entry must look like 'var: polynomial'"),
             ("deriv{x: y, x: x}", 13, "duplicate variable 'x'"),
             ("deriv{x: 1, y1: 2*y}", 19, "variable 'y' is not declared by this derivation"),
@@ -172,13 +181,13 @@ class TestErrorColumns:
 
     def test_coefficient_digits_at_the_limit(self):
         # 10^4299 has 4300 digits, the most str() prints by default
-        assert parse_poly("x - 10^4299").nums[(0,)] == -(10**4299)
+        assert parse_poly("x - 10^4299").numerators[(0,)] == -(10**4299)
         with pytest.raises(ParseError) as err:
             parse_poly("  x - 10^4300", ("x",))
         assert str(err.value) == "a coefficient has more than 4300 digits (column 3)"
         # held over the common denominator 7 the constant has 4301 digits,
         # but it prints in lowest terms
-        assert parse_poly("1/7*x + 2*10^4299").nums[(0,)] == 14 * 10**4299
+        assert parse_poly("1/7*x + 2*10^4299").numerators[(0,)] == 14 * 10**4299
 
     def test_nesting_at_the_limit(self):
         # MAX_NESTING '(' and unary '-' in any mix parse; one more fails at

@@ -2,7 +2,8 @@
 
 golden_parse.json was recorded with the parser that built an AST first
 and lowered it to MultiPoly in a second pass.  For each polynomial it
-holds the variables, the common denominator and `list(p.nums.items())`,
+holds the variables, the common denominator and
+`list(p.numerators.items())`,
 so the test pins the insertion order of the terms as well as the value.
 No result depends on that order; pinning it shows that a change to the
 parser builds the same polynomials the same way.
@@ -96,7 +97,7 @@ def generate(count: int = 300, seed: int = 20221) -> list[dict]:
 
 
 def _poly(p) -> dict:
-    return {"variables": list(p.variables), "den": p.den, "nums": [[list(e), c] for e, c in p.nums.items()]}
+    return {"variables": list(p.variables), "den": p.den, "nums": [[list(e), c] for e, c in p.numerators.items()]}
 
 
 def _derivation(D) -> dict:

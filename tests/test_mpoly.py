@@ -1,11 +1,21 @@
 from fractions import Fraction
+from operator import add
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
 from conftest import assert_layout, multipolys, nonzero_multipolys, rationals, uni
-from dercert import MultiPoly, VariableMismatch, ZeroPolynomial, divide_exact, parse_poly
+from dercert import (
+    DegreeOverflow,
+    MultiPoly,
+    VariableMismatch,
+    ZeroPolynomial,
+    divide_exact,
+    parse_poly,
+)
+from dercert.cli import run_command
+from dercert.mpoly import MAX_DEGREE
 
 XY = ("x", "y")
 
@@ -194,23 +204,27 @@ class TestTrustedCore:
             st.sampled_from(UVXY), st.just(Fraction(0)) | rationals, min_size=1, max_size=3
         ),
     )
-    # x*y comes first: y = 0 zeroes it, yet its rest x keeps the first
-    # position, ahead of the constant, once the later term x is added
+    # x*y comes first: y = 0 drops it, so the constant, the first term
+    # free of y, comes first, ahead of x
     @example(
         MultiPoly(UVXY, [((0, 0, 1, 1), 2), ((0, 0, 0, 0), 1), ((0, 0, 1, 0), 3)]),
         {"y": Fraction(0)},
     )
-    # u*v*y dies at u = v = 0, yet its key y stays ahead of x; substituting
-    # u first and then v drops that key and puts y after x
+    # u*v*y dies at u = v = 0; x and y keep their order
     @example(
         MultiPoly(UVXY, [((1, 1, 0, 1), 1), ((0, 0, 1, 0), 1), ((0, 0, 0, 1), 1)]),
         {"u": Fraction(0), "v": Fraction(0)},
     )
     def test_substitute(self, a, values):
         assigned = [UVXY.index(name) for name in values]
+        zeros = [UVXY.index(name) for name, value in values.items() if not value]
         result = a.substitute(values)
+        # the terms free of the names set to 0, in their order, then each
+        # specialized in turn, merged where monomials first meet
         expected = []
         for exps, c in items(a):
+            if any(exps[i] for i in zeros):
+                continue
             for i in assigned:
                 c *= values[UVXY[i]] ** exps[i]
             expected.append((tuple(0 if j in assigned else e for j, e in enumerate(exps)), c))
@@ -243,7 +257,7 @@ class TestTrustedCore:
         | rationals.map(lambda c: MultiPoly.constant(UVXY, c))
     )
     def test_is_constant(self, a):
-        assert a.is_constant() == all(not any(exps) for exps in a.nums)
+        assert a.is_constant() == all(not any(exps) for exps in a.numerators)
 
     @settings(max_examples=200, deadline=None)
     @given(multipolys(UVXY, max_degree=3), st.sampled_from(UVXY))
@@ -278,3 +292,173 @@ class TestTrustedCore:
         assert_canonical(quotient)
         assert quotient == MultiPoly(XY, items(quotient))
         assert quotient == q
+
+
+# -- the core on packed keys, against a tuple-keyed reference -------------
+
+
+def grlex_key(exps: tuple[int, ...]) -> tuple:
+    # total degree first, ties broken from the highest-ranked variable down
+    return (sum(exps), tuple(reversed(exps)))
+
+
+def ref_sum(*parts: dict) -> dict:
+    out: dict = {}
+    for part in parts:
+        for e, c in part.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    return ref_sum(*({tuple(map(add, e1, e2)): c1 * c2} for e1, c1 in a.items() for e2, c2 in b.items()))
+
+
+def ref_pow(a: dict, k: int, nvars: int) -> dict:
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(k):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_substitute(a: dict, values: dict[int, Fraction]) -> dict:
+    parts = []
+    for exps, c in a.items():
+        for i, value in values.items():
+            c *= value ** exps[i]
+        parts.append({tuple(0 if i in values else e for i, e in enumerate(exps)): c})
+    return ref_sum(*parts)
+
+
+def ref_top(a: dict) -> int:
+    return max(map(sum, a), default=0)
+
+
+def wide_multipolys(variables=UVXY, max_terms: int = 5):
+    """Polynomials whose exponents run from small to a quarter of the limit,
+    so every bit of a field is used and products may pass the limit."""
+    share = MAX_DEGREE // len(variables)
+    exponent = st.integers(0, 3) | st.integers(0, share) | st.sampled_from([share // 2, share])
+    exps = st.tuples(*[exponent] * len(variables))
+    terms = st.lists(st.tuples(exps, rationals), max_size=max_terms)
+    return terms.map(lambda t: MultiPoly(variables, t))
+
+
+class TestPackedKeys:
+    """Every operation agrees with the same operation on exponent tuples; a
+    result beyond MAX_DEGREE raises DegreeOverflow and never wraps."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_multipolys(), wide_multipolys())
+    def test_ring_operations(self, a, b):
+        ta, tb = a.terms, b.terms
+        assert MultiPoly(UVXY, ta) == a
+        assert (a + b).terms == ref_sum(ta, tb)
+        assert (a - b).terms == ref_sum(ta, {e: -c for e, c in tb.items()})
+        product = ref_mul(ta, tb)
+        if ref_top(product) > MAX_DEGREE:
+            with pytest.raises(DegreeOverflow):
+                a * b
+        else:
+            assert (a * b).terms == product
+
+    @settings(max_examples=200, deadline=None)
+    @given(wide_multipolys(), st.sampled_from(UVXY))
+    def test_reading_the_fields(self, a, name):
+        i = UVXY.index(name)
+        ta = a.terms
+        assert a.partial(name).terms == ref_sum(
+            *({tuple(e - (j == i) for j, e in enumerate(exps)): c * exps[i]} for exps, c in ta.items())
+        )
+        assert a.support() == {v for j, v in enumerate(UVXY) if any(exps[j] for exps in ta)}
+        if ta:
+            assert a.degree_in(name) == max(exps[i] for exps in ta)
+            assert a.total_degree() == ref_top(ta)
+            lead = max(ta, key=grlex_key)
+            assert a.leading_term() == (lead, ta[lead])
+        split = a.split(name)
+        assert {k: p.terms for k, p in split.items()} == {
+            k: {exps[:i] + exps[i + 1 :]: c for exps, c in ta.items() if exps[i] == k}
+            for k in {exps[i] for exps in ta}
+        }
+        assert MultiPoly.join(UVXY, name, split) == a
+        # x and y trade places, and a name no term holds goes away
+        reordered = ("y", "u", "v", "x")
+        assert a.with_variables(reordered).terms == {(e[3], e[0], e[1], e[2]): c for e, c in ta.items()}
+        if not any(exps[0] for exps in ta):
+            assert a.with_variables(UVXY[1:]).terms == {exps[1:]: c for exps, c in ta.items()}
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        multipolys(UVXY, max_degree=3),
+        st.dictionaries(st.sampled_from(UVXY), rationals, min_size=1, max_size=3),
+    )
+    def test_substitute(self, a, values):
+        result = a.substitute(values).terms
+        assert result == ref_substitute(a.terms, {UVXY.index(n): v for n, v in values.items()})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        wide_multipolys(),
+        st.dictionaries(st.sampled_from(UVXY), st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+                        min_size=1, max_size=3),
+    )
+    def test_substitute_zero_and_unit_values(self, a, values):
+        result = a.substitute(values).terms
+        assert result == ref_substitute(a.terms, {UVXY.index(n): v for n, v in values.items()})
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        multipolys(UVXY, max_degree=3),
+        st.sampled_from(UVXY),
+        multipolys(UVXY, max_degree=2, max_terms=3),
+    )
+    def test_substitute_poly(self, a, name, replacement):
+        i = UVXY.index(name)
+        tr = replacement.terms
+        parts = []
+        for exps, c in a.terms.items():
+            rest = {tuple(0 if j == i else e for j, e in enumerate(exps)): c}
+            parts.append(ref_mul(rest, ref_pow(tr, exps[i], len(UVXY))))
+        assert a.substitute_poly(name, replacement).terms == ref_sum(*parts)
+
+    def test_exponents_at_the_limit_round_trip(self):
+        for exps in [(MAX_DEGREE, 0, 0, 0), (0, 0, 0, MAX_DEGREE), (1, MAX_DEGREE - 3, 1, 1)]:
+            p = MultiPoly(UVXY, {exps: 3})
+            assert p.terms == {exps: 3}
+            assert p.total_degree() == MAX_DEGREE
+            assert p.leading_term() == (exps, 3)
+        top = MultiPoly.var(UVXY, "y", MAX_DEGREE)
+        assert top.terms == {(0, 0, 0, MAX_DEGREE): 1}
+        assert top.degree_in("y") == MAX_DEGREE and top.support() == {"y"}
+        assert top.split("y") == {MAX_DEGREE: MultiPoly.constant(UVXY[:3], 1)}
+        assert divide_exact(top, MultiPoly.var(UVXY, "y", MAX_DEGREE - 1)) == MultiPoly.var(UVXY, "y")
+        assert divide_exact(top, MultiPoly.var(UVXY, "x")) is None
+        half = MultiPoly.var(XY, "x", MAX_DEGREE // 2) * MultiPoly.var(XY, "y", MAX_DEGREE // 2 + 1)
+        assert half.terms == {(MAX_DEGREE // 2, MAX_DEGREE // 2 + 1): 1}
+
+    def test_one_past_the_limit_raises(self):
+        x, y = MultiPoly.var(XY, "x"), MultiPoly.var(XY, "y")
+        top = MultiPoly.var(XY, "x", MAX_DEGREE)
+        past = [
+            lambda: MultiPoly(XY, {(MAX_DEGREE + 1, 0): 1}),
+            lambda: MultiPoly(XY, {(MAX_DEGREE, 1): 1}),
+            lambda: MultiPoly.var(XY, "y", MAX_DEGREE + 1),
+            lambda: top * x,
+            lambda: top * y,
+            lambda: (top + x) * (y + x),
+            lambda: MultiPoly.var(XY, "y", MAX_DEGREE // 2 + 1) ** 2,
+            # the power fits, the sum with the rest of the term does not
+            lambda: (MultiPoly.var(XY, "x", MAX_DEGREE - 1) * y).substitute_poly("y", x * x),
+            lambda: MultiPoly.join(XY, "y", {MAX_DEGREE + 1: MultiPoly.constant(("x",), 1)}),
+            lambda: MultiPoly.join(XY, "y", {1: MultiPoly.var(("x",), "x", MAX_DEGREE)}),
+        ]
+        for make in past:
+            with pytest.raises(DegreeOverflow, match=f"exceeds the limit {MAX_DEGREE}$"):
+                make()
+
+    def test_cli_names_the_limit(self, capsys):
+        code = run_command(["analyze", "deriv{x: y, y: (x^1000000)^1000000}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"total degree 1000000000000 exceeds the limit {MAX_DEGREE} (column 28)" in err

@@ -193,12 +193,12 @@ class TestInvariants:
 
     def test_constructor_clears_denominators(self):
         p = MultiPoly(("x", "y"), {(1, 0): Fraction(1, 6), (0, 1): Fraction(2, 4), (0, 0): 3})
-        assert (p.nums, p.den) == ({(1, 0): 1, (0, 1): 3, (0, 0): 18}, 6)
+        assert (p.numerators, p.den) == ({(1, 0): 1, (0, 1): 3, (0, 0): 18}, 6)
         assert list(p.terms.values()) == [Fraction(1, 6), Fraction(1, 2), Fraction(3)]
 
     def test_common_factor_is_divided_out(self):
         half = MultiPoly(("x",), {(1,): Fraction(1, 2)})
         p = half + half
-        assert (p.nums, p.den) == ({(1,): 1}, 1)
+        assert (p.numerators, p.den) == ({(1,): 1}, 1)
         assert (half * MultiPoly.constant(("x",), 2)).den == 1
         assert (half - half).den == 1

@@ -50,7 +50,7 @@ def reordered_terms(request, monkeypatch):
     if request.param == "reversed":
         # the patch is in force: x + 1 lists the term it added first
         one_plus_x = MultiPoly.var(("x",), "x") + MultiPoly.constant(("x",), 1)
-        assert list(one_plus_x.nums) == [(0,), (1,)]
+        assert list(one_plus_x.numerators) == [(0,), (1,)]
 
 
 def test_golden_reports_ignore_term_order(capsys, reordered_terms):
