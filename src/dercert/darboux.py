@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .derivation import Derivation, Family, PlaneFamily, UnsupportedFamily
+from .derivation import X_ONLY, Derivation, Family, PlaneFamily, UnsupportedFamily
 from .firstorder import solve_first_order
 from .mpoly import CheckFailed, MultiPoly, ZeroPolynomial, divide_exact
 from .upoly import rational_roots
@@ -106,7 +106,6 @@ def _bareiss_det(matrix: list[list[MultiPoly]], variables: tuple[str, ...]) -> M
                 if q is None:
                     raise CheckFailed("Bareiss division must be exact")
                 m[i][j] = q
-            m[i][k] = MultiPoly.zero(variables)
         prev = m[k][k]
     det = m[size - 1][size - 1]
     return det if sign == 1 else -det
@@ -115,18 +114,15 @@ def _bareiss_det(matrix: list[list[MultiPoly]], variables: tuple[str, ...]) -> M
 def _resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     """Resultant eliminating var, via the Sylvester determinant."""
     # each coefficient back over p's variables, the tuple the determinant runs over
-    pc = {k: c.with_variables(p.variables) for k, c in p.split(var).items()}
-    qc = {k: c.with_variables(p.variables) for k, c in q.split(var).items()}
+    pc, qc = ({k: c.with_variables(p.variables) for k, c in f.split(var).items()} for f in (p, q))
     m, n = max(pc), max(qc)
     zero = MultiPoly.zero(p.variables)
-    p_list = [pc.get(m - i, zero) for i in range(m + 1)]
-    q_list = [qc.get(n - i, zero) for i in range(n + 1)]
-    size = m + n
-    rows = []
-    for i in range(n):
-        rows.append([zero] * i + p_list + [zero] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([zero] * i + q_list + [zero] * (size - i - n - 1))
+    # deg q shifted rows of p's coefficients, then deg p of q's, highest power first
+    rows = [
+        [zero] * i + [cs.get(deg - j, zero) for j in range(deg + 1)] + [zero] * (m + n - i - deg - 1)
+        for cs, deg, count in ((pc, m, n), (qc, n, m))
+        for i in range(count)
+    ]
     return _bareiss_det(rows, p.variables)
 
 
@@ -140,23 +136,24 @@ def _merge(branches) -> ResidualResult:
     return ResidualResult(solutions, note)
 
 
-def _root_branch(eqs, name, root, params, path, budget) -> ResidualResult:
-    """Substitute name = root where it occurs; a nonzero constant closes the branch.
+def _step(eqs, name, expr, factor, params, path, budget) -> ResidualResult:
+    """Set name := expr*factor where it occurs; a nonzero constant closes the branch.
 
-    eqs are (equation, support) pairs.  An equation without name passed
-    the constant check already, so only a rewritten one can close the
-    branch, as the recursion would.
+    eqs are (equation, support) pairs.  A constant expr goes in as a
+    value, any other through substitute_poly.  An equation without name
+    passed the constant check already, so only a rewritten one can close
+    the branch, as the recursion would.
     """
+    replacement = expr.scale(factor)
+    value = replacement.constant_value() if replacement.is_constant() else None
     sub = []
     for e, sup in eqs:
         if name in sup:
-            e = e.substitute({name: root})
+            e = e.substitute_poly(name, replacement) if value is None else e.substitute({name: value})
             if len(e.nums) == 1 and e.is_constant():
                 return ResidualResult([])
         sub.append(e)
-    return _solve_recursive(
-        sub, params, path + [(name, MultiPoly.constant(params, root), 1)], budget
-    )
+    return _solve_recursive(sub, params, path + [(name, expr, factor)], budget)
 
 
 def _solve_recursive(
@@ -186,9 +183,9 @@ def _solve_recursive(
     for e, sup in zip(eqs, supports):
         if len(sup) == 1:
             (name,) = sup
+            others = [(o, s) for o, s in zip(eqs, supports) if o is not e]
             return _merge(
-                _root_branch([(o, s) for o, s in zip(eqs, supports) if o is not e], name, r,
-                             params, path, budget)
+                _step(others, name, MultiPoly.constant(params, r), 1, params, path, budget)
                 for r in rational_roots(e)
             )
 
@@ -197,8 +194,8 @@ def _solve_recursive(
         for name in sup:
             quotient = e.quotient_by(name)
             if quotient is not None:
-                zero_branch = _root_branch(
-                    zip(eqs, supports), name, Fraction(0), params, path, budget
+                zero_branch = _step(
+                    zip(eqs, supports), name, MultiPoly.zero(params), 1, params, path, budget
                 )
                 rest = list(eqs)
                 rest[pos] = quotient
@@ -210,15 +207,9 @@ def _solve_recursive(
         for name in sup:
             coeff = e.linear_coefficient(name)
             if coeff is not None:
-                rest = e.substitute({name: 0})
-                replacement = rest.scale(Fraction(-1) / coeff)
-                sub = [
-                    o.substitute_poly(name, replacement) if name in s else o
-                    for o, s in zip(eqs, supports)
-                    if o is not e
-                ]
-                return _solve_recursive(
-                    sub, params, path + [(name, rest, Fraction(-1) / coeff)], budget
+                others = [(o, s) for o, s in zip(eqs, supports) if o is not e]
+                return _step(
+                    others, name, e.substitute({name: 0}), Fraction(-1) / coeff, params, path, budget
                 )
 
     # fall back to resultants, bounded by the effort budget
@@ -342,12 +333,8 @@ def _search_fixed_n(
     variables = params + ("x",)
     # e_low[s] = u{s}_0 + u{s}_1*x + ... with unknown coefficients
     e_low = {
-        s: MultiPoly(
-            variables,
-            [
-                (tuple(int(v == name) for v in params) + (j,), 1)
-                for j, name in enumerate(blocks[s])
-            ],
+        s: MultiPoly.join(
+            variables, "x", {j: MultiPoly.var(params, name) for j, name in enumerate(blocks[s])}
         )
         for s in range(alpha)
     }
@@ -385,12 +372,12 @@ def _search_fixed_n(
     if not result.solutions:
         return [], reason
     D = fam.to_derivation()
-    y = MultiPoly.var(fam.variables, fam.variables[1])
     pairs = []
     for point in result.solutions:
-        F = sum(
-            (ci.substitute(point).with_variables(fam.variables) * y**i for i, ci in c.items()),
-            MultiPoly.zero(fam.variables),
+        F = MultiPoly.join(
+            fam.variables,
+            fam.variables[1],
+            {i: ci.substitute(point).with_variables(X_ONLY) for i, ci in c.items()},
         )
         verified = verify_darboux(D, F)
         if not isinstance(verified, DarbouxPair):

@@ -86,13 +86,8 @@ class PlaneFamily:
 
     def to_derivation(self) -> Derivation:
         v = self.variables
-        y = MultiPoly.var(v, v[1])
-        img_x = y**self.alpha
-        img_y = (
-            self.a2.with_variables(v) * y ** (self.beta + 1)
-            + self.a1.with_variables(v) * y**self.beta
-            + self.a0.with_variables(v)
-        )
+        img_x = MultiPoly.var(v, v[1], self.alpha)
+        img_y = MultiPoly.join(v, v[1], {self.beta + 1: self.a2, self.beta: self.a1, 0: self.a0})
         return Derivation(v, (img_x, img_y))
 
 

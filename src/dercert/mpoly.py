@@ -26,10 +26,9 @@ Only the constructor ``MultiPoly(variables, terms)`` validates: it
 checks exponent vectors, merges repeated monomials and clears the
 denominators.  In the package it builds the polynomials whose terms
 come as Fractions: the preimage read off the image solve
-(`image._solve_system`), f_0 of the plane descent (`image._descend`)
-and the unknown cofactor coefficients of the Darboux search
-(`darboux._search_fixed_n`); the parser builds through arithmetic and
-`constant`.  Internal results run on the integer numerators, take the
+(`image._solve_system`) and f_0 of the plane descent (`image._descend`);
+the parser builds through arithmetic and `constant`, and the Darboux
+search through `var` and `join`.  Internal results run on the integer numerators, take the
 denominator into account once per operation and are stored through
 `_build`, which divides out gcd(den, numerators), or `_from_canonical`
 where no common factor can arise.
@@ -448,15 +447,19 @@ class MultiPoly:
     def join(variables: tuple[str, ...], name: str, coeffs: Mapping[int, "MultiPoly"]) -> "MultiPoly":
         """The sum of coeffs[k] * name^k, the inverse of `split`.
 
-        Each coefficient lies over variables without name.  Terms come
-        power by power in the order of coeffs, over the lcm of the
-        coefficients' denominators; that is lowest terms, since the
-        coefficient holding a prime's highest power in the lcm is scaled
-        by a cofactor prime to it.
+        Each coefficient lies over variables without name; one over any
+        other tuple raises VariableMismatch.  Terms come power by power
+        in the order of coeffs, over the lcm of the coefficients'
+        denominators; that is lowest terms, since the coefficient holding
+        a prime's highest power in the lcm is scaled by a cofactor prime
+        to it.
         """
         variables = tuple(variables)
-        shift = FIELD_BITS * variables.index(name)
-        total = FIELD_BITS * len(variables)
+        i = variables.index(name)
+        rest = variables[:i] + variables[i + 1 :]
+        if any(coeff.variables != rest for coeff in coeffs.values()):
+            raise VariableMismatch(f"joining by {name} into {variables} needs coefficients over {rest}")
+        shift, total = FIELD_BITS * i, FIELD_BITS * len(variables)
         low, unit = (1 << shift) - 1, (1 << shift) + (1 << total)
         den = lcm(*(coeff.den for coeff in coeffs.values()))
         nums = {}
@@ -478,13 +481,6 @@ class MultiPoly:
                     c = c * point[name] ** e
             total += c
         return Fraction(total) / self.den
-
-    def leading_term(self) -> tuple[tuple[int, ...], Fraction]:
-        if not self.nums:
-            raise ZeroPolynomial("zero polynomial has no leading term")
-        _, size, unpack = _words(len(self.variables))
-        key = max(self.nums)
-        return unpack(key.to_bytes(size, "little")), Fraction(self.nums[key], self.den)
 
     # -- dunder plumbing ---------------------------------------------------
 

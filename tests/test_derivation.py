@@ -13,6 +13,7 @@ from conftest import (
     unipolys,
 )
 from dercert import (
+    Derivation,
     FamilyDiag,
     FamilyDiagX,
     Generic,
@@ -132,6 +133,35 @@ class TestRecognize:
         recognized = recognize_family(D)
         assert not isinstance(recognized, Generic)
         assert recognized.to_derivation() == D
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda alpha: st.tuples(st.just(alpha), st.integers(min_value=alpha, max_value=4))
+        ),
+        unipolys(max_degree=2),
+        unipolys(max_degree=2),
+        unipolys(max_degree=2),
+        st.sampled_from(["y", "y1"]),
+    )
+    def test_plane_family_round_trip(self, powers, a2, a1, a0, y):
+        alpha, beta = powers
+        v = ("x", y)
+        D = PlaneFamily(alpha, beta, a2, a1, a0, v).to_derivation()
+        # the images written out with embeddings and products
+        y_var = MultiPoly.var(v, y)
+        img_y = (
+            a2.with_variables(v) * y_var ** (beta + 1)
+            + a1.with_variables(v) * y_var**beta
+            + a0.with_variables(v)
+        )
+        assert D == Derivation(v, (y_var**alpha, img_y))
+        assert recognize_family(D).to_derivation() == D
+
+    def test_plane_family_coefficients_lie_over_x_only(self):
+        fam = PlaneFamily(1, 1, a2=poly("x"), a1=uni([]), a0=uni([1]))
+        with pytest.raises(VariableMismatch):
+            fam.to_derivation()
 
     @settings(max_examples=100, deadline=None)
     @given(

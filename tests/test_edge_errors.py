@@ -15,7 +15,6 @@ from dercert import (
     UnsupportedFamily,
     UnsupportedIdealShape,
     VariableMismatch,
-    ZeroPolynomial,
     decide_simple_family_a,
     parse_derivation,
     parse_poly,
@@ -43,11 +42,6 @@ def test_variable_rejects_negative_power():
 def test_unipoly_constant_value_guard():
     with pytest.raises(ValueError):
         uni([0, 1]).constant_value()
-
-
-def test_unipoly_leading_coeff_of_zero():
-    with pytest.raises(ZeroPolynomial):
-        uni([]).leading_term()
 
 
 def test_unipoly_negative_power():

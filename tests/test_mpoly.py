@@ -81,6 +81,13 @@ class TestReshaping:
         }
         assert MultiPoly.zero(XY).split("y") == {}
 
+    def test_join_needs_coefficients_over_the_other_variables(self):
+        assert MultiPoly.join(XY, "y", {2: uni([-1, 1]), 0: uni([1])}) == poly("(x - 1)*y^2 + 1")
+        # a coefficient over another tuple is refused, not read as one over ("x",)
+        for wrong in [MultiPoly.var(("y1",), "y1"), MultiPoly.var(XY, "x")]:
+            with pytest.raises(VariableMismatch):
+                MultiPoly.join(XY, "y", {1: wrong})
+
     def test_with_variables_drops_an_unused_variable(self):
         r = poly("x^3 + 2*x + 1").with_variables(("x",))
         assert r == uni([1, 2, 0, 1])
@@ -374,8 +381,7 @@ class TestPackedKeys:
         if ta:
             assert a.degree_in(name) == max(exps[i] for exps in ta)
             assert a.total_degree() == ref_top(ta)
-            lead = max(ta, key=grlex_key)
-            assert a.leading_term() == (lead, ta[lead])
+        assert [e for e, _ in a.descending()] == sorted(ta, key=grlex_key, reverse=True)
         split = a.split(name)
         assert {k: p.terms for k, p in split.items()} == {
             k: {exps[:i] + exps[i + 1 :]: c for exps, c in ta.items() if exps[i] == k}
@@ -427,7 +433,7 @@ class TestPackedKeys:
             p = MultiPoly(UVXY, {exps: 3})
             assert p.terms == {exps: 3}
             assert p.total_degree() == MAX_DEGREE
-            assert p.leading_term() == (exps, 3)
+            assert p.descending() == [(exps, 3)]
         top = MultiPoly.var(UVXY, "y", MAX_DEGREE)
         assert top.terms == {(0, 0, 0, MAX_DEGREE): 1}
         assert top.degree_in("y") == MAX_DEGREE and top.support() == {"y"}
