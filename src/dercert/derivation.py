@@ -11,7 +11,13 @@ raw derivation to the most specific structured family:
 A plane family is quadratic when alpha = beta = 1, the shape of the
 simplicity theorem, and linear when it is quadratic with a2 = 0 and a
 constant a0.  The coefficients a2, a1, a0 and gamma_i are MultiPoly
-values over X_ONLY.
+values over X_ONLY; the families raise VariableMismatch otherwise.
+
+A plane derivation y^alpha*dx + D(y)*dy reads beta by one rule: beta =
+max(alpha, top power of y in D(y) - 1).  It is a plane family when every
+power of y in D(y) lies in {0, beta, beta+1}, and then a2, a1, a0 are the
+coefficients of y^(beta+1), y^beta and y^0.  So a one-term y^m reads as
+a2 when m - 1 >= alpha and as a1 when m = alpha.
 """
 
 from __future__ import annotations
@@ -73,6 +79,8 @@ class PlaneFamily:
     def __post_init__(self):
         if not (1 <= self.alpha <= self.beta):
             raise ValueError("alpha and beta must satisfy 1 <= alpha <= beta")
+        if any(c.variables != X_ONLY for c in (self.a2, self.a1, self.a0)):
+            raise VariableMismatch("a2, a1 and a0 must lie over (x,)")
 
     @property
     def quadratic(self) -> bool:
@@ -101,6 +109,8 @@ class FamilyDiagX:
             raise ValueError("need one (gamma, k) pair per y variable")
         if any(k < 1 for k in self.ks):
             raise ValueError("exponents must be >= 1")
+        if any(g.variables != X_ONLY for g in self.gammas):
+            raise VariableMismatch("each gamma_i must lie over (x,)")
 
 
 @dataclass(frozen=True)
@@ -149,27 +159,12 @@ def _recognize_plane(D: Derivation) -> Family:
         return Generic()
     # over (x, y) each coefficient of a power of y lies over (x,) = X_ONLY
     by_y = img_y.split(y)
+    beta = max(alpha, max(by_y, default=0) - 1)
+    if not by_y.keys() <= {0, beta, beta + 1}:
+        return Generic()
     zero = MultiPoly.zero(X_ONLY)
-    a0 = by_y.get(0, zero)
-    support = sorted(e for e in by_y if e >= 1)
-
-    def read(e2: int | None, e1: int | None, beta: int) -> PlaneFamily | None:
-        if beta < alpha:
-            return None
-        a2 = by_y[e2] if e2 is not None else zero
-        a1 = by_y[e1] if e1 is not None else zero
-        return PlaneFamily(alpha, beta, a2, a1, a0, D.variables)
-
-    if not support:
-        fam = read(None, None, alpha)
-    elif len(support) == 1:
-        m = support[0]
-        fam = read(m, None, m - 1) or read(None, m, m)
-    elif len(support) == 2 and support[1] == support[0] + 1:
-        fam = read(support[1], support[0], support[0])
-    else:
-        fam = None
-    return fam if fam is not None else Generic()
+    a2, a1, a0 = (by_y.get(e, zero) for e in (beta + 1, beta, 0))
+    return PlaneFamily(alpha, beta, a2, a1, a0, D.variables)
 
 
 def _recognize_diag_x(D: Derivation) -> Family:

@@ -385,9 +385,12 @@ def _match_pattern(family: Family, target: MultiPoly) -> CertifiedNonMember | No
 
 @dataclass(frozen=True)
 class MzVerdict:
-    mz: bool
     theorem: str
     evidence: CertifiedNonMember | tuple
+
+    @property
+    def mz(self) -> bool:
+        return not isinstance(self.evidence, CertifiedNonMember)
 
 
 def decide_mz(D: Derivation) -> MzVerdict:
@@ -397,14 +400,14 @@ def decide_mz(D: Derivation) -> MzVerdict:
     for the plane family with constant a0, T5.1 or C5.2 for dx +
     diagonal families, T5.3 for pure diagonal ones).  The one exception
     is the plane family with a2 = a0 = 0, whose image is the ideal (y)
-    and so MZ.  A non-MZ verdict carries a certified non-member of the
-    image as evidence.  Everything else (notably the quadratic
-    plane family with a2 != 0) is refused rather than guessed.
+    and so MZ.  A verdict is non-MZ exactly when its evidence is a
+    certified non-member of the image.  Everything else (notably the
+    quadratic plane family with a2 != 0) is refused rather than guessed.
     """
     family = recognize_family(D)
     if isinstance(family, PlaneFamily) and family.linear:
         if family.a0.is_zero():
-            return MzVerdict(mz=True, theorem=TAG_C23, evidence=("image-is-ideal", D.variables[1]))
+            return MzVerdict(TAG_C23, ("image-is-ideal", D.variables[1]))
         theorem = TAG_C23
     elif isinstance(family, FamilyDiagX):
         theorem = TAG_T51 if all(not g.is_zero() for g in family.gammas) else TAG_C52
@@ -415,12 +418,12 @@ def decide_mz(D: Derivation) -> MzVerdict:
             "no Mathieu-Zhao decision is available for this derivation shape"
         )
     if locally_finite_closed_form(family):
-        return MzVerdict(mz=True, theorem=theorem, evidence=("locally-finite", True))
+        return MzVerdict(theorem, ("locally-finite", True))
     target = _obstruction(D, family)
     evidence = None if target is None else certified_nonmembership(D, target)
     if evidence is None:
         raise CheckFailed("no proven pattern certifies the obstruction to local finiteness")
-    return MzVerdict(mz=False, theorem=theorem, evidence=evidence)
+    return MzVerdict(theorem, evidence)
 
 
 def _obstruction(D: Derivation, family: Family) -> MultiPoly | None:

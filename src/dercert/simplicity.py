@@ -8,7 +8,12 @@ are necessary for the power family (`conjecture_necessary`).  Condition
 
 Every verdict carries a result tag naming the decision rule that fired
 and, for non-simple verdicts, a stable-ideal witness that can be
-replayed through `verify_stable_ideal`.  The tags:
+replayed through `verify_stable_ideal`.  A record's yes/no reads off
+its data: a `SimplicityVerdict` is simple exactly when it has no
+certificate, a `NecessaryCheck` passed exactly when it has no witness,
+and a `ScanRow` failed exactly when its Darboux search was skipped.  A
+`Certificate` is a stable ideal, with the l of condition 3 if any.  The
+tags:
 
   T2.1   no linear y-term: simple iff a0 in Q* and deg a2 >= 1
   REF15  constant a2: simple iff a0 in Q* and deg a1 >= 1
@@ -22,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .darboux import SearchBounds, darboux_search_power_family
 from .derivation import X_ONLY, Derivation, PlaneFamily, UnsupportedFamily
@@ -40,45 +45,49 @@ class UnsupportedIdealShape(ValueError):
 
 @dataclass(frozen=True)
 class Certificate:
-    kind: str  # "stable_ideal" | "conditions"
-    generators: tuple[MultiPoly, ...] = ()
+    generators: tuple[MultiPoly, ...]
     l_value: Fraction | None = None
-    conditions: tuple[bool, bool, bool] | None = None
 
 
 @dataclass(frozen=True)
 class SimplicityVerdict:
-    simple: bool
-    certificate: Certificate
+    certificate: Certificate | None  # None when the three conditions hold
     theorem: str
+
+    @property
+    def simple(self) -> bool:
+        return self.certificate is None
 
 
 @dataclass(frozen=True)
 class NecessaryCheck:
-    passed: bool
     failed_condition: int | None = None
     witness: Certificate | None = None
 
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
-def condition3_solve(a2: MultiPoly, a1: MultiPoly, a0: Fraction, beta: int) -> list[Fraction]:
-    """All l in Q* with a2 = l*a1 + (-1)^beta * l^(beta+1) * a0, exhaustively over Q.
+
+def condition3_solve(a2: MultiPoly, a1: MultiPoly, a0: Fraction, beta: int) -> Fraction | None:
+    """The l in Q* with a2 = l*a1 + (-1)^beta * l^(beta+1) * a0, if any, exhaustively over Q.
 
     beta = 1 gives the simplicity condition a2 = l*a1 - l^2*a0.  Only
     asked after conditions 1 and 2 hold: a0 nonzero and a1 or a2
     nonconstant, else ValueError.  For x-degrees j >= 1 the identity
     forces a2_j = l*a1_j, so a nonconstant a1 pins l to one candidate and
-    a constant a1 admits none.
+    a constant a1 admits none; None when there is no l.
     """
     if a0 == 0 or (a1.is_constant() and a2.is_constant()):
         raise ValueError("condition 3 needs a0 != 0 and a1 or a2 nonconstant")
     j = a1.total_degree()
     if j < 1:
-        return []
+        return None
     sign = Fraction(-1) ** beta
     l = a2.terms.get((j,), 0) / a1.terms[(j,)]
     if l != 0 and a2 == a1.scale(l) + MultiPoly.constant(X_ONLY, sign * l ** (beta + 1) * a0):
-        return [l]
-    return []
+        return l
+    return None
 
 
 def _divides_mod(value: MultiPoly, modulus: MultiPoly) -> bool:
@@ -118,12 +127,6 @@ def verify_stable_ideal(D: Derivation, generators: Sequence[MultiPoly]) -> bool:
     raise UnsupportedIdealShape(f"{len(gens)} generators")
 
 
-def _stable(generators: Iterable[MultiPoly], l_value: Fraction | None = None) -> Certificate:
-    return Certificate(
-        kind="stable_ideal", generators=tuple(generators), l_value=l_value
-    )
-
-
 def _pick_tag(a2: MultiPoly, a1: MultiPoly) -> str:
     if a1.is_zero():
         return TAG_T21
@@ -146,24 +149,22 @@ def _plane_conditions(fam: PlaneFamily) -> NecessaryCheck:
     v = fam.variables
     y = MultiPoly.var(v, v[1])
     if a0.is_zero():
-        return NecessaryCheck(False, 1, _stable([y]))
+        return NecessaryCheck(1, Certificate((y,)))
     if not a0.is_constant():
-        return NecessaryCheck(False, 1, _stable([y, a0.with_variables(v)]))
+        return NecessaryCheck(1, Certificate((y, a0.with_variables(v))))
     a0_val = a0.constant_value()
     if a1.is_constant() and a2.is_constant():
         if a2.is_zero() and a1.is_zero():
             witness = (y ** (fam.alpha + 1)).scale(
                 Fraction(1, fam.alpha + 1)
             ) - MultiPoly.var(v, "x").scale(a0_val)
-            return NecessaryCheck(False, 2, _stable([witness]))
+            return NecessaryCheck(2, Certificate((witness,)))
         # the y-image a2*y^(beta+1) + a1*y^beta + a0
-        return NecessaryCheck(False, 2, _stable([fam.to_derivation().images[1]]))
-    solutions = condition3_solve(a2, a1, a0_val, fam.beta)
-    if solutions:
-        l = solutions[0]
-        witness = y + MultiPoly.constant(v, 1 / l)
-        return NecessaryCheck(False, 3, _stable([witness], l_value=l))
-    return NecessaryCheck(True)
+        return NecessaryCheck(2, Certificate((fam.to_derivation().images[1],)))
+    l = condition3_solve(a2, a1, a0_val, fam.beta)
+    if l is not None:
+        return NecessaryCheck(3, Certificate((y + MultiPoly.constant(v, 1 / l),), l))
+    return NecessaryCheck()
 
 
 # each public decider calls the evaluator itself and neither calls the
@@ -185,16 +186,12 @@ def decide_simple_family_a(fam: PlaneFamily) -> SimplicityVerdict:
     a2, a1 = fam.a2, fam.a1
     tag = _pick_tag(a2, a1)
     check = _plane_conditions(fam)
-    if check.passed:
-        return SimplicityVerdict(
-            True, Certificate(kind="conditions", conditions=(True, True, True)), tag
-        )
     witness = check.witness
     if check.failed_condition == 2 and not (a2.is_zero() and a1.is_zero()):
         (generator,) = witness.generators
         lead = a1 if a2.is_zero() else a2
-        witness = _stable([generator.scale(1 / lead.constant_value())])
-    return SimplicityVerdict(False, witness, tag)
+        witness = Certificate((generator.scale(1 / lead.constant_value()),))
+    return SimplicityVerdict(witness, tag)
 
 
 @dataclass(frozen=True)
@@ -203,10 +200,14 @@ class ScanRow:
     a2: MultiPoly
     a1: MultiPoly
     a0: MultiPoly
-    necessary: str  # "pass" | "fail"
     l_witness: Fraction | None
     darboux_status: str  # "found" | "none-up-to-bounds" | "undecided-residual" |
     #                      "skipped" | "unsupported"
+
+    @property
+    def necessary(self) -> str:
+        """The necessary conditions' outcome: "fail" exactly when the search was skipped."""
+        return "fail" if self.darboux_status == "skipped" else "pass"
 
 
 def conjecture_scan(alpha: int, coeff_grid, bounds: SearchBounds) -> list[ScanRow]:
@@ -225,18 +226,14 @@ def conjecture_scan(alpha: int, coeff_grid, bounds: SearchBounds) -> list[ScanRo
     for a2, a1, a0 in coeff_grid:
         fam = PlaneFamily(alpha=alpha, beta=alpha, a2=a2, a1=a1, a0=a0)
         check = conjecture_necessary(fam)
-        if not check.passed:
-            if check.witness is None:
-                raise CheckFailed("a failed necessary condition carries no witness")
+        if check.witness is not None:
             if not verify_stable_ideal(fam.to_derivation(), check.witness.generators):
                 raise CheckFailed("constructed witness failed verification")
-            rows.append(
-                ScanRow(alpha, a2, a1, a0, "fail", check.witness.l_value, "skipped")
-            )
+            rows.append(ScanRow(alpha, a2, a1, a0, check.witness.l_value, "skipped"))
             continue
         try:
             status = darboux_search_power_family(fam, bounds).status
         except UnsupportedFamily:
             status = "unsupported"
-        rows.append(ScanRow(alpha, a2, a1, a0, "pass", None, status))
+        rows.append(ScanRow(alpha, a2, a1, a0, None, status))
     return rows

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import (
+    X_ONLY,
     diag_x_derivation,
     locally_finite_probe,
     multipolys,
@@ -159,9 +160,36 @@ class TestRecognize:
         assert recognize_family(D).to_derivation() == D
 
     def test_plane_family_coefficients_lie_over_x_only(self):
-        fam = PlaneFamily(1, 1, a2=poly("x"), a1=uni([]), a0=uni([1]))
         with pytest.raises(VariableMismatch):
-            fam.to_derivation()
+            PlaneFamily(1, 1, a2=poly("x"), a1=uni([]), a0=uni([1]))
+
+    def test_plane_family_rejects_a_coefficient_in_y(self):
+        # a2 = y has x-degree 1 to the deciders, which would call it simple by T2.1
+        with pytest.raises(VariableMismatch):
+            PlaneFamily(1, 1, a2=poly("y"), a1=uni([]), a0=uni([1]))
+
+    def test_diag_x_rejects_a_coefficient_in_y(self):
+        # gamma_1 = y1 has x-degree 1 to `_certified`, which would certify T5.1
+        with pytest.raises(VariableMismatch):
+            FamilyDiagX(gammas=(poly("y1", ("x", "y1")),), ks=(1,))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=4),
+        st.dictionaries(
+            st.integers(min_value=0, max_value=6),
+            unipolys(max_degree=2).filter(lambda p: not p.is_zero()),
+            max_size=4,
+        ),
+    )
+    @example(1, {})
+    @example(2, {})
+    @example(2, {2: uni([1])})
+    @example(3, {3: uni([0, 1])})
+    @example(3, {2: uni([1])})
+    def test_plane_recognizer_matches_the_three_case_rule(self, alpha, coeffs):
+        D = Derivation(XY, (MultiPoly.var(XY, "y", alpha), MultiPoly.join(XY, "y", coeffs)))
+        assert recognize_family(D) == _three_case_plane(alpha, coeffs)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -176,6 +204,37 @@ class TestRecognize:
         ks = tuple(1 if g.is_zero() else k for g, k in pairs)
         fam = FamilyDiagX(gammas=gammas, ks=ks)
         assert recognize_family(diag_x_derivation(gammas, ks)) == fam
+
+
+def _three_case_plane(alpha, by_y):
+    """The plane reading of y^alpha*dx + sum by_y[e]*y^e*dy, case by case on the y-support.
+
+    No positive power: a2 = a1 = 0 and beta = alpha.  One power m: y^m
+    is a2 with beta = m - 1 when that is at least alpha, else a1 with
+    beta = m when that is.  Two consecutive powers m, m + 1: beta = m.
+    Anything else, or a beta below alpha, is Generic.
+    """
+    zero = MultiPoly.zero(X_ONLY)
+    a0 = by_y.get(0, zero)
+    support = sorted(e for e in by_y if e >= 1)
+
+    def read(e2, e1, beta):
+        if beta < alpha:
+            return None
+        a2 = by_y[e2] if e2 is not None else zero
+        a1 = by_y[e1] if e1 is not None else zero
+        return PlaneFamily(alpha, beta, a2, a1, a0)
+
+    if not support:
+        fam = read(None, None, alpha)
+    elif len(support) == 1:
+        m = support[0]
+        fam = read(m, None, m - 1) or read(None, m, m)
+    elif len(support) == 2 and support[1] == support[0] + 1:
+        fam = read(support[1], support[0], support[0])
+    else:
+        fam = None
+    return fam if fam is not None else Generic()
 
 
 class TestLocallyFinite:
