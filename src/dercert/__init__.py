@@ -55,7 +55,6 @@ from .simplicity import (
     Certificate,
     NecessaryCheck,
     SimplicityVerdict,
-    UnsupportedIdealShape,
     condition3_solve,
     conjecture_necessary,
     conjecture_scan,
@@ -104,7 +103,6 @@ __all__ = [
     "Certificate",
     "NecessaryCheck",
     "SimplicityVerdict",
-    "UnsupportedIdealShape",
     "condition3_solve",
     "conjecture_necessary",
     "conjecture_scan",

@@ -17,7 +17,7 @@ leading monomial is max(nums); the product of two monomials is the sum
 of their keys.  No total degree exceeds MAX_DEGREE = 2^(FIELD_BITS-1)
 - 1: a result beyond it raises DegreeOverflow.  So the sum of two keys
 never carries from one field into the next, and the top bit of every
-field is free, which `divide_exact` uses as a guard bit.  Only this
+field is free, which `divide` uses as a guard bit.  Only this
 module reads the layout; other modules read exponent tuples through
 `terms` (rational coefficients) or `numerators` (the integer numerators),
 or ask a method.
@@ -51,7 +51,7 @@ from functools import lru_cache, reduce
 from itertools import groupby
 from math import gcd, lcm
 from operator import itemgetter, or_
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 RatLike = Union[Fraction, int]
 
@@ -502,30 +502,47 @@ class MultiPoly:
         return f"MultiPoly({self.variables}, " + " + ".join(parts) + ")"
 
 
-def divide_exact(h: MultiPoly, g: MultiPoly) -> MultiPoly | None:
-    """Exact quotient h / g, or None when g does not divide h.
+def divide(h: MultiPoly, divisors: Sequence[MultiPoly]) -> list[MultiPoly] | None:
+    """Quotients q_i with h = sum of q_i * divisors[i], or None when a
+    remainder is left.
 
-    Leading-term elimination in graded-lex order; each step strictly
-    lowers the leading monomial, so the loop terminates and the quotient
-    is unique whenever it exists.  The leading monomial of g divides that
-    of the remainder when subtracting its key, with the top bit of every
-    field set first, leaves every top bit set.
+    Leading-term elimination in graded-lex order: each step cancels the
+    remainder's leading term by the first divisor whose leading monomial
+    divides it, and strictly lowers the leading monomial, so the loop
+    terminates.  A leading term that no divisor's leading monomial
+    divides would stay in the remainder, so the loop stops there.  When
+    the divisors form a Groebner basis, None means exactly that h is not
+    in their ideal.  A leading monomial divides that of the remainder
+    when subtracting its key, with the top bit of every field set first,
+    leaves every top bit set.
     """
-    h._check(g)
-    if g.is_zero():
-        raise ZeroPolynomial("division by the zero polynomial")
-    g_key = max(g.nums)
-    g_coeff = Fraction(g.nums[g_key], g.den)
+    leads = []
+    for g in divisors:
+        h._check(g)
+        if g.is_zero():
+            raise ZeroPolynomial("division by the zero polynomial")
+        g_key = max(g.nums)
+        leads.append((g_key, Fraction(g.nums[g_key], g.den), g))
     guard = sum(1 << FIELD_BITS * i + FIELD_BITS - 1 for i in range(len(h.variables) + 1))
-    quotient = MultiPoly.zero(h.variables)
+    quotients = [MultiPoly.zero(h.variables)] * len(leads)
     rem = h
     while not rem.is_zero():
         r_key = max(rem.nums)
-        diff = (r_key | guard) - g_key
-        if diff & guard != guard:
+        for i, (g_key, g_coeff, g) in enumerate(leads):
+            diff = (r_key | guard) - g_key
+            if diff & guard == guard:
+                break
+        else:
             return None
         q = Fraction(rem.nums[r_key], rem.den) / g_coeff
         t = MultiPoly._from_canonical(h.variables, {diff ^ guard: q.numerator}, q.denominator)
-        quotient = quotient + t
+        quotients[i] = quotients[i] + t
         rem = rem - t * g
-    return quotient
+    return quotients
+
+
+def divide_exact(h: MultiPoly, g: MultiPoly) -> MultiPoly | None:
+    """Exact quotient h / g, or None when g does not divide h; the
+    quotient is unique whenever it exists."""
+    quotients = divide(h, (g,))
+    return None if quotients is None else quotients[0]

@@ -27,20 +27,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from .darboux import SearchBounds, darboux_search_power_family
 from .derivation import X_ONLY, Derivation, PlaneFamily, UnsupportedFamily
-from .mpoly import CheckFailed, MultiPoly, divide_exact
+from .mpoly import CheckFailed, MultiPoly, divide
 
 TAG_T21 = "T2.1"
 TAG_T41 = "T4.1"
 TAG_T42 = "T4.2"
 TAG_REF15 = "REF15"
-
-
-class UnsupportedIdealShape(ValueError):
-    """Only principal ideals and (y, p(x)) pairs are verifiable."""
 
 
 @dataclass(frozen=True)
@@ -90,41 +87,25 @@ def condition3_solve(a2: MultiPoly, a1: MultiPoly, a0: Fraction, beta: int) -> F
     return None
 
 
-def _divides_mod(value: MultiPoly, modulus: MultiPoly) -> bool:
-    if modulus.is_zero():
-        return value.is_zero()
-    return divide_exact(value, modulus) is not None
-
-
 def verify_stable_ideal(D: Derivation, generators: Sequence[MultiPoly]) -> bool:
-    """Replay a stable-ideal certificate.
+    """Replay a stable-ideal certificate: True exactly when the
+    generators are nonconstant, their graded-lex leading monomials are
+    pairwise coprime, and each D(g) leaves no remainder on division by
+    them.
 
-    Two shapes are supported, the only ones the deciders emit:
-    a principal ideal (g), stable iff g divides D(g), and a pair
-    (y, p(x)), stable iff both D(y) and D(p) vanish modulo the ideal,
-    i.e. their y-free parts are divisible by p(x).
+    Coprime leading monomials make the generators a Groebner basis
+    (Buchberger's first criterion; Cox, Little and O'Shea, Ideals,
+    Varieties, and Algorithms, 2.9).  So division decides membership,
+    and 1 lies in the ideal only when a generator is constant.  Any
+    other list returns False, the empty one (the zero ideal) included.
     """
-    gens = list(generators)
-    if len(gens) == 1:
-        g = gens[0].with_variables(D.variables)
-        if g.is_zero():
-            raise UnsupportedIdealShape("zero generator")
-        return divide_exact(D.apply(g), g) is not None
-    if len(gens) == 2:
-        lead, p = gens
-        lead = lead.with_variables(D.variables)
-        p = p.with_variables(D.variables)
-        if len(D.variables) != 2:
-            raise UnsupportedIdealShape("pair ideals need a plane derivation")
-        x, y = D.variables
-        if lead != MultiPoly.var(D.variables, y):
-            raise UnsupportedIdealShape("pair ideals must look like (y, p(x))")
-        if not p.support() <= {x}:
-            raise UnsupportedIdealShape("second generator must only involve x")
-        dy = D.apply(lead).substitute({y: 0})
-        dp = D.apply(p).substitute({y: 0})
-        return _divides_mod(dy, p) and _divides_mod(dp, p)
-    raise UnsupportedIdealShape(f"{len(gens)} generators")
+    gens = [g.with_variables(D.variables) for g in generators]
+    if not gens or any(g.is_constant() for g in gens):
+        return False
+    leads = [g.descending()[0][0] for g in gens]
+    if any(any(map(min, a, b)) for a, b in combinations(leads, 2)):
+        return False
+    return all(divide(D.apply(g), gens) is not None for g in gens)
 
 
 def _pick_tag(a2: MultiPoly, a1: MultiPoly) -> str:

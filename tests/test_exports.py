@@ -79,7 +79,7 @@ def test_every_export_is_a_type_a_verifier_or_used_by_the_package():
 
 def test_every_module_level_definition_is_read():
     # what __init__ imports is public and so read; darboux_search_family_a
-    # stays only for the benchmark's darboux.search hook (ROADMAP item 7)
+    # stays only for the benchmark's darboux.search hook (ROADMAP item 1)
     read = _names_the_package_loads() | _bound_public_names() | {"darboux_search_family_a"}
     unread = []
     for module, tree in _package_modules():

@@ -15,7 +15,7 @@ from dercert import (
     parse_poly,
 )
 from dercert.cli import run_command
-from dercert.mpoly import MAX_DEGREE
+from dercert.mpoly import MAX_DEGREE, divide
 
 XY = ("x", "y")
 
@@ -49,6 +49,22 @@ class TestDivideExact:
     @given(multipolys(max_degree=3), nonzero_multipolys(max_degree=3))
     def test_product_always_divides(self, q, g):
         assert divide_exact(q * g, g) == q
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        multipolys(max_degree=3),
+        multipolys(max_degree=3),
+        rationals,
+        multipolys(("x",), max_degree=3).filter(lambda p: not p.is_constant()),
+    )
+    def test_quotients_over_coprime_leading_monomials(self, q1, q2, c, p):
+        # y + c and p(x) lead with coprime monomials, so their remainder is
+        # unique: h is a member, and h + 1 leaves the remainder 1
+        divisors = (poly("y") + MultiPoly.constant(XY, c), p.with_variables(XY))
+        h = q1 * divisors[0] + q2 * divisors[1]
+        quotients = divide(h, divisors)
+        assert quotients[0] * divisors[0] + quotients[1] * divisors[1] == h
+        assert divide(h + MultiPoly.constant(XY, 1), divisors) is None
 
 
 class TestRingAxioms:

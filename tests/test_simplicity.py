@@ -4,15 +4,17 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import nonzero_rationals, uni, unipolys
+from conftest import multipolys, nonzero_rationals, uni, unipolys
 from dercert import (
+    MultiPoly,
     PlaneFamily,
     SearchBounds,
-    UnsupportedIdealShape,
     condition3_solve,
     conjecture_necessary,
     conjecture_scan,
     decide_simple_family_a,
+    divide_exact,
+    parse_derivation,
     parse_poly,
     verify_stable_ideal,
 )
@@ -27,6 +29,47 @@ def poly(src):
 
 def nonconstant_unipolys(max_degree):
     return unipolys(max_degree=max_degree).filter(lambda p: not p.is_constant())
+
+
+def two_shape_reference(D, gens):
+    """The stable-ideal rule before division over a Groebner basis: a
+    principal (g) is stable iff g divides D(g), and a pair (y, p(x)) with
+    p nonconstant iff p divides the y-free parts of D(y) and D(p)."""
+    if len(gens) == 1:
+        (g,) = gens
+        return divide_exact(D.apply(g), g) is not None
+    y, p = gens
+    free = {D.variables[1]: 0}
+    return all(
+        divide_exact(D.apply(g).substitute(free), p) is not None for g in (y, p)
+    )
+
+
+@st.composite
+def plane_ideals(draw):
+    """A plane derivation and a principal or (y, p(x)) ideal, p nonconstant.
+
+    The witnesses of failing plane conditions and the pairs (y, p) with p
+    dividing a0 are stable; the other drawn ideals mostly are not.
+    """
+    alpha = draw(st.integers(min_value=1, max_value=3))
+    beta = draw(st.integers(min_value=alpha, max_value=3))
+    a2, a1 = draw(unipolys(max_degree=2, max_terms=3)), draw(unipolys(max_degree=2, max_terms=3))
+    p = draw(nonconstant_unipolys(max_degree=2))
+    kind = draw(st.sampled_from(["principal", "witness", "pair", "stable pair"]))
+    a0 = draw(unipolys(max_degree=2, max_terms=3))
+    if kind == "stable pair":
+        a0 = a0 * p
+    fam = PlaneFamily(alpha, beta, a2=a2, a1=a1, a0=a0)
+    y = MultiPoly.var(XY, "y")
+    witness = conjecture_necessary(fam).witness
+    if kind == "witness" and witness is not None:
+        gens = witness.generators
+    elif kind in ("pair", "stable pair"):
+        gens = (y, p.with_variables(XY))
+    else:
+        gens = (draw(multipolys(max_degree=3).filter(lambda g: not g.is_constant())),)
+    return fam.to_derivation(), gens
 
 
 class TestCondition3:
@@ -159,10 +202,32 @@ class TestVerifyStableIdeal:
 
     def test_unsupported_shape(self):
         D = PlaneFamily(1, 1, a2=uni([0, 1]), a1=uni([]), a0=uni([1])).to_derivation()
-        with pytest.raises(UnsupportedIdealShape):
-            verify_stable_ideal(D, [poly("y"), poly("x"), poly("x + y")])
-        with pytest.raises(UnsupportedIdealShape):
-            verify_stable_ideal(D, [poly("x + y"), poly("x")])
+        assert verify_stable_ideal(D, [poly("y"), poly("x"), poly("x + y")]) is False
+        assert verify_stable_ideal(D, [poly("x + y"), poly("x")]) is False
+
+    def test_unit_and_zero_ideals_refused(self):
+        # T2.1 proves this derivation simple: no proper nonzero ideal is stable
+        D = parse_derivation("deriv{x: y, y: x*y^2 + 1}")
+        for gens in (["1"], ["3"], ["y", "3"], ["0"]):
+            assert verify_stable_ideal(D, [poly(g) for g in gens]) is False
+
+    def test_pair_beyond_the_plane(self):
+        D = parse_derivation("deriv{y1: 2*y1, y2: 3*y2, y3: y1 + y2}")
+        gens = [parse_poly(g, D.variables) for g in ("y1", "y2")]
+        assert verify_stable_ideal(D, gens) is True
+        assert verify_stable_ideal(D, gens[:1] + [parse_poly("y3", D.variables)]) is False
+
+    def test_overlapping_leading_monomials_refused(self):
+        # (y, x + y) is the stable ideal (x, y), but y leads both generators
+        D = parse_derivation("deriv{x: x, y: y}")
+        assert verify_stable_ideal(D, [poly("x"), poly("y")]) is True
+        assert verify_stable_ideal(D, [poly("y"), poly("x + y")]) is False
+
+    @settings(max_examples=300, deadline=None)
+    @given(plane_ideals())
+    def test_matches_the_two_shape_rule(self, case):
+        D, gens = case
+        assert verify_stable_ideal(D, gens) == two_shape_reference(D, gens)
 
 
 class TestPowerFamilyNecessary:

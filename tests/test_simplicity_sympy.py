@@ -7,9 +7,11 @@ coefficient lists, and for condition 3 takes the nonzero rational common
 roots in l of the x-coefficients of a2 - l*a1 - (-1)^beta*l^(beta+1)*a0,
 computed by sympy: it never calls `condition3_solve`.
 
-At alpha = beta = 1 the simplicity decision must agree with the
-necessary conditions on every cell.  Its witness is the same one, except
-at condition 2, where it is the generator made monic in y.
+Every condition-3 witness y + 1/l must also pass `verify_darboux` as a
+Darboux polynomial.  At alpha = beta = 1 the simplicity decision must
+agree with the necessary conditions on every cell.  Its witness is the
+same one, except at condition 2, where it is the generator made monic
+in y.
 """
 
 from fractions import Fraction
@@ -21,9 +23,12 @@ from hypothesis import given, settings
 
 from conftest import uni
 from dercert import (
+    DarbouxPair,
+    MultiPoly,
     PlaneFamily,
     conjecture_necessary,
     decide_simple_family_a,
+    verify_darboux,
     verify_stable_ideal,
 )
 
@@ -98,6 +103,10 @@ def test_plane_conditions_match_reference(cell):
     if failed is not None:
         assert check.witness.l_value == l
         assert verify_stable_ideal(D, check.witness.generators)
+    if failed == 3:
+        # y = -1/l is a root of D(y), for every alpha <= beta
+        closed_form = MultiPoly.var(D.variables, "y") + MultiPoly.constant(D.variables, 1 / l)
+        assert isinstance(verify_darboux(D, closed_form), DarbouxPair)
     if not fam.quadratic:
         return
     verdict = decide_simple_family_a(fam)
