@@ -307,12 +307,19 @@ def _cmd_image(args, report: dict) -> int:
     D = parse_derivation(args.derivation)
     target = parse_poly(args.target, D.variables)
     report["family"] = describe_family(recognize_family(D))
-    result = image_membership(D, target, args.bound)
+    if args.bound < 0:
+        raise ValueError("bound must be nonnegative")
+    certificate = certified_nonmembership(D, target)
+    if certificate is None:
+        result = image_membership(D, target, args.bound)
+    else:
+        # no solve at --bound: above DEFAULT_SANITY_BOUND the theorem rules
+        # the target out, and up to it the certificate's sanity solve did
+        result = NotFoundUpTo(bound=args.bound)
     results = {"target": args.target, "membership": describe_image_result(result)}
     report["results"] = results
     if isinstance(result, Member):
         return EXIT_OK
-    certificate = certified_nonmembership(D, target)
     if certificate is not None:
         results["certified"] = describe_image_result(certificate)
     return EXIT_NOT_FOUND

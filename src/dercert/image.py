@@ -13,8 +13,11 @@ system gives.  A Member result is always sound (the
 preimage is returned and re-checkable); a bounded failure is only
 NotFoundUpTo.  Global non-membership is asserted solely through the
 proven family patterns of `_certified`, each tagged with the rule it
-instantiates and cross-checked at issue time by a bounded solve; the
-Mathieu-Zhao decision reads its evidence off the same table.
+instantiates and cross-checked at issue time by a solve at
+DEFAULT_SANITY_BOUND.  The CLI looks a target's pattern up first and
+answers a certified target at any bound from the theorem, with no solve
+at that bound; the Mathieu-Zhao decision reads its evidence off the
+same table.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from dercert.cli import EXIT_INTERNAL, run_command
 from dercert.darboux import NotDarboux, verify_darboux
 from dercert.expr import parse_derivation, parse_poly, poly_to_str
 from dercert.firstorder import FirstOrderSolution, solve_first_order
-from dercert.image import Member, NotFoundUpTo
+from dercert.image import DEFAULT_SANITY_BOUND, Member, NotFoundUpTo
 from dercert.mpoly import MultiPoly, VariableMismatch, ZeroPolynomial
 
 POWER_GRID = Path(__file__).resolve().parents[1] / "grids" / "power_alpha2.jsonl"
@@ -110,6 +110,42 @@ class TestImage:
             assert code != 2
             report.pop("timing_ms")
         assert split == joined
+
+    @pytest.mark.parametrize(
+        "derivation, target, bound, certified",
+        [
+            ("deriv{x: y, y: x*y + 1}", "x", 33, "P2.2"),
+            ("deriv{x: 1, y1: y1^2, y2: x*y2}", "y1", 10, "T5.1"),
+            ("deriv{y1: y1^2, y2: 2*y2}", "y1*y2^6", 11, "T5.3"),
+            ("deriv{x: y, y: x*y + 1}", "1", 3, None),
+            ("deriv{x: y, y: x*y^2 + 1}", "x", 27, None),
+        ],
+    )
+    def test_pattern_is_looked_up_before_the_bound_solve(
+        self, monkeypatch, capsys, derivation, target, bound, certified
+    ):
+        # a certified target gets only the pattern's sanity solve; any other
+        # target gets only the solve at --bound
+        bounds = []
+        real = dercert.image.image_membership
+
+        def recording(D, poly, at):
+            bounds.append(at)
+            return real(D, poly, at)
+
+        # cli imports the name, so both modules hold it
+        monkeypatch.setattr(dercert.cli, "image_membership", recording)
+        monkeypatch.setattr(dercert.image, "image_membership", recording)
+        argv = ["image", derivation, "--target", target, "--bound", str(bound)]
+        code, report = run_json(capsys, argv)
+        if certified is None:
+            assert bounds == [bound]
+            assert "certified" not in report["results"]
+        else:
+            assert bounds == [DEFAULT_SANITY_BOUND]
+            assert code == 4
+            assert report["results"]["membership"] == {"status": "not-found-up-to", "bound": bound}
+            assert report["results"]["certified"]["theorem"] == certified
 
 
 class TestMz:
@@ -399,11 +435,19 @@ class TestParseErrors:
         assert report["results"]["error"].startswith("nesting deeper than 100 (column ")
 
     def test_negative_bound(self, capsys):
-        code, report = run_json(
-            capsys,
-            ["image", "deriv{x: y, y: x*y + 1}", "--target", "x", "--bound", "-1"],
-        )
-        assert code == 2
+        # refused before the certified patterns are looked up: P2.2, T5.1,
+        # T5.3 and an uncertified target alike
+        for derivation, target in [
+            ("deriv{x: y, y: x*y + 1}", "x"),
+            ("deriv{x: 1, y1: y1^2, y2: x*y2}", "y1"),
+            ("deriv{y1: y1^2, y2: 2*y2}", "y1*y2^6"),
+            ("deriv{x: y, y: x*y^2 + 1}", "x"),
+        ]:
+            code, report = run_json(
+                capsys, ["image", derivation, "--target", target, "--bound", "-1"]
+            )
+            assert code == report["exit_code"] == 2
+            assert report["results"] == {"error": "bound must be nonnegative"}
 
     @pytest.mark.parametrize(
         "argv",

@@ -36,7 +36,7 @@ from dercert import (
     parse_poly,
     poly_to_str,
 )
-from dercert.image import DEFAULT_M_MIN
+from dercert.image import DEFAULT_M_MIN, DEFAULT_SANITY_BOUND
 from dercert.linalg import solve_sparse
 
 F = Fraction
@@ -646,6 +646,20 @@ class TestCertifiedAgainstTheorems:
                 assert cert is None
             else:
                 assert cert == CertifiedNonMember(*expected[:2], target, m_used=expected[2])
+
+    @settings(max_examples=60, deadline=None)
+    @given(pattern_cases())
+    def test_certified_targets_stay_out_above_the_sanity_bound(self, case):
+        # image answers a certified target at any --bound from the theorem,
+        # solving only at DEFAULT_SANITY_BOUND; the bounds just above it are
+        # solved here
+        _, _, D = case
+        for exps in probe_exponents(len(D.variables)):
+            target = MultiPoly(D.variables, {exps: 1})
+            if certified_nonmembership(D, target) is None:
+                continue
+            for bound in range(DEFAULT_SANITY_BOUND + 1, DEFAULT_SANITY_BOUND + 4):
+                assert image_membership(D, target, bound) == NotFoundUpTo(bound=bound)
 
     @settings(max_examples=150, deadline=None)
     @given(pattern_cases())
